@@ -20,7 +20,7 @@ which is what makes this family interesting.  A fixed-step RK4 integrator of
 that equation serves as an independent oracle for the Kraus form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -61,20 +61,13 @@ class CptpReport:
     label: str
     completeness_residual: float
     choi_min_eigenvalue: float
-    completeness_tol: float = COMPLETENESS_TOL
-    choi_psd_tol: float = CHOI_PSD_TOL
-
-    @property
-    def completeness_ok(self) -> bool:
-        return self.completeness_residual <= self.completeness_tol
-
-    @property
-    def choi_ok(self) -> bool:
-        return self.choi_min_eigenvalue >= -self.choi_psd_tol
 
     @property
     def passed(self) -> bool:
-        return self.completeness_ok and self.choi_ok
+        return (
+            self.completeness_residual <= COMPLETENESS_TOL
+            and self.choi_min_eigenvalue >= -CHOI_PSD_TOL
+        )
 
 
 def completeness_residual(channel: KrausChannel) -> float:
@@ -171,22 +164,14 @@ def phi_t_kraus(t: float) -> KrausChannel:
     return KrausChannel(ops, label=f"phi_t(t={t:g})")
 
 
-def _zero_hamiltonian() -> np.ndarray:
-    return np.zeros((2, 2), dtype=complex)
-
-
 @dataclass(frozen=True)
 class CanonicalGenerator:
-    """Time-local qubit generator with three Pauli decoherence rates.
-
-    The Hamiltonian field is kept for generality but defaults to zero; the
-    dynamics studied here carry no coherent part.
-    """
+    """Time-local qubit generator with three Pauli decoherence rates and no
+    coherent (Hamiltonian) part."""
 
     gamma1: Callable[[float], float]
     gamma2: Callable[[float], float]
     gamma3: Callable[[float], float]
-    hamiltonian: np.ndarray = field(default_factory=_zero_hamiltonian)
 
     def rates(self, t: float):
         return self.gamma1(t), self.gamma2(t), self.gamma3(t)
@@ -202,8 +187,9 @@ def eternal_nm_generator() -> CanonicalGenerator:
 
 
 def canonical_rhs(gen: CanonicalGenerator, t: float, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side sum_i (g_i(t)/2)(sigma_i rho sigma_i - rho) - i[H, rho].
+    """Right-hand side sum_i (g_i(t)/2)(sigma_i rho sigma_i - rho).
 
+    The generator is purely dissipative, so there is no -i[H, rho] term.
     Accepts stacked states over leading axes; the output is traceless and
     Hermitian for Hermitian input.
     """
@@ -211,11 +197,7 @@ def canonical_rhs(gen: CanonicalGenerator, t: float, rho: np.ndarray) -> np.ndar
     g1, g2, g3 = gen.rates(t)
     out = 0.5 * g1 * (SIGMA_X @ rho @ SIGMA_X - rho)
     out = out + 0.5 * g2 * (SIGMA_Y @ rho @ SIGMA_Y - rho)
-    out = out + 0.5 * g3 * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-    h = gen.hamiltonian
-    if np.any(h):
-        out = out - 1.0j * (h @ rho - rho @ h)
-    return out
+    return out + 0.5 * g3 * (SIGMA_Z @ rho @ SIGMA_Z - rho)
 
 
 def integrate_canonical(

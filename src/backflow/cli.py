@@ -2,8 +2,9 @@
 region scans and self-validation, emitting CSV or JSON for plotting.
 
 Exit codes: 0 success (including an informational no-backflow verdict),
-1 backflow detected by ``detect``, 2 usage error, 3 post-selection
-impossible, 4 validation failure.
+1 backflow detected by ``detect``, 2 usage error (any invalid argument),
+3 post-selection impossible, 4 failed internal check (a ``validate`` suite
+or a library consistency check).
 """
 
 import json
@@ -12,6 +13,8 @@ import click
 import numpy as np
 
 from .channel import (
+    CHOI_PSD_TOL,
+    COMPLETENESS_TOL,
     KrausChannel,
     apply,
     eternal_nm_generator,
@@ -34,26 +37,22 @@ from .detect import (
     DEFAULT_GRID_POINTS,
     DEFAULT_T_MAX,
     DEFAULT_T_MIN,
-    analytic_dDdt_path,
-    analytic_dDdt_switch,
+    analytic_derivative,
     asymptotic_threshold,
-    bare_dDdt,
-    bare_distance,
+    central_difference,
     detect_backflow,
     log_time_grid,
     max_coherent_dDdt_path,
     max_coherent_dDdt_switch,
-    path_distance,
     probe_distance,
     probe_pair,
     scan_region,
-    switch_distance,
 )
 from .qmat import KET_0, PostSelectionImpossibleError, check_density_operator, pure_state, trace_distance
 
 EXIT_BACKFLOW = 1
 EXIT_POSTSELECT = 3
-EXIT_VALIDATION = 4
+EXIT_CHECK_FAILED = 4
 
 
 def _fmt(value: float) -> str:
@@ -129,7 +128,25 @@ def _time_axis(t, t_min, t_max, points) -> np.ndarray:
     return np.linspace(t_min, t_max, points)
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """Maps errors escaping a command to the documented exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise  # both subclass RuntimeError
+        except PostSelectionImpossibleError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_POSTSELECT)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except RuntimeError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_CHECK_FAILED)
+
+
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Lossy-qubit backflow toolkit: evolve states, detect information
     backflow, query thresholds and scan the (a, p) phase diagram."""
@@ -147,23 +164,18 @@ def main():
 @click.option("--points", type=int, default=201, show_default=True)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.pass_context
-def evolve(ctx, mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, out):
+def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, out):
     """Time series of the evolved state and post-selection probability."""
     rho0 = _initial_state(a, input_text)
     times = _time_axis(t, t_min, t_max, points)
     config = _config_for(mode, p, outcome)
     rows = []
-    try:
-        for ti in times:
-            if config == "bare":
-                rho, prob = apply(phi_t_kraus(ti), rho0), 1.0
-            else:
-                rho, prob = controlled_output(config, rho0, ti)
-            rows.append((float(ti), rho, prob))
-    except PostSelectionImpossibleError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_POSTSELECT)
+    for ti in times:
+        if config == "bare":
+            rho, prob = apply(phi_t_kraus(ti), rho0), 1.0
+        else:
+            rho, prob = controlled_output(config, rho0, ti)
+        rows.append((float(ti), rho, prob))
     header = (
         "t,rho11_re,rho11_im,rho12_re,rho12_im,"
         "rho21_re,rho21_im,rho22_re,rho22_im,probability"
@@ -234,16 +246,8 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @click.pass_context
 def detect(ctx, mode, a, p, t_min, t_max, points, eps, fmt_name, out):
     """Detect information backflow; exit code 1 when backflow is found."""
-    try:
-        times = log_time_grid(t_min, t_max, points)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    config = _config_for(mode, p)
-    try:
-        report = detect_backflow(config, a, times=times, eps=eps)
-    except PostSelectionImpossibleError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_POSTSELECT)
+    times = log_time_grid(t_min, t_max, points)
+    report = detect_backflow(_config_for(mode, p), a, times=times, eps=eps)
     intervals = ";".join(f"{_fmt(t0)}:{_fmt(t1)}" for t0, t1 in report.backflow_intervals)
     if fmt_name == "csv":
         lines = [
@@ -345,19 +349,25 @@ def _suite_cptp(inject_defect: bool):
         report = validate_cptp(KrausChannel(tuple(bad_ops), label="injected-defect"))
         worst_res = max(worst_res, report.completeness_residual)
         worst_eig = min(worst_eig, report.choi_min_eigenvalue)
-    ok = worst_res <= 1e-12 and worst_eig >= -1e-10
+    ok = worst_res <= COMPLETENESS_TOL and worst_eig >= -CHOI_PSD_TOL
     detail = f"worst completeness residual {worst_res:.3e}, worst Choi eigenvalue {worst_eig:.3e}"
     return ok, detail
 
 
-def _suite_ode(t_values, seed: int = 7):
-    gen = eternal_nm_generator()
+def _random_states(seed: int):
+    """Three random full-rank qubit states from Ginibre factors."""
     rng = np.random.default_rng(seed)
-    states = [pure_state(KET_0), pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))]
+    states = []
     for _ in range(3):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = g @ g.conj().T
         states.append(rho / np.trace(rho).real)
+    return states
+
+
+def _suite_ode(t_values, seed: int = 7):
+    gen = eternal_nm_generator()
+    states = [pure_state(KET_0), pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0)), *_random_states(seed)]
     # Sorted and de-duplicated, so one RK4 pass carries the whole stack
     # through every checkpoint instead of restarting from t = 0 for each.
     times = sorted(set(t_values))
@@ -372,42 +382,30 @@ def _suite_ode(t_values, seed: int = 7):
 
 
 def _suite_closed_form(seed: int = 7):
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(3):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = g @ g.conj().T
-        states.append(rho / np.trace(rho).real)
+    states = _random_states(seed)
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 3.0):
         for p in (0.0, 0.5, 1.0):
+            pairs = ((path_config(p), analytic_state_path), (switch_config(p), analytic_state_switch))
             for rho in states:
-                out_path, _ = controlled_output(path_config(p), rho, t)
-                out_switch, _ = controlled_output(switch_config(p), rho, t)
-                worst = max(worst, float(np.abs(out_path - analytic_state_path(rho, t, p)).max()))
-                worst = max(worst, float(np.abs(out_switch - analytic_state_switch(rho, t, p)).max()))
+                for config, closed_form in pairs:
+                    out, _ = controlled_output(config, rho, t)
+                    worst = max(worst, float(np.abs(out - closed_form(rho, t, p)).max()))
     return worst <= 1e-10, f"worst closed-form vs supermap deviation {worst:.3e}"
 
 
 def _suite_derivatives():
-    h = 1e-4
     ts = np.linspace(0.1, 5.0, 25)
-    worst_fd = 0.0
+    configs = ["bare"] + [make(p) for p in (0.25, 0.5, 0.75, 1.0) for make in (path_config, switch_config)]
+    reductions = ((path_config(1.0), max_coherent_dDdt_path), (switch_config(1.0), max_coherent_dDdt_switch))
+    worst_fd = worst_red = 0.0
     for a in (0.2, 0.5, 0.65, 0.9):
-        fd = (bare_distance(a, ts + h) - bare_distance(a, ts - h)) / (2 * h)
-        worst_fd = max(worst_fd, float(np.abs(fd - bare_dDdt(a, ts)).max()))
-        for p in (0.25, 0.5, 0.75, 1.0):
-            fd = (path_distance(a, p, ts + h) - path_distance(a, p, ts - h)) / (2 * h)
-            worst_fd = max(worst_fd, float(np.abs(fd - analytic_dDdt_path(a, p, ts)).max()))
-            fd = (switch_distance(a, p, ts + h) - switch_distance(a, p, ts - h)) / (2 * h)
-            worst_fd = max(worst_fd, float(np.abs(fd - analytic_dDdt_switch(a, p, ts)).max()))
-    worst_red = 0.0
-    for a in (0.2, 0.5, 0.65, 0.9):
-        general_path = analytic_dDdt_path(a, 1.0, ts)
-        general_switch = analytic_dDdt_switch(a, 1.0, ts)
-        rel_path = np.abs(general_path - max_coherent_dDdt_path(a, ts)) / np.abs(general_path)
-        rel_switch = np.abs(general_switch - max_coherent_dDdt_switch(a, ts)) / np.abs(general_switch)
-        worst_red = max(worst_red, float(rel_path.max()), float(rel_switch.max()))
+        for config in configs:
+            fd = central_difference(lambda s: probe_distance(config, a, s), ts)
+            worst_fd = max(worst_fd, float(np.abs(fd - analytic_derivative(config, a, ts)).max()))
+        for config, reduced in reductions:
+            general = analytic_derivative(config, a, ts)
+            worst_red = max(worst_red, float((np.abs(general - reduced(a, ts)) / np.abs(general)).max()))
     ok = worst_fd <= 1e-6 and worst_red <= 1e-10
     return ok, f"worst FD residual {worst_fd:.3e}, worst p=1 reduction residual {worst_red:.3e}"
 
@@ -419,23 +417,20 @@ def _suite_derivatives():
 @click.pass_context
 def validate(ctx, suite, t_values, inject_defect):
     """Run the internal consistency suites; exit 4 on any failure."""
-    ode_times = list(t_values) if t_values else [0.5, 1.0, 2.0, 5.0]
-    selected = ["cptp", "ode", "closed-form", "derivatives"] if suite == "all" else [suite]
+    suites = {
+        "cptp": lambda: _suite_cptp(inject_defect),
+        "ode": lambda: _suite_ode(list(t_values) if t_values else [0.5, 1.0, 2.0, 5.0]),
+        "closed-form": _suite_closed_form,
+        "derivatives": _suite_derivatives,
+    }
     all_ok = True
-    for name in selected:
-        if name == "cptp":
-            ok, detail = _suite_cptp(inject_defect)
-        elif name == "ode":
-            ok, detail = _suite_ode(ode_times)
-        elif name == "closed-form":
-            ok, detail = _suite_closed_form()
-        else:
-            ok, detail = _suite_derivatives()
+    for name in suites if suite == "all" else [suite]:
+        ok, detail = suites[name]()
         all_ok = all_ok and ok
         click.echo(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     click.echo("all checks passed" if all_ok else "validation FAILED")
     if not all_ok:
-        ctx.exit(EXIT_VALIDATION)
+        ctx.exit(EXIT_CHECK_FAILED)
 
 
 if __name__ == "__main__":

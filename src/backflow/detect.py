@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .control import ControlConfig, path_coefficients, switch_coefficients
+from .control import ControlConfig, default_amplitudes, path_coefficients, switch_coefficients
 from .qmat import KET_0, pure_state
 
 BACKFLOW_EPS = 1e-9
@@ -37,8 +37,7 @@ ConfigLike = Union[str, ControlConfig]
 
 def probe_pair(a: float):
     """The distinguishability probes |0><0| and |psi_a><psi_a|."""
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"probe parameter a must be in (0, 1], got {a}")
+    _check_a(a)
     b = np.sqrt(1.0 - a * a)
     return pure_state(KET_0), pure_state(np.array([a, b]))
 
@@ -50,26 +49,23 @@ def log_time_grid(
 ) -> np.ndarray:
     """Logarithmically spaced time grid; backflow windows open late, so log
     spacing keeps both the early dip and the late window resolved."""
-    if not 0.0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
+    if not 0.0 < t_min < t_max < np.inf:
+        raise ValueError("need 0 < t_min < t_max < inf")
     if points < 2:
         raise ValueError("need at least two grid points")
     return np.exp(np.linspace(np.log(t_min), np.log(t_max), points))
 
 
-def central_difference(fn, t, h=FD_STEP, richardson: bool = False):
-    """Central finite difference of a scalar function of time.
-
-    ``h`` may be a scalar or a per-point array.  With ``richardson`` the
-    half-step estimate is Richardson-extrapolated to fourth order, useful
-    when resolving derivative sign changes near a region boundary.
-    """
+def central_difference(fn, t, h=FD_STEP):
+    """Central finite difference of a scalar function of time; ``h`` may be a
+    scalar or a per-point array."""
     t = np.asarray(t, dtype=float)
-    d_full = (fn(t + h) - fn(t - h)) / (2.0 * h)
-    if not richardson:
-        return d_full
-    d_half = (fn(t + 0.5 * h) - fn(t - 0.5 * h)) / h
-    return (4.0 * d_half - d_full) / 3.0
+    return (fn(t + h) - fn(t - h)) / (2.0 * h)
+
+
+def _check_a(a: float) -> None:
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"probe parameter a must be in (0, 1], got {a}")
 
 
 def _check_a_open(a: float) -> None:
@@ -88,8 +84,7 @@ def _check_p(p: float) -> None:
 
 def bare_distance(a: float, t):
     """D(t) = (1/2) e^{-2t} sqrt((1-a^2)(4 - 3a^2 + 2a^2 e^{2t} + a^2 e^{4t}))."""
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"probe parameter a must be in (0, 1], got {a}")
+    _check_a(a)
     t = np.asarray(t, dtype=float)
     x = np.exp(2.0 * t)
     root = (1.0 - a * a) * (4.0 - 3.0 * a * a + 2.0 * a * a * x + a * a * x * x)
@@ -113,9 +108,7 @@ def bare_derivative_parts(a: float, t):
 def bare_dDdt(a: float, t):
     """Time derivative of the bare-channel probe distance; negative for every
     a in (0, 1) and t > 0, so the bare dynamics never show backflow."""
-    _check_a_open(a)
-    prefactor, bracket = bare_derivative_parts(a, t)
-    return prefactor * bracket
+    return _checked_derivative("bare", a, 1.0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +121,7 @@ def path_distance(a: float, p: float, t):
     D = b sqrt(b^2 (2A - 1)^2 + a^2 (A + pB)^2) with b = sqrt(1-a^2) and the
     closed-form weights (A, B) of the path output.
     """
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"probe parameter a must be in (0, 1], got {a}")
+    _check_a(a)
     _check_p(p)
     a_w, b_w = path_coefficients(t, p)
     b2 = 1.0 - a * a
@@ -141,8 +133,7 @@ def switch_distance(a: float, p: float, t):
 
     D = b sqrt(b^2 (A - B)^2 + a^2 C^2) with the closed-form switch weights.
     """
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"probe parameter a must be in (0, 1], got {a}")
+    _check_a(a)
     _check_p(p)
     a_w, b_w, c_w = switch_coefficients(t, p)
     b2 = 1.0 - a * a
@@ -176,10 +167,7 @@ def path_derivative_parts(a: float, p: float, t):
 
 def analytic_dDdt_path(a: float, p: float, t):
     """Closed-form dD/dt for the path configuration."""
-    _check_a_open(a)
-    _check_p(p)
-    prefactor, bracket = path_derivative_parts(a, p, t)
-    return prefactor * bracket
+    return _checked_derivative("path", a, p, t)
 
 
 def switch_derivative_parts(a: float, p: float, t):
@@ -221,10 +209,7 @@ def switch_derivative_parts(a: float, p: float, t):
 
 def analytic_dDdt_switch(a: float, p: float, t):
     """Closed-form dD/dt for the switch configuration."""
-    _check_a_open(a)
-    _check_p(p)
-    prefactor, bracket = switch_derivative_parts(a, p, t)
-    return prefactor * bracket
+    return _checked_derivative("switch", a, p, t)
 
 
 def max_coherent_derivative_parts_path(a: float, t):
@@ -300,6 +285,26 @@ def max_coherent_dDdt_switch(a: float, t):
 # dispatch helpers
 # ---------------------------------------------------------------------------
 
+# Each configuration stated once: (distance, derivative parts) as functions
+# of (a, p, t).  The entries look the formulas up as module globals at call
+# time, so a wrapper installed on this module sees every call.
+_MODES = {
+    "bare": (lambda a, p, t: bare_distance(a, t), lambda a, p, t: bare_derivative_parts(a, t)),
+    "path": (lambda a, p, t: path_distance(a, p, t), lambda a, p, t: path_derivative_parts(a, p, t)),
+    "switch": (lambda a, p, t: switch_distance(a, p, t), lambda a, p, t: switch_derivative_parts(a, p, t)),
+}
+
+# The path closed forms hold for these amplitudes only.
+_DEFAULT_AMPLITUDES = default_amplitudes()
+
+
+def _checked_derivative(mode: str, a: float, p: float, t):
+    _check_a_open(a)
+    _check_p(p)
+    prefactor, bracket = _MODES[mode][1](a, p, t)
+    return prefactor * bracket
+
+
 def _mode_and_p(config: ConfigLike) -> Tuple[str, float]:
     if isinstance(config, str):
         if config != "bare":
@@ -309,27 +314,21 @@ def _mode_and_p(config: ConfigLike) -> Tuple[str, float]:
         raise TypeError("config must be 'bare' or a ControlConfig")
     if config.postselect_outcome != "plus":
         raise ValueError("closed-form detection covers the plus outcome only")
+    if config.mode == "path" and config.amplitudes != _DEFAULT_AMPLITUDES:
+        raise ValueError("closed-form detection covers the default path amplitudes only")
     return config.mode, config.control.p
 
 
 def probe_distance(config: ConfigLike, a: float, t):
     """Probe-pair trace distance for a configuration ('bare' or ControlConfig)."""
     mode, p = _mode_and_p(config)
-    if mode == "bare":
-        return bare_distance(a, t)
-    if mode == "path":
-        return path_distance(a, p, t)
-    return switch_distance(a, p, t)
+    return _MODES[mode][0](a, p, t)
 
 
 def analytic_derivative(config: ConfigLike, a: float, t):
     """Analytic dD/dt for a configuration ('bare' or ControlConfig)."""
     mode, p = _mode_and_p(config)
-    if mode == "bare":
-        return bare_dDdt(a, t)
-    if mode == "path":
-        return analytic_dDdt_path(a, p, t)
-    return analytic_dDdt_switch(a, p, t)
+    return _checked_derivative(mode, a, p, t)
 
 
 def config_label(config: ConfigLike) -> str:
@@ -386,15 +385,16 @@ def detect_backflow(
     a: float,
     times: Optional[np.ndarray] = None,
     eps: float = BACKFLOW_EPS,
-    fd_check: bool = True,
 ) -> BackflowReport:
     """Scan the probe-pair distance for intervals of positive derivative.
 
     The distance comes from the closed form of the configuration, the
-    derivative from the analytic formula; when ``fd_check`` is set, the
-    analytic derivative is verified against a central finite difference of
-    the distance (step 1e-4, tolerance 1e-6).  The grid must be strictly
-    increasing and start at t > 0.
+    derivative from the analytic formula, and every call verifies the
+    analytic derivative against a central finite difference of the distance
+    (step min(1e-4, t/2), tolerance 1e-6).  The grid must be strictly
+    increasing and start at t > 0.  Raises ValueError for invalid input and
+    RuntimeError when a series is not finite, leaves [0, 1], jumps, or fails
+    the finite-difference check.
     """
     _check_a_open(a)
     if times is None:
@@ -418,15 +418,13 @@ def detect_backflow(
     if np.any(np.abs(np.diff(dist)) > LIPSCHITZ_BOUND * steps + 1e-12):
         raise RuntimeError("distance series is not continuous at the grid resolution")
 
-    fd_residual = 0.0
-    if fd_check:
-        h = np.minimum(FD_STEP, 0.5 * times)
-        fd = central_difference(lambda s: probe_distance(config, a, s), times, h=h)
-        fd_residual = float(np.abs(fd - deriv).max())
-        if fd_residual > FD_CHECK_TOL:
-            raise RuntimeError(
-                f"analytic derivative disagrees with finite differences ({fd_residual:.3e})"
-            )
+    h = np.minimum(FD_STEP, 0.5 * times)
+    fd = central_difference(lambda s: probe_distance(config, a, s), times, h=h)
+    fd_residual = float(np.abs(fd - deriv).max())
+    if fd_residual > FD_CHECK_TOL:
+        raise RuntimeError(
+            f"analytic derivative disagrees with finite differences ({fd_residual:.3e})"
+        )
 
     intervals = _intervals_above(times, deriv, eps)
     peak = float(deriv.max())
@@ -470,14 +468,7 @@ def _derivative_matrix(mode: str, a_values: np.ndarray, p: float, t) -> np.ndarr
     """dD/dt on the (a, t) product grid, rows indexed by a."""
     a_col = np.asarray(a_values, dtype=float)[:, None]
     t_row = np.asarray(t, dtype=float)[None, :]
-    if mode == "path":
-        pre, br = path_derivative_parts(a_col, p, t_row)
-    elif mode == "switch":
-        pre, br = switch_derivative_parts(a_col, p, t_row)
-    elif mode == "bare":
-        pre, br = bare_derivative_parts(a_col, t_row)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    pre, br = _MODES[mode][1](a_col, p, t_row)
     return pre * br
 
 
@@ -485,12 +476,11 @@ def empirical_threshold(
     mode: str,
     p: float,
     a_step: float = 5e-4,
-    t_eval: float = DEFAULT_T_MAX,
 ) -> float:
     """Measured large-time edge of the backflow region at fixed p.
 
     Scans a in steps of ``a_step`` and returns the midpoint between the last
-    probe parameter whose derivative is still positive at ``t_eval`` and the
+    probe parameter whose derivative is still positive at DEFAULT_T_MAX and the
     first one where it has turned negative.  Evaluating the sign at one late
     time isolates the sustained (late-time) window; the switch configuration
     additionally shows a transient positive window at intermediate times for
@@ -500,7 +490,7 @@ def empirical_threshold(
     if mode not in ("path", "switch"):
         raise ValueError(f"mode must be 'path' or 'switch', got {mode!r}")
     a_values = np.arange(a_step, 1.0, a_step)
-    d = _derivative_matrix(mode, a_values, p, np.array([t_eval]))[:, 0]
+    d = _derivative_matrix(mode, a_values, p, np.array([DEFAULT_T_MAX]))[:, 0]
     positive = d > 0.0
     if not positive.any():
         return 0.0
@@ -530,13 +520,12 @@ def scan_region(
     p_grid,
     t_max: float = DEFAULT_T_MAX,
     eps: float = BACKFLOW_EPS,
-    points: int = DEFAULT_GRID_POINTS,
     threads: Optional[int] = None,
 ) -> RegionScan:
     """Backflow verdicts for both configurations over an (a, p) grid.
 
     Each cell applies the detect_backflow criterion (some derivative sample
-    above ``eps`` on a log time grid up to ``t_max``).  Rows at fixed p are
+    above ``eps`` on the default log time grid up to ``t_max``).  Rows at fixed p are
     evaluated vectorized; independent rows may be evaluated by a thread pool
     (``threads``, or the BACKFLOW_SCAN_THREADS environment variable) and are
     merged by index, so the result does not depend on the thread count.
@@ -547,14 +536,12 @@ def scan_region(
         raise ValueError("a grid must lie in (0, 1]")
     if np.any(p_grid < 0.0) or np.any(p_grid > 1.0):
         raise ValueError("p grid must lie in [0, 1]")
-    times = log_time_grid(DEFAULT_T_MIN, t_max, points)
+    times = log_time_grid(DEFAULT_T_MIN, t_max)
     if threads is None:
         threads = int(os.environ.get(SCAN_THREADS_ENV, "1"))
 
     def row(p: float):
-        path_row = _derivative_matrix("path", a_grid, p, times).max(axis=1) > eps
-        switch_row = _derivative_matrix("switch", a_grid, p, times).max(axis=1) > eps
-        return path_row, switch_row
+        return [_derivative_matrix(m, a_grid, p, times).max(axis=1) > eps for m in ("path", "switch")]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -72,27 +72,20 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(m)[::-1]
 
 
-def check_density_operator(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> None:
-    """Validate Hermiticity, unit trace and positive semidefiniteness.
-
-    Raises ValueError naming the first violated invariant.
-    """
+def check_density_operator(rho: np.ndarray) -> None:
+    """Validate Hermiticity, unit trace and positive semidefiniteness to the
+    module tolerances; raises ValueError naming the first violated invariant."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density operator must be a square matrix")
     res = hermiticity_residual(rho)
-    if res > herm_tol:
+    if res > HERMITICITY_TOL:
         raise ValueError(f"density operator not Hermitian (residual {res:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density operator trace is {tr}, expected 1")
     lam_min = float(np.linalg.eigvalsh(rho).min())
-    if lam_min < -psd_tol:
+    if lam_min < -PSD_TOL:
         raise ValueError(f"density operator has negative eigenvalue {lam_min:.3e}")
 
 

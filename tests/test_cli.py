@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow.cli import main
 
@@ -263,3 +265,61 @@ class TestByteStability:
     def test_evolve_deterministic(self, runner):
         args = ["evolve", "--mode", "switch", "--p", "0.7", "--t-max", "3", "--points", "20"]
         assert invoke(runner, *args).output == invoke(runner, *args).output
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args, env, code",
+        [
+            (["threshold", "--mode", "path", "--p", "2"], {}, 2),
+            (["distance", "--mode", "path", "--a", "0", "--t", "1"], {}, 2),
+            (["scan", "--a-min", "0", "--a-points", "3", "--p-points", "3"], {}, 2),
+            (["evolve", "--mode", "bare", "--t", "-1"], {}, 2),
+            (["detect", "--mode", "path", "--a", "1"], {}, 2),
+            (["detect", "--mode", "path", "--a", "0.5", "--p", "1.5"], {}, 2),
+            (["scan", "--a-points", "3", "--p-points", "3"], {"BACKFLOW_SCAN_THREADS": "abc"}, 2),
+            (["detect", "--mode", "switch", "--a", "0.3", "--t-max", "400"], {}, 4),
+            (["detect", "--mode", "path", "--a", "0.5", "--t-max", "inf"], {}, 2),
+        ],
+        ids=[
+            "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
+            "detect-p", "scan-threads-env", "detect-overflow", "detect-t-max-inf",
+        ],
+    )
+    def test_library_errors_map_to_exit_codes(self, runner, args, env, code):
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["threshold", "distance", "detect"]),
+        mode=st.sampled_from(["bare", "path", "switch"]),
+        values=st.fixed_dictionaries(
+            {},
+            optional={
+                name: st.floats(allow_nan=True, allow_infinity=True)
+                for name in ("--a", "--p", "--t", "--t-max")
+            },
+        ),
+    )
+    def test_exit_code_contract(self, command, mode, values):
+        # threshold takes path/switch and --p only, distance needs a time
+        # flag, detect takes no --t; small grids keep each example fast
+        args = [command, "--mode", "path" if command == "threshold" and mode == "bare" else mode]
+        if command == "threshold":
+            values = {"--p": values.get("--p", 0.5)}
+        elif command == "distance":
+            values.setdefault("--a", 0.5)
+            if "--t" not in values and "--t-max" not in values:
+                values["--t"] = 1.0
+            args += ["--points", "5"]
+        else:
+            values.setdefault("--a", 0.5)
+            values.pop("--t", None)
+            args += ["--points", "20"]
+        args += [f"{name}={value!r}" for name, value in values.items()]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in {0, 1, 2, 3, 4}
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
