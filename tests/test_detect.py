@@ -4,6 +4,7 @@ import pytest
 import backflow.detect as detect
 from backflow.channel import apply, phi_t_kraus
 from backflow.detect import (
+    FD_STEP,
     analytic_dDdt_path,
     analytic_derivative,
     analytic_dDdt_switch,
@@ -372,15 +373,19 @@ class TestScanRegion:
 
 class TestCentralDifference:
     def test_plain_stencil_order(self):
-        # error of the stencil scales as h^2, and at the default step it
-        # resolves the analytic rate far inside the detection tolerance
+        # error of the stencil scales as h^2
         exact = np.cos(1.0)
         h_coarse, h_fine = 1e-2, 5e-3
         err = lambda h: abs(central_difference(np.sin, 1.0, h=h) - exact)
         assert err(h_fine) == pytest.approx(err(h_coarse) / 4.0, rel=0.05)
+
+    def test_matches_analytic_rate(self):
+        # at the default step the stencil resolves the analytic rate far
+        # inside the detection tolerance; a finer step reaches 1e-9
         ts = np.array([0.5, 2.0])
-        fd = central_difference(lambda s: bare_distance(0.4, s), ts)
-        assert np.abs(fd - bare_dDdt(0.4, ts)).max() < 1e-8
+        rate = lambda h: central_difference(lambda s: bare_distance(0.4, s), ts, h=h)
+        assert np.abs(rate(FD_STEP) - bare_dDdt(0.4, ts)).max() < 1e-8
+        assert np.abs(rate(1e-5) - bare_dDdt(0.4, ts)).max() < 1e-9
 
 
 class TestGrid:
