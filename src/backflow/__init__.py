@@ -10,6 +10,8 @@ Closed-form output states, derivative formulas, backflow thresholds and
 simulation and an RK4 master-equation oracle.
 """
 
+import types
+
 from .channel import (
     CanonicalGenerator,
     CptpReport,
@@ -73,60 +75,6 @@ from .qmat import (
     trace_distance,
 )
 
-__all__ = [
-    "AmplitudeVectors",
-    "BACKFLOW_EPS",
-    "BackflowReport",
-    "CanonicalGenerator",
-    "ControlConfig",
-    "ControlState",
-    "CptpReport",
-    "KrausChannel",
-    "PhiCoefficients",
-    "PostSelectionImpossibleError",
-    "RegionScan",
-    "analytic_dDdt_path",
-    "analytic_dDdt_switch",
-    "analytic_state_path",
-    "analytic_state_switch",
-    "apply",
-    "asymptotic_threshold",
-    "bare_dDdt",
-    "bare_distance",
-    "build_supermap",
-    "canonical_rhs",
-    "central_difference",
-    "check_density_operator",
-    "choi_matrix",
-    "completeness_residual",
-    "compose",
-    "controlled_output",
-    "dagger",
-    "default_amplitudes",
-    "detect_backflow",
-    "eig_hermitian",
-    "empirical_threshold",
-    "eternal_nm_generator",
-    "integrate_canonical",
-    "kron",
-    "log_time_grid",
-    "max_coherent_dDdt_path",
-    "max_coherent_dDdt_switch",
-    "path_config",
-    "path_coefficients",
-    "path_distance",
-    "path_kraus",
-    "phi_t_coefficients",
-    "phi_t_kraus",
-    "probe_pair",
-    "project_control",
-    "pure_state",
-    "scan_region",
-    "switch_config",
-    "switch_coefficients",
-    "switch_distance",
-    "switch_kraus",
-    "trace_distance",
-    "validate_cptp",
-]
+# Every name imported above is public; the submodules themselves are not.
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, types.ModuleType))
 __version__ = "0.1.0"

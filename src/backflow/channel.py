@@ -107,7 +107,7 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (channel.dim, channel.dim):
         raise ValueError(f"state dimension {rho.shape} does not match channel dim {channel.dim}")
     res = completeness_residual(channel)
-    if res > COMPLETENESS_TOL:
+    if not res <= COMPLETENESS_TOL:
         raise ValueError(
             f"channel {channel.label!r} is not trace preserving (residual {res:.3e})"
         )
@@ -145,7 +145,7 @@ def phi_t_coefficients(t: float) -> PhiCoefficients:
     alpha1 + alpha2 = 1, which is exactly the completeness weight of the
     three surviving operators.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
     u = np.exp(-2.0 * t)
     return PhiCoefficients(float(t), (1.0 + u) / 2.0, (1.0 - u) / 2.0, (1.0 + u) / 2.0)

@@ -22,21 +22,14 @@ from .channel import (
     phi_t_kraus,
     validate_cptp,
 )
-from .control import (
-    analytic_state_path,
-    analytic_state_switch,
-    controlled_output,
-    default_amplitudes,
-    path_config,
-    path_kraus,
-    switch_config,
-    switch_kraus,
-)
+from .control import OUTCOMES, SUPERMAPS, controlled_output, default_amplitudes
 from .detect import (
     BACKFLOW_EPS,
+    CONTROLLED_MODES,
     DEFAULT_GRID_POINTS,
     DEFAULT_T_MAX,
     DEFAULT_T_MIN,
+    MODES,
     analytic_derivative,
     asymptotic_threshold,
     central_difference,
@@ -103,11 +96,8 @@ def _initial_state(a, input_text) -> np.ndarray:
 
 
 def _config_for(mode: str, p: float, outcome: str = "plus"):
-    if mode == "path":
-        return path_config(p, outcome=outcome)
-    if mode == "switch":
-        return switch_config(p, outcome=outcome)
-    return "bare"
+    """The supermap mode's default configuration, or the bare mode's name."""
+    return SUPERMAPS[mode].config(p, outcome) if mode in SUPERMAPS else mode
 
 
 def _finite_nonnegative(ctx, param, value):
@@ -153,11 +143,11 @@ def main():
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["bare", "path", "switch"]), required=True)
+@click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--a", type=float, default=None, help="Probe parameter; evolves a|0>+sqrt(1-a^2)|1>.")
 @click.option("--input", "input_text", type=str, default=None, help="Initial state rho11,re12,im12,rho22.")
 @click.option("--p", type=float, default=1.0, show_default=True, help="Control purity parameter.")
-@click.option("--outcome", type=click.Choice(["plus", "minus"]), default="plus", show_default=True)
+@click.option("--outcome", type=click.Choice(list(OUTCOMES)), default="plus", show_default=True)
 @click.option("--t", type=float, default=None, help="Single evaluation time.")
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, default=None)
@@ -204,7 +194,7 @@ def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, o
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["bare", "path", "switch"]), required=True)
+@click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--a", type=float, required=True)
 @click.option("--p", type=float, default=1.0, show_default=True)
 @click.option("--t", type=float, default=None)
@@ -234,7 +224,7 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["bare", "path", "switch"]), required=True)
+@click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--a", type=float, required=True)
 @click.option("--p", type=float, default=1.0, show_default=True)
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
@@ -282,7 +272,7 @@ def detect(ctx, mode, a, p, t_min, t_max, points, eps, fmt_name, out):
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["path", "switch"]), required=True)
+@click.option("--mode", type=click.Choice(CONTROLLED_MODES), required=True)
 @click.option("--p", type=float, required=True)
 def threshold(mode, p):
     """Critical probe parameter for late-time backflow."""
@@ -335,10 +325,10 @@ def _suite_cptp(inject_defect: bool):
     worst_res = 0.0
     worst_eig = np.inf
     grid = np.arange(0.0, 5.0 + 1e-9, 0.1)
+    amps = default_amplitudes()
     for t in grid:
         phi = phi_t_kraus(t)
-        channels = [phi, switch_kraus(phi, phi), path_kraus(phi, phi, default_amplitudes())]
-        for ch in channels:
+        for ch in [phi, *(supermap.kraus(phi, amps) for supermap in SUPERMAPS.values())]:
             report = validate_cptp(ch)
             worst_res = max(worst_res, report.completeness_residual)
             worst_eig = min(worst_eig, report.choi_min_eigenvalue)
@@ -386,9 +376,9 @@ def _suite_closed_form(seed: int = 7):
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 3.0):
         for p in (0.0, 0.5, 1.0):
-            pairs = ((path_config(p), analytic_state_path), (switch_config(p), analytic_state_switch))
+            configs = [(_config_for(mode, p), supermap.closed_form) for mode, supermap in SUPERMAPS.items()]
             for rho in states:
-                for config, closed_form in pairs:
+                for config, closed_form in configs:
                     out, _ = controlled_output(config, rho, t)
                     worst = max(worst, float(np.abs(out - closed_form(rho, t, p)).max()))
     return worst <= 1e-10, f"worst closed-form vs supermap deviation {worst:.3e}"
@@ -396,8 +386,8 @@ def _suite_closed_form(seed: int = 7):
 
 def _suite_derivatives():
     ts = np.linspace(0.1, 5.0, 25)
-    configs = ["bare"] + [make(p) for p in (0.25, 0.5, 0.75, 1.0) for make in (path_config, switch_config)]
-    reductions = ((path_config(1.0), max_coherent_dDdt_path), (switch_config(1.0), max_coherent_dDdt_switch))
+    configs = ["bare"] + [_config_for(mode, p) for p in (0.25, 0.5, 0.75, 1.0) for mode in SUPERMAPS]
+    reductions = ((_config_for("path", 1.0), max_coherent_dDdt_path), (_config_for("switch", 1.0), max_coherent_dDdt_switch))
     worst_fd = worst_red = 0.0
     for a in (0.2, 0.5, 0.65, 0.9):
         for config in configs:

@@ -20,7 +20,7 @@ here alongside the direct supermap route so that each can check the other.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -88,14 +88,14 @@ class ControlConfig:
     postselect_outcome: str = "plus"
 
     def __post_init__(self):
-        if self.mode not in ("switch", "path"):
-            raise ValueError(f"mode must be 'switch' or 'path', got {self.mode!r}")
-        if self.mode == "path" and self.amplitudes is None:
-            raise ValueError("path mode requires amplitude vectors")
-        if self.mode == "switch" and self.amplitudes is not None:
-            raise ValueError("switch mode takes no amplitude vectors")
-        if self.postselect_outcome not in ("plus", "minus"):
-            raise ValueError(f"postselect_outcome must be 'plus' or 'minus'")
+        if self.mode not in SUPERMAPS:
+            raise ValueError(f"mode must be one of {list(SUPERMAPS)}, got {self.mode!r}")
+        takes_amplitudes = SUPERMAPS[self.mode].takes_amplitudes
+        if takes_amplitudes != (self.amplitudes is not None):
+            need = "requires" if takes_amplitudes else "takes no"
+            raise ValueError(f"{self.mode} mode {need} amplitude vectors")
+        if self.postselect_outcome not in OUTCOMES:
+            raise ValueError(f"postselect_outcome must be one of {list(OUTCOMES)}")
 
 
 def switch_config(p: float, outcome: str = "plus") -> ControlConfig:
@@ -114,12 +114,16 @@ def path_config(
     )
 
 
+# Control measurement outcomes and their kets; the closed forms describe
+# CLOSED_FORM_OUTCOME only.
+OUTCOMES = {"plus": KET_PLUS, "minus": KET_MINUS}
+CLOSED_FORM_OUTCOME = "plus"
+
+
 def outcome_vector(outcome: str) -> np.ndarray:
-    if outcome == "plus":
-        return KET_PLUS
-    if outcome == "minus":
-        return KET_MINUS
-    raise ValueError(f"unknown outcome {outcome!r}")
+    if outcome not in OUTCOMES:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    return OUTCOMES[outcome]
 
 
 def switch_kraus(e: KrausChannel, f: KrausChannel) -> KrausChannel:
@@ -154,10 +158,7 @@ def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> Krau
 
 def build_supermap(config: ControlConfig, t: float) -> KrausChannel:
     """Joint Kraus set for two copies of the lossy channel at time t."""
-    phi = phi_t_kraus(t)
-    if config.mode == "switch":
-        return switch_kraus(phi, phi)
-    return path_kraus(phi, phi, config.amplitudes)
+    return SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
 
 
 def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
@@ -213,6 +214,18 @@ def switch_coefficients(t, p: float):
     return a, b, c
 
 
+def _closed_form_input(rho0: np.ndarray, t: float, p: float):
+    """Entries s11, s12, s21, s22 of a qubit input, after checking p and t."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if not t >= 0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (2, 2):
+        raise ValueError("closed-form outputs expect a qubit state")
+    return rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
+
+
 def analytic_state_path(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
     """Closed-form plus-outcome path output; equals the supermap route.
 
@@ -221,15 +234,8 @@ def analytic_state_path(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
         [ s11 A + (2+p) s22 B    s12 A + p s21 B ]
         [ p s12 B + s21 A        (2+p) s11 B + s22 A ]
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
-        raise ValueError("analytic_state_path expects a qubit state")
+    s11, s12, s21, s22 = _closed_form_input(rho0, t, p)
     a_w, b_w = path_coefficients(t, p)
-    s11, s12, s21, s22 = rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
     return np.array(
         [
             [s11 * a_w + (2.0 + p) * s22 * b_w, s12 * a_w + p * s21 * b_w],
@@ -247,15 +253,8 @@ def analytic_state_switch(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
         [ s11 A + s22 B    s12 C ]
         [ s21 C            s11 B + s22 A ]
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
-        raise ValueError("analytic_state_switch expects a qubit state")
+    s11, s12, s21, s22 = _closed_form_input(rho0, t, p)
     a_w, b_w, c_w = switch_coefficients(t, p)
-    s11, s12, s21, s22 = rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
     return np.array(
         [
             [s11 * a_w + s22 * b_w, s12 * c_w],
@@ -263,3 +262,22 @@ def analytic_state_switch(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+class _Supermap(NamedTuple):
+    kraus: Callable  # (phi, amplitudes) -> joint Kraus set over two copies of phi
+    takes_amplitudes: bool
+    closed_form: Callable  # (rho0, t, p) -> output state for CLOSED_FORM_OUTCOME
+    config: Callable  # (p, outcome) -> ControlConfig, default amplitudes
+
+# Each supermap stated once.  The entries look the builders and closed forms
+# up as module globals at call time, so a wrapper installed on this module
+# sees every call.
+SUPERMAPS = {
+    "path": _Supermap(lambda phi, amps: path_kraus(phi, phi, amps), True,
+                      lambda rho0, t, p: analytic_state_path(rho0, t, p),
+                      lambda p, outcome: path_config(p, outcome=outcome)),
+    "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), False,
+                        lambda rho0, t, p: analytic_state_switch(rho0, t, p),
+                        lambda p, outcome: switch_config(p, outcome=outcome)),
+}

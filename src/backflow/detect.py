@@ -15,11 +15,17 @@ central finite differences of the distance.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .control import ControlConfig, default_amplitudes, path_coefficients, switch_coefficients
+from .control import (
+    CLOSED_FORM_OUTCOME,
+    ControlConfig,
+    default_amplitudes,
+    path_coefficients,
+    switch_coefficients,
+)
 from .qmat import KET_0, pure_state
 
 BACKFLOW_EPS = 1e-9
@@ -285,14 +291,25 @@ def max_coherent_dDdt_switch(a: float, t):
 # dispatch helpers
 # ---------------------------------------------------------------------------
 
-# Each configuration stated once: (distance, derivative parts) as functions
-# of (a, p, t).  The entries look the formulas up as module globals at call
+class _Mode(NamedTuple):
+    distance: Callable
+    derivative_parts: Callable
+    threshold: Optional[Callable] = None
+
+
+# Each configuration stated once: distance and derivative parts as functions
+# of (a, p, t), and the late-time threshold as a function of p (none for the
+# bare channel).  The entries look the formulas up as module globals at call
 # time, so a wrapper installed on this module sees every call.
 _MODES = {
-    "bare": (lambda a, p, t: bare_distance(a, t), lambda a, p, t: bare_derivative_parts(a, t)),
-    "path": (lambda a, p, t: path_distance(a, p, t), lambda a, p, t: path_derivative_parts(a, p, t)),
-    "switch": (lambda a, p, t: switch_distance(a, p, t), lambda a, p, t: switch_derivative_parts(a, p, t)),
+    "bare": _Mode(lambda a, p, t: bare_distance(a, t), lambda a, p, t: bare_derivative_parts(a, t)),
+    "path": _Mode(lambda a, p, t: path_distance(a, p, t), lambda a, p, t: path_derivative_parts(a, p, t),
+                  lambda p: np.sqrt(p / (1.0 + p))),
+    "switch": _Mode(lambda a, p, t: switch_distance(a, p, t), lambda a, p, t: switch_derivative_parts(a, p, t),
+                    lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
 }
+MODES = tuple(_MODES)
+CONTROLLED_MODES = tuple(m for m in MODES if _MODES[m].threshold is not None)
 
 # The path closed forms hold for these amplitudes only.
 _DEFAULT_AMPLITUDES = default_amplitudes()
@@ -301,40 +318,43 @@ _DEFAULT_AMPLITUDES = default_amplitudes()
 def _checked_derivative(mode: str, a: float, p: float, t):
     _check_a_open(a)
     _check_p(p)
-    prefactor, bracket = _MODES[mode][1](a, p, t)
+    prefactor, bracket = _MODES[mode].derivative_parts(a, p, t)
     return prefactor * bracket
 
 
-def _mode_and_p(config: ConfigLike) -> Tuple[str, float]:
+def _controlled(mode: str) -> _Mode:
+    if mode not in CONTROLLED_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, CONTROLLED_MODES))}, got {mode!r}")
+    return _MODES[mode]
+
+
+def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
+    """Table key, control parameter and report label of a configuration."""
     if isinstance(config, str):
-        if config != "bare":
+        if config not in MODES or config in CONTROLLED_MODES:
             raise ValueError(f"string config must be 'bare', got {config!r}")
-        return "bare", 1.0
+        return config, 1.0, config
     if not isinstance(config, ControlConfig):
         raise TypeError("config must be 'bare' or a ControlConfig")
-    if config.postselect_outcome != "plus":
-        raise ValueError("closed-form detection covers the plus outcome only")
-    if config.mode == "path" and config.amplitudes != _DEFAULT_AMPLITUDES:
+    if config.postselect_outcome != CLOSED_FORM_OUTCOME:
+        raise ValueError(f"closed-form detection covers the {CLOSED_FORM_OUTCOME} outcome only")
+    if config.amplitudes not in (None, _DEFAULT_AMPLITUDES):
         raise ValueError("closed-form detection covers the default path amplitudes only")
-    return config.mode, config.control.p
+    return config.mode, config.control.p, f"{config.mode}(p={config.control.p:g})"
 
 
 def probe_distance(config: ConfigLike, a: float, t):
-    """Probe-pair trace distance for a configuration ('bare' or ControlConfig)."""
-    mode, p = _mode_and_p(config)
-    return _MODES[mode][0](a, p, t)
+    """Probe-pair trace distance for a configuration ('bare' or ControlConfig) at t >= 0."""
+    mode, p, _ = _mode_and_p(config)
+    if not np.all(np.asarray(t) >= 0.0):
+        raise ValueError(f"times must be non-negative, got {t}")
+    return _MODES[mode].distance(a, p, t)
 
 
 def analytic_derivative(config: ConfigLike, a: float, t):
     """Analytic dD/dt for a configuration ('bare' or ControlConfig)."""
-    mode, p = _mode_and_p(config)
+    mode, p, _ = _mode_and_p(config)
     return _checked_derivative(mode, a, p, t)
-
-
-def config_label(config: ConfigLike) -> str:
-    if isinstance(config, str):
-        return "bare"
-    return f"{config.mode}(p={config.control.p:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +451,7 @@ def detect_backflow(
     verdict = len(intervals) > 0
     marginal = abs(peak) < MARGINAL_FACTOR * eps
     return BackflowReport(
-        config=config_label(config),
+        config=_mode_and_p(config)[2],
         a=a,
         times=times,
         distance=dist,
@@ -457,18 +477,14 @@ def asymptotic_threshold(mode: str, p: float) -> float:
     The path threshold dominates the switch threshold for every p in (0, 1].
     """
     _check_p(p)
-    if mode == "path":
-        return float(np.sqrt(p / (1.0 + p)))
-    if mode == "switch":
-        return float(np.sqrt(2.0 * p * p / (3.0 * p + 2.0)))
-    raise ValueError(f"mode must be 'path' or 'switch', got {mode!r}")
+    return float(_controlled(mode).threshold(p))
 
 
-def _derivative_matrix(mode: str, a_values: np.ndarray, p: float, t) -> np.ndarray:
-    """dD/dt on the (a, t) product grid, rows indexed by a."""
+def _derivative_matrix(parts, a_values: np.ndarray, p: float, t) -> np.ndarray:
+    """dD/dt on the (a, t) product grid from a mode's derivative parts."""
     a_col = np.asarray(a_values, dtype=float)[:, None]
     t_row = np.asarray(t, dtype=float)[None, :]
-    pre, br = _MODES[mode][1](a_col, p, t_row)
+    pre, br = parts(a_col, p, t_row)
     return pre * br
 
 
@@ -487,10 +503,9 @@ def empirical_threshold(
     small p, which this measurement deliberately excludes.
     """
     _check_p(p)
-    if mode not in ("path", "switch"):
-        raise ValueError(f"mode must be 'path' or 'switch', got {mode!r}")
+    parts = _controlled(mode).derivative_parts
     a_values = np.arange(a_step, 1.0, a_step)
-    d = _derivative_matrix(mode, a_values, p, np.array([DEFAULT_T_MAX]))[:, 0]
+    d = _derivative_matrix(parts, a_values, p, np.array([DEFAULT_T_MAX]))[:, 0]
     positive = d > 0.0
     if not positive.any():
         return 0.0
@@ -527,7 +542,7 @@ def scan_region(
     Each cell applies the detect_backflow criterion (some derivative sample
     above ``eps`` on the default log time grid up to ``t_max``).  Rows at fixed p are
     evaluated vectorized; independent rows may be evaluated by a thread pool
-    (``threads``, or the BACKFLOW_SCAN_THREADS environment variable) and are
+    (``threads`` >= 1, or the BACKFLOW_SCAN_THREADS environment variable) and are
     merged by index, so the result does not depend on the thread count.
     """
     a_grid = np.asarray(a_grid, dtype=float)
@@ -539,9 +554,12 @@ def scan_region(
     times = log_time_grid(DEFAULT_T_MIN, t_max)
     if threads is None:
         threads = int(os.environ.get(SCAN_THREADS_ENV, "1"))
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    parts = [_MODES[m].derivative_parts for m in CONTROLLED_MODES]
 
     def row(p: float):
-        return [_derivative_matrix(m, a_grid, p, times).max(axis=1) > eps for m in ("path", "switch")]
+        return [_derivative_matrix(f, a_grid, p, times).max(axis=1) > eps for f in parts]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -549,6 +567,5 @@ def scan_region(
     else:
         rows = [row(p) for p in p_grid]
 
-    backflow_path = np.array([r[0] for r in rows])
-    backflow_switch = np.array([r[1] for r in rows])
-    return RegionScan(a_grid, p_grid, backflow_path, backflow_switch)
+    verdicts = {f"backflow_{m}": np.array([r[i] for r in rows]) for i, m in enumerate(CONTROLLED_MODES)}
+    return RegionScan(a_grid, p_grid, **verdicts)

@@ -74,18 +74,19 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def check_density_operator(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace and positive semidefiniteness to the
-    module tolerances; raises ValueError naming the first violated invariant."""
+    module tolerances; raises ValueError naming the first violated invariant.
+    A NaN entry fails the checks."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density operator must be a square matrix")
     res = hermiticity_residual(rho)
-    if res > HERMITICITY_TOL:
+    if not res <= HERMITICITY_TOL:
         raise ValueError(f"density operator not Hermitian (residual {res:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density operator trace is {tr}, expected 1")
     lam_min = float(np.linalg.eigvalsh(rho).min())
-    if lam_min < -PSD_TOL:
+    if not lam_min >= -PSD_TOL:
         raise ValueError(f"density operator has negative eigenvalue {lam_min:.3e}")
 
 

@@ -66,6 +66,8 @@ class TestCoefficients:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             phi_t_coefficients(-0.1)
+        with pytest.raises(ValueError):
+            phi_t_coefficients(np.nan)
 
 
 class TestPhiKraus:
@@ -141,6 +143,8 @@ class TestValidation:
         channel = KrausChannel((np.sqrt(0.5) * I2,))
         with pytest.raises(ValueError, match="not trace preserving"):
             apply(channel, random_density(rng))
+        with pytest.raises(ValueError, match="not trace preserving"):
+            apply(KrausChannel((np.nan * I2,)), random_density(rng))
 
     def test_dimension_guard(self, rng):
         with pytest.raises(ValueError, match="dimension"):

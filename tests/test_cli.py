@@ -280,10 +280,20 @@ class TestExitCodes:
             (["scan", "--a-points", "3", "--p-points", "3"], {"BACKFLOW_SCAN_THREADS": "abc"}, 2),
             (["detect", "--mode", "switch", "--a", "0.3", "--t-max", "400"], {}, 4),
             (["detect", "--mode", "path", "--a", "0.5", "--t-max", "inf"], {}, 2),
+            (["evolve", "--mode", "bare", "--input", "nan,0,0,nan", "--t", "1"], {}, 2),
+            (["evolve", "--mode", "path", "--t", "nan"], {}, 2),
+            (["distance", "--mode", "path", "--a", "0.5", "--t", "-1"], {}, 2),
+            (["distance", "--mode", "switch", "--a", "0.5", "--t-min", "-2", "--t-max", "1", "--points", "3"], {}, 2),
+            (["distance", "--mode", "switch", "--a", "0.5", "--t", "nan"], {}, 2),
+            (["scan", "--a-points", "3", "--p-points", "3", "--threads", "0"], {}, 2),
+            (["scan", "--a-points", "3", "--p-points", "3", "--threads", "-3"], {}, 2),
+            (["scan", "--a-points", "3", "--p-points", "3"], {"BACKFLOW_SCAN_THREADS": "0"}, 2),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
             "detect-p", "scan-threads-env", "detect-overflow", "detect-t-max-inf",
+            "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
+            "distance-t-nan", "scan-threads-zero", "scan-threads-negative", "scan-threads-env-zero",
         ],
     )
     def test_library_errors_map_to_exit_codes(self, runner, args, env, code):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import backflow.control as control
 from backflow.channel import KrausChannel, apply, phi_t_kraus, validate_cptp
 from backflow.control import (
+    OUTCOMES,
+    SUPERMAPS,
     AmplitudeVectors,
     ControlConfig,
     ControlState,
@@ -10,6 +15,7 @@ from backflow.control import (
     analytic_state_switch,
     controlled_output,
     default_amplitudes,
+    outcome_vector,
     path_config,
     path_coefficients,
     path_kraus,
@@ -253,3 +259,55 @@ class TestClosedForms:
             analytic_state_path(rho, 1.0, 1.5)
         with pytest.raises(ValueError):
             analytic_state_switch(rho, -1.0, 0.5)
+        for closed_form in (analytic_state_path, analytic_state_switch):
+            with pytest.raises(ValueError, match="time"):
+                closed_form(rho, np.nan, 0.5)
+            with pytest.raises(ValueError, match="qubit"):
+                closed_form(np.eye(4) / 4, 1.0, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(sorted(SUPERMAPS)),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 10.0),
+    )
+    def test_closed_form_equals_supermap(self, mode, seed, p, t):
+        rho = random_density(np.random.default_rng(seed))
+        supermap = SUPERMAPS[mode]
+        out, _ = controlled_output(supermap.config(p, "plus"), rho, t)
+        assert np.abs(out - supermap.closed_form(rho, t, p)).max() <= 1e-10
+
+
+class TestSupermapTable:
+    def test_every_outcome_has_a_ket(self):
+        for outcome, ket in OUTCOMES.items():
+            assert outcome_vector(outcome) is ket
+        with pytest.raises(ValueError, match="unknown outcome"):
+            outcome_vector("zero")
+        with pytest.raises(ValueError, match="postselect_outcome"):
+            switch_config(1.0, outcome="zero")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ControlConfig(mode="bare", control=ControlState(1.0))
+
+    def test_builders_called_through_module_globals(self, monkeypatch):
+        # wrappers installed on the module (as a tracer does) must see every
+        # call the supermap table makes
+        calls = {}
+        for name in ("path_kraus", "switch_kraus", "analytic_state_path", "analytic_state_switch"):
+            original = getattr(control, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(control, name, counted)
+        rho = pure_state(KET_0)
+        controlled_output(path_config(0.5), rho, 1.0)
+        controlled_output(switch_config(0.5), rho, 1.0)
+        assert calls == {"path_kraus": 1, "switch_kraus": 1}
+        for supermap in SUPERMAPS.values():
+            supermap.closed_form(rho, 1.0, 0.5)
+        assert calls == {"path_kraus": 1, "switch_kraus": 1, "analytic_state_path": 1, "analytic_state_switch": 1}

@@ -285,6 +285,14 @@ class TestDetectBackflow:
             analytic_derivative(config, 0.65, 2.0)
 
 
+class TestProbeDistanceTimes:
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.array([-2.0, -0.5, 1.0])])
+    def test_rejects_negative_and_nan_times(self, t):
+        for config in ("bare", path_config(1.0), switch_config(0.5)):
+            with pytest.raises(ValueError, match="non-negative"):
+                probe_distance(config, 0.5, t)
+
+
 class TestModeTable:
     def test_formulas_called_through_module_globals(self, monkeypatch):
         # wrappers installed on the module (as a tracer does) must see every
@@ -336,6 +344,10 @@ class TestThresholds:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             asymptotic_threshold("serial", 0.5)
+        # the bare channel has no control, hence no threshold
+        for threshold in (asymptotic_threshold, empirical_threshold):
+            with pytest.raises(ValueError, match="mode must be 'path' or 'switch'"):
+                threshold("bare", 0.5)
 
 
 class TestScanRegion:
@@ -369,6 +381,11 @@ class TestScanRegion:
             scan_region(np.array([0.0, 0.5]), np.array([0.5]))
         with pytest.raises(ValueError):
             scan_region(np.array([0.5]), np.array([1.5]))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            scan_region(np.array([0.5]), np.array([1.0]), threads=threads)
 
 
 class TestCentralDifference:

@@ -226,3 +226,6 @@ class TestDensityCheck:
         m = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             check_density_operator(m)
+        # NaN fails every comparison, so it must fail the check too
+        with pytest.raises(ValueError, match="Hermitian"):
+            check_density_operator(np.diag([np.nan, np.nan]).astype(complex))
