@@ -288,10 +288,9 @@ def threshold(mode, p):
 @click.option("--p-points", type=int, default=100, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
 @click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative)
-@click.option("--threads", type=int, default=None, help="Row-level thread count (default: BACKFLOW_SCAN_THREADS or 1).")
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, eps, threads, fmt_name, out):
+def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, eps, fmt_name, out):
     """Backflow verdicts over an (a, p) grid, rows ordered p-major."""
     if a_points < 1 or p_points < 1:
         raise click.UsageError("grid sizes must be positive")
@@ -299,7 +298,7 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, eps, threads, fm
         raise click.UsageError("grid exceeds 10^6 cells")
     a_grid = np.linspace(a_min, a_max, a_points)
     p_grid = np.linspace(p_min, p_max, p_points)
-    result = scan_region(a_grid, p_grid, t_max=t_max, eps=eps, threads=threads)
+    result = scan_region(a_grid, p_grid, t_max=t_max, eps=eps)
     if fmt_name == "csv":
         lines = ["a,p,path_backflow,switch_backflow"]
         for i, p in enumerate(p_grid):

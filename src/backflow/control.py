@@ -52,7 +52,7 @@ class AmplitudeVectors:
         beta = tuple(complex(b) for b in self.beta)
         for name, vec in (("alpha", alpha), ("beta", beta)):
             norm = sum(abs(v) ** 2 for v in vec)
-            if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
+            if not abs(norm - 1.0) <= AMPLITUDE_NORM_TOL:
                 raise ValueError(f"{name} amplitudes not normalized: sum |.|^2 = {norm}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

@@ -12,8 +12,6 @@ formulas are vectorized over numpy arrays and are cross-checked against
 central finite differences of the distance.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
@@ -36,7 +34,6 @@ DEFAULT_GRID_POINTS = 481
 FD_STEP = 1e-4
 FD_CHECK_TOL = 1e-6
 LIPSCHITZ_BOUND = 6.0
-SCAN_THREADS_ENV = "BACKFLOW_SCAN_THREADS"
 
 ConfigLike = Union[str, ControlConfig]
 
@@ -535,15 +532,13 @@ def scan_region(
     p_grid,
     t_max: float = DEFAULT_T_MAX,
     eps: float = BACKFLOW_EPS,
-    threads: Optional[int] = None,
 ) -> RegionScan:
     """Backflow verdicts for both configurations over an (a, p) grid.
 
     Each cell applies the detect_backflow criterion (some derivative sample
-    above ``eps`` on the default log time grid up to ``t_max``).  Rows at fixed p are
-    evaluated vectorized; independent rows may be evaluated by a thread pool
-    (``threads`` >= 1, or the BACKFLOW_SCAN_THREADS environment variable) and are
-    merged by index, so the result does not depend on the thread count.
+    above ``eps`` on the default log time grid up to ``t_max``).  Rows are
+    evaluated one vectorized (a, t) call per (mode, p); the full (p, a, t)
+    grid is never materialized, so memory stays at one row.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -552,20 +547,10 @@ def scan_region(
     if np.any(p_grid < 0.0) or np.any(p_grid > 1.0):
         raise ValueError("p grid must lie in [0, 1]")
     times = log_time_grid(DEFAULT_T_MIN, t_max)
-    if threads is None:
-        threads = int(os.environ.get(SCAN_THREADS_ENV, "1"))
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    parts = [_MODES[m].derivative_parts for m in CONTROLLED_MODES]
-
-    def row(p: float):
-        return [_derivative_matrix(f, a_grid, p, times).max(axis=1) > eps for f in parts]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, p_grid))
-    else:
-        rows = [row(p) for p in p_grid]
-
-    verdicts = {f"backflow_{m}": np.array([r[i] for r in rows]) for i, m in enumerate(CONTROLLED_MODES)}
+    verdicts = {}
+    for m in CONTROLLED_MODES:
+        parts = _MODES[m].derivative_parts
+        verdicts[f"backflow_{m}"] = np.array(
+            [_derivative_matrix(parts, a_grid, p, times).max(axis=1) > eps for p in p_grid]
+        )
     return RegionScan(a_grid, p_grid, **verdicts)

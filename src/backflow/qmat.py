@@ -38,7 +38,7 @@ def pure_state(amplitudes) -> np.ndarray:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
     psi = np.asarray(amplitudes, dtype=complex)
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {norm}")
     return np.outer(psi, psi.conj())
 
@@ -67,7 +67,7 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eig_hermitian expects a square matrix")
     res = hermiticity_residual(m)
-    if res > tol:
+    if not res <= tol:
         raise ValueError(f"matrix is not Hermitian (residual {res:.3e} > {tol:.1e})")
     return np.linalg.eigvalsh(m)[::-1]
 
@@ -102,7 +102,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
     diff = rho1 - rho2
     res = hermiticity_residual(diff)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise ValueError(f"difference is not Hermitian (residual {res:.3e})")
     evals = np.linalg.eigvalsh(0.5 * (diff + dagger(diff)))
     return float(0.5 * np.abs(evals).sum())
@@ -123,12 +123,12 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray):
     v = np.asarray(control_vec, dtype=complex)
     if v.shape != (2,):
         raise ValueError("control_vec must be a 2-vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValueError("control_vec must be normalized")
     j = joint.reshape(2, 2, 2, 2)  # indices (s1, c1, s2, c2)
     block = np.einsum("i,aibj,j->ab", v.conj(), j, v)
     prob = float(np.real(np.trace(block)))
-    if prob < POSTSELECT_FLOOR:
+    if not prob >= POSTSELECT_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection impossible: outcome probability {prob:.3e}"
         )

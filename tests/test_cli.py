@@ -214,6 +214,14 @@ class TestScan:
         second = invoke(runner, *args).output
         assert first == second
 
+    def test_has_no_thread_setting(self, runner):
+        args = ["scan", "--a-points", "4", "--p-points", "3"]
+        plain = runner.invoke(main, args)
+        with_env = runner.invoke(main, args, env={"BACKFLOW_SCAN_THREADS": "abc"})
+        assert plain.exit_code == with_env.exit_code == 0
+        assert with_env.output == plain.output
+        assert runner.invoke(main, args + ["--threads", "2"]).exit_code == 2
+
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "scan.csv"
         result = invoke(runner, "scan", "--a-points", "5", "--p-points", "5", "--out", str(out))
@@ -269,35 +277,31 @@ class TestByteStability:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "args, env, code",
+        "args, code",
         [
-            (["threshold", "--mode", "path", "--p", "2"], {}, 2),
-            (["distance", "--mode", "path", "--a", "0", "--t", "1"], {}, 2),
-            (["scan", "--a-min", "0", "--a-points", "3", "--p-points", "3"], {}, 2),
-            (["evolve", "--mode", "bare", "--t", "-1"], {}, 2),
-            (["detect", "--mode", "path", "--a", "1"], {}, 2),
-            (["detect", "--mode", "path", "--a", "0.5", "--p", "1.5"], {}, 2),
-            (["scan", "--a-points", "3", "--p-points", "3"], {"BACKFLOW_SCAN_THREADS": "abc"}, 2),
-            (["detect", "--mode", "switch", "--a", "0.3", "--t-max", "400"], {}, 4),
-            (["detect", "--mode", "path", "--a", "0.5", "--t-max", "inf"], {}, 2),
-            (["evolve", "--mode", "bare", "--input", "nan,0,0,nan", "--t", "1"], {}, 2),
-            (["evolve", "--mode", "path", "--t", "nan"], {}, 2),
-            (["distance", "--mode", "path", "--a", "0.5", "--t", "-1"], {}, 2),
-            (["distance", "--mode", "switch", "--a", "0.5", "--t-min", "-2", "--t-max", "1", "--points", "3"], {}, 2),
-            (["distance", "--mode", "switch", "--a", "0.5", "--t", "nan"], {}, 2),
-            (["scan", "--a-points", "3", "--p-points", "3", "--threads", "0"], {}, 2),
-            (["scan", "--a-points", "3", "--p-points", "3", "--threads", "-3"], {}, 2),
-            (["scan", "--a-points", "3", "--p-points", "3"], {"BACKFLOW_SCAN_THREADS": "0"}, 2),
+            (["threshold", "--mode", "path", "--p", "2"], 2),
+            (["distance", "--mode", "path", "--a", "0", "--t", "1"], 2),
+            (["scan", "--a-min", "0", "--a-points", "3", "--p-points", "3"], 2),
+            (["evolve", "--mode", "bare", "--t", "-1"], 2),
+            (["detect", "--mode", "path", "--a", "1"], 2),
+            (["detect", "--mode", "path", "--a", "0.5", "--p", "1.5"], 2),
+            (["detect", "--mode", "switch", "--a", "0.3", "--t-max", "400"], 4),
+            (["detect", "--mode", "path", "--a", "0.5", "--t-max", "inf"], 2),
+            (["evolve", "--mode", "bare", "--input", "nan,0,0,nan", "--t", "1"], 2),
+            (["evolve", "--mode", "path", "--t", "nan"], 2),
+            (["distance", "--mode", "path", "--a", "0.5", "--t", "-1"], 2),
+            (["distance", "--mode", "switch", "--a", "0.5", "--t-min", "-2", "--t-max", "1", "--points", "3"], 2),
+            (["distance", "--mode", "switch", "--a", "0.5", "--t", "nan"], 2),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
-            "detect-p", "scan-threads-env", "detect-overflow", "detect-t-max-inf",
+            "detect-p", "detect-overflow", "detect-t-max-inf",
             "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
-            "distance-t-nan", "scan-threads-zero", "scan-threads-negative", "scan-threads-env-zero",
+            "distance-t-nan",
         ],
     )
-    def test_library_errors_map_to_exit_codes(self, runner, args, env, code):
-        result = runner.invoke(main, args, env=env)
+    def test_library_errors_map_to_exit_codes(self, runner, args, code):
+        result = runner.invoke(main, args)
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output

@@ -31,6 +31,7 @@ from backflow.qmat import (
     PostSelectionImpossibleError,
     kron,
     pure_state,
+    trace_distance,
 )
 from conftest import random_density
 
@@ -62,6 +63,8 @@ class TestConfigInvariants:
     def test_amplitude_normalization_enforced(self):
         with pytest.raises(ValueError, match="not normalized"):
             AmplitudeVectors(alpha=(1.0, 1.0, 0.0), beta=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="not normalized"):
+            AmplitudeVectors(alpha=(np.nan, 0.0, 0.0), beta=(1.0, 0.0, 0.0))
 
 
 class TestSwitchKraus:
@@ -277,6 +280,28 @@ class TestClosedForms:
         supermap = SUPERMAPS[mode]
         out, _ = controlled_output(supermap.config(p, "plus"), rho, t)
         assert np.abs(out - supermap.closed_form(rho, t, p)).max() <= 1e-10
+
+
+class TestCptpAndContractivity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_channels_are_cptp_and_contractive(self, t, seed, p):
+        rng = np.random.default_rng(seed)
+        rho1, rho2 = random_density(rng), random_density(rng)
+        before = trace_distance(rho1, rho2)
+        phi = phi_t_kraus(t)
+        assert validate_cptp(phi).passed
+        assert trace_distance(apply(phi, rho1), apply(phi, rho2)) <= before + 1e-12
+        omega = ControlState(p).density()
+        for mode, supermap in SUPERMAPS.items():
+            joint = supermap.kraus(phi, default_amplitudes())
+            assert validate_cptp(joint).passed, mode
+            after = trace_distance(apply(joint, kron(rho1, omega)), apply(joint, kron(rho2, omega)))
+            assert after <= before + 1e-12, mode
 
 
 class TestSupermapTable:

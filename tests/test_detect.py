@@ -4,6 +4,7 @@ import pytest
 import backflow.detect as detect
 from backflow.channel import apply, phi_t_kraus
 from backflow.detect import (
+    DEFAULT_T_MIN,
     FD_STEP,
     analytic_dDdt_path,
     analytic_derivative,
@@ -368,24 +369,22 @@ class TestScanRegion:
         scan = scan_region(a_grid, p_grid)
         assert not np.any(scan.backflow_switch & ~scan.backflow_path)
 
-    def test_thread_count_does_not_change_result(self):
-        a_grid = np.linspace(0.1, 0.9, 9)
-        p_grid = np.linspace(0.0, 1.0, 5)
-        serial = scan_region(a_grid, p_grid, threads=1)
-        threaded = scan_region(a_grid, p_grid, threads=4)
-        assert np.array_equal(serial.backflow_path, threaded.backflow_path)
-        assert np.array_equal(serial.backflow_switch, threaded.backflow_switch)
+    @pytest.mark.parametrize("t_max", [12.0, 4.0])
+    def test_every_cell_matches_detect_backflow(self, t_max):
+        # a >= 0.1 keeps detect_backflow's finite-difference check in range
+        a_grid = np.linspace(0.1, 0.9, 17)
+        p_grid = np.linspace(0.0, 1.0, 11)
+        times = log_time_grid(DEFAULT_T_MIN, t_max)
+        scan = scan_region(a_grid, p_grid, t_max=t_max)
+        for verdicts, config in ((scan.backflow_path, path_config), (scan.backflow_switch, switch_config)):
+            expected = [[detect_backflow(config(p), a, times).verdict for a in a_grid] for p in p_grid]
+            assert verdicts.tolist() == expected
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             scan_region(np.array([0.0, 0.5]), np.array([0.5]))
         with pytest.raises(ValueError):
             scan_region(np.array([0.5]), np.array([1.5]))
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_rejects_thread_count_below_one(self, threads):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            scan_region(np.array([0.5]), np.array([1.0]), threads=threads)
 
 
 class TestCentralDifference:

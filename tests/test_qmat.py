@@ -67,6 +67,9 @@ class TestTraceDistance:
         bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="not Hermitian"):
             trace_distance(bad, np.eye(2) / 2)
+        # NaN fails every comparison, so it must fail the check too
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance(np.full((2, 2), np.nan), np.eye(2) / 2)
 
     def test_symmetry_and_triangle(self, rng):
         for _ in range(20):
@@ -142,6 +145,15 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(np.diag([np.nan, 0.0]))
+
+
+class TestPureState:
+    def test_rejects_unnormalized_and_nan(self):
+        for amplitudes in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                pure_state(amplitudes)
 
 
 class TestKron:
@@ -203,10 +215,14 @@ class TestProjectControl:
         joint = kron(random_density(rng), pure_state(KET_0))
         with pytest.raises(PostSelectionImpossibleError):
             project_control(joint, KET_1)
+        with pytest.raises(PostSelectionImpossibleError):
+            project_control(np.full((4, 4), np.nan), KET_PLUS)
 
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(ValueError, match="normalized"):
             project_control(np.eye(4) / 4, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="normalized"):
+            project_control(np.eye(4) / 4, np.array([np.nan, 0.0]))
 
 
 class TestDensityCheck:
