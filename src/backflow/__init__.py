@@ -21,7 +21,6 @@ from .channel import (
     canonical_rhs,
     choi_matrix,
     completeness_residual,
-    compose,
     eternal_nm_generator,
     integrate_canonical,
     phi_t_coefficients,

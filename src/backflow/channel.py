@@ -34,24 +34,29 @@ MAX_ODE_STEP = 1e-2
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A finite list of equal-dimension square Kraus operators."""
+    """Kraus operators stacked in one complex (k, d, d) array, k >= 1.
 
-    ops: tuple
+    Any sequence of k equal-dimension square matrices is accepted and stacked
+    on construction; ``ops[i]`` is the i-th operator.
+    """
+
+    ops: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if len(self.ops) == 0:
+        try:
+            ops = np.asarray(self.ops, dtype=complex)
+        except ValueError:
+            raise ValueError("Kraus operators must be square and equal-dimension") from None
+        if ops.shape[:1] == (0,):
             raise ValueError("KrausChannel needs at least one operator")
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
-        dim = ops[0].shape[0]
-        for op in ops:
-            if op.ndim != 2 or op.shape != (dim, dim):
-                raise ValueError("Kraus operators must be square and equal-dimension")
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError("Kraus operators must be square and equal-dimension")
         object.__setattr__(self, "ops", ops)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class CptpReport:
 
 def completeness_residual(channel: KrausChannel) -> float:
     """Max-entry deviation of sum_i K_i^dag K_i from the identity."""
-    acc = sum(dagger(op) @ op for op in channel.ops)
+    acc = np.einsum("kji,kjl->il", channel.ops.conj(), channel.ops)
     return float(np.abs(acc - np.eye(channel.dim)).max())
 
 
@@ -82,12 +87,8 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     Built from the unnormalized maximally entangled pairing, so the trace
     equals the channel dimension for a trace-preserving channel.
     """
-    d = channel.dim
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for op in channel.ops:
-        w = op.ravel()
-        choi += np.outer(w, w.conj())
-    return choi
+    w = channel.ops.reshape(len(channel.ops), -1)
+    return w.T @ w.conj()
 
 
 def validate_cptp(channel: KrausChannel) -> CptpReport:
@@ -111,22 +112,7 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"channel {channel.label!r} is not trace preserving (residual {res:.3e})"
         )
-    out = np.zeros_like(rho)
-    for op in channel.ops:
-        out += op @ rho @ dagger(op)
-    return out
-
-
-def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Sequential composition outer(inner(.)) with Kraus set {E_i F_j}."""
-    if outer.dim != inner.dim:
-        raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
-    ops = tuple(e @ f for e in outer.ops for f in inner.ops)
-    out = KrausChannel(ops, label=f"({outer.label})o({inner.label})")
-    report = validate_cptp(out)
-    if not report.passed:
-        raise ValueError(f"composition of {outer.label!r} and {inner.label!r} is not CPTP")
-    return out
+    return np.einsum("kij,jl,kml->im", channel.ops, rho, channel.ops.conj())
 
 
 class PhiCoefficients(NamedTuple):
@@ -257,7 +243,7 @@ def integrate_canonical(
                 rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 rho = 0.5 * (rho + dagger(rho))
                 tr = np.real(np.einsum("...ii", rho))
-                rho = rho / tr[..., None, None] if rho.ndim > 2 else rho / tr
+                rho = rho / tr[..., None, None]
                 t += h
             t_start = t_stop
         states.append(rho)

@@ -332,10 +332,9 @@ def _suite_cptp(inject_defect: bool):
             worst_res = max(worst_res, report.completeness_residual)
             worst_eig = min(worst_eig, report.choi_min_eigenvalue)
     if inject_defect:
-        phi = phi_t_kraus(1.0)
-        bad_ops = list(phi.ops)
-        bad_ops[2] = bad_ops[2] + 0.05 * np.eye(2)
-        report = validate_cptp(KrausChannel(tuple(bad_ops), label="injected-defect"))
+        bad_ops = phi_t_kraus(1.0).ops.copy()
+        bad_ops[2] += 0.05 * np.eye(2)
+        report = validate_cptp(KrausChannel(bad_ops, label="injected-defect"))
         worst_res = max(worst_res, report.completeness_residual)
         worst_eig = min(worst_eig, report.choi_min_eigenvalue)
     ok = worst_res <= COMPLETENESS_TOL and worst_eig >= -CHOI_PSD_TOL

@@ -33,9 +33,6 @@ from .qmat import (
     project_control,
 )
 
-P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 AMPLITUDE_NORM_TOL = 1e-12
 
 
@@ -126,18 +123,36 @@ def outcome_vector(outcome: str) -> np.ndarray:
     return OUTCOMES[outcome]
 
 
+def _on_control_diagonal(block0: np.ndarray, block1: np.ndarray) -> np.ndarray:
+    """Stack of block0 (x) |0><0| + block1 (x) |1><1| over two (..., d, d) stacks.
+
+    The blocks fill a (..., d, 2, d, 2) array, so the flattened joint index is
+    system-major, the order ``kron`` and ``project_control`` use.
+    """
+    d = block0.shape[-1]
+    joint = np.zeros(block0.shape[:-2] + (d, 2, d, 2), dtype=complex)
+    joint[..., 0, :, 0] = block0
+    joint[..., 1, :, 1] = block1
+    return joint.reshape(-1, 2 * d, 2 * d)
+
+
 def switch_kraus(e: KrausChannel, f: KrausChannel) -> KrausChannel:
-    """Order-superposition supermap S_ij = E_i F_j (x) P0 + F_j E_i (x) P1."""
+    """Order-superposition supermap S_ij = E_i F_j (x) |0><0| + F_j E_i (x) |1><1|.
+
+    Operator i * len(f.ops) + j of the result is S_ij.
+    """
     if e.dim != f.dim:
         raise ValueError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    ops = tuple(
-        kron(ei @ fj, P0) + kron(fj @ ei, P1) for ei in e.ops for fj in f.ops
-    )
+    ei, fj = e.ops[:, None], f.ops[None, :]
+    ops = _on_control_diagonal(ei @ fj, fj @ ei)
     return KrausChannel(ops, label=f"switch({e.label},{f.label})")
 
 
 def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> KrausChannel:
-    """Channel-choice supermap N_ij = alpha_j E_i (x) P0 + beta_i F_j (x) P1."""
+    """Channel-choice supermap N_ij = alpha_j E_i (x) |0><0| + beta_i F_j (x) |1><1|.
+
+    Operator i * len(f.ops) + j of the result is N_ij.
+    """
     if e.dim != f.dim:
         raise ValueError(f"dimension mismatch: {e.dim} vs {f.dim}")
     if len(amps.beta) != len(e.ops):
@@ -148,11 +163,9 @@ def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> Krau
         raise ValueError(
             f"alpha length {len(amps.alpha)} must match second channel's {len(f.ops)} operators"
         )
-    ops = tuple(
-        amps.alpha[j] * kron(e.ops[i], P0) + amps.beta[i] * kron(f.ops[j], P1)
-        for i in range(len(e.ops))
-        for j in range(len(f.ops))
-    )
+    alpha = np.array(amps.alpha)[None, :, None, None]
+    beta = np.array(amps.beta)[:, None, None, None]
+    ops = _on_control_diagonal(alpha * e.ops[:, None], beta * f.ops[None, :])
     return KrausChannel(ops, label=f"path({e.label},{f.label})")
 
 

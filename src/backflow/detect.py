@@ -542,9 +542,9 @@ def scan_region(
     """
     a_grid = np.asarray(a_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
-    if np.any(a_grid <= 0.0) or np.any(a_grid > 1.0):
+    if not np.all((a_grid > 0.0) & (a_grid <= 1.0)):
         raise ValueError("a grid must lie in (0, 1]")
-    if np.any(p_grid < 0.0) or np.any(p_grid > 1.0):
+    if not np.all((p_grid >= 0.0) & (p_grid <= 1.0)):
         raise ValueError("p grid must lie in [0, 1]")
     times = log_time_grid(DEFAULT_T_MIN, t_max)
     verdicts = {}

@@ -7,13 +7,13 @@ from backflow.channel import (
     canonical_rhs,
     choi_matrix,
     completeness_residual,
-    compose,
     eternal_nm_generator,
     integrate_canonical,
     phi_t_coefficients,
     phi_t_kraus,
     validate_cptp,
 )
+from backflow.control import SUPERMAPS, default_amplitudes
 from backflow.qmat import I2, KET_0, KET_1, pure_state, trace_distance
 from conftest import random_density
 
@@ -155,31 +155,6 @@ class TestValidation:
             KrausChannel((I2, np.eye(4)))
 
 
-class TestCompose:
-    def test_identity_neutral(self):
-        identity = KrausChannel((I2,), label="id")
-        channel = phi_t_kraus(0.8)
-        composed = compose(identity, channel)
-        assert np.allclose(choi_matrix(composed), choi_matrix(channel), atol=1e-14)
-
-    def test_matches_sequential_application(self, rng):
-        channel = phi_t_kraus(0.6)
-        composed = compose(channel, channel)
-        rho = pure_state(KET_0)
-        assert np.allclose(
-            apply(composed, rho), apply(channel, apply(channel, rho)), atol=1e-14
-        )
-
-    def test_choi_against_action_oracle(self):
-        composed = compose(phi_t_kraus(1.0), phi_t_kraus(1.0))
-        oracle = choi_from_action(lambda m: apply_raw(composed, m))
-        assert np.abs(choi_matrix(composed) - oracle).max() < 1e-13
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            compose(phi_t_kraus(1.0), KrausChannel((np.eye(4),)))
-
-
 def apply_raw(channel, m):
     """Channel action on an arbitrary matrix, bypassing state validation."""
     out = np.zeros_like(m, dtype=complex)
@@ -305,3 +280,45 @@ class TestChoi:
 
     def test_completeness_residual_value(self):
         assert completeness_residual(phi_t_kraus(2.2)) < 1e-15
+
+    def test_choi_against_action_oracle(self):
+        phi = phi_t_kraus(1.0)
+        oracle = choi_from_action(lambda m: apply_raw(phi, m))
+        assert np.abs(choi_matrix(phi) - oracle).max() < 1e-13
+        for supermap in SUPERMAPS.values():
+            joint = supermap.kraus(phi, default_amplitudes())
+            oracle = choi_from_action(lambda m: apply_raw(joint, m), dim=4)
+            assert np.abs(choi_matrix(joint) - oracle).max() < 1e-13
+
+
+def random_isometry_kraus(rng, k, d):
+    """k Kraus operators cut from a random complex (k d) x d isometry."""
+    g = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
+    q, _ = np.linalg.qr(g)
+    return q.reshape(k, d, d)
+
+
+class TestStackedLayout:
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_matches_per_operator_reference(self, rng, k, d):
+        ops = random_isometry_kraus(rng, k, d)
+        channel = KrausChannel(list(ops))
+        assert channel.ops.shape == (k, d, d)
+        rho = random_density(rng, d)
+        assert np.abs(apply(channel, rho) - apply_raw(channel, rho)).max() < 1e-13
+        # a non-unitary right factor makes the residual an O(1) number
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        skewed = KrausChannel(ops @ g)
+        reference = sum(op.conj().T @ op for op in skewed.ops) - np.eye(d)
+        assert completeness_residual(channel) < 1e-13
+        assert completeness_residual(skewed) == pytest.approx(np.abs(reference).max(), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [((), "at least one operator"), (I2, "square"), (np.zeros((2, 2, 3)), "square")],
+        ids=["empty", "single-matrix", "non-square"],
+    )
+    def test_constructor_rejects_bad_shapes(self, ops, message):
+        with pytest.raises(ValueError, match=message):
+            KrausChannel(ops)

@@ -292,12 +292,14 @@ class TestExitCodes:
             (["distance", "--mode", "path", "--a", "0.5", "--t", "-1"], 2),
             (["distance", "--mode", "switch", "--a", "0.5", "--t-min", "-2", "--t-max", "1", "--points", "3"], 2),
             (["distance", "--mode", "switch", "--a", "0.5", "--t", "nan"], 2),
+            (["scan", "--a-min", "nan", "--a-points", "3", "--p-points", "2"], 2),
+            (["scan", "--p-max", "nan", "--a-points", "2", "--p-points", "2"], 2),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
             "detect-p", "detect-overflow", "detect-t-max-inf",
             "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
-            "distance-t-nan",
+            "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan",
         ],
     )
     def test_library_errors_map_to_exit_codes(self, runner, args, code):

@@ -27,6 +27,7 @@ from backflow.qmat import (
     I2,
     KET_0,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     PostSelectionImpossibleError,
     kron,
@@ -96,6 +97,17 @@ class TestSwitchKraus:
         with pytest.raises(ValueError):
             switch_kraus(phi_t_kraus(1.0), KrausChannel((np.eye(4),)))
 
+    def test_operator_order_is_i_major(self):
+        # two by three operators, no pair commuting: S_ij is operator i * 3 + j
+        e = KrausChannel((SIGMA_X, SIGMA_Y))
+        f = KrausChannel((SIGMA_Z, SIGMA_X @ SIGMA_Z, I2 + SIGMA_Y))
+        joint = switch_kraus(e, f)
+        assert joint.ops.shape == (6, 4, 4)
+        for i, ei in enumerate(e.ops):
+            for j, fj in enumerate(f.ops):
+                expected = kron(ei @ fj, P0) + kron(fj @ ei, P1)
+                assert np.allclose(joint.ops[3 * i + j], expected, atol=1e-15)
+
 
 class TestPathKraus:
     def test_completeness_with_defaults(self):
@@ -113,6 +125,18 @@ class TestPathKraus:
         joint = path_kraus(e, f, amps)
         assert len(joint.ops) == 1
         assert np.allclose(joint.ops[0], kron(SIGMA_X, P0) + kron(SIGMA_Z, P1), atol=1e-15)
+
+    def test_operator_order_is_i_major(self):
+        # N_ij = alpha_j E_i (x) P0 + beta_i F_j (x) P1 is operator i * 3 + j
+        e = KrausChannel((SIGMA_X, SIGMA_Y))
+        f = KrausChannel((SIGMA_Z, I2, SIGMA_X))
+        amps = AmplitudeVectors(alpha=(0.6, 0.8j, 0.0), beta=(0.8, -0.6))
+        joint = path_kraus(e, f, amps)
+        assert joint.ops.shape == (6, 4, 4)
+        for i, ei in enumerate(e.ops):
+            for j, fj in enumerate(f.ops):
+                expected = amps.alpha[j] * kron(ei, P0) + amps.beta[i] * kron(fj, P1)
+                assert np.allclose(joint.ops[3 * i + j], expected, atol=1e-15)
 
     def test_surviving_operators_at_t_zero(self):
         # the exchange operators vanish at t = 0 and the third amplitude is
