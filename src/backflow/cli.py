@@ -230,7 +230,7 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
 @click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)
-@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative, help="Backflow tolerance on the derivative.")
+@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative, help="Marginal when the peak derivative is within 10*eps of zero.")
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.pass_context
@@ -287,10 +287,9 @@ def threshold(mode, p):
 @click.option("--p-max", type=float, default=1.0, show_default=True)
 @click.option("--p-points", type=int, default=100, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
-@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, eps, fmt_name, out):
+def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
     """Backflow verdicts over an (a, p) grid, rows ordered p-major."""
     if a_points < 1 or p_points < 1:
         raise click.UsageError("grid sizes must be positive")
@@ -298,16 +297,17 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, eps, fmt_name, o
         raise click.UsageError("grid exceeds 10^6 cells")
     a_grid = np.linspace(a_min, a_max, a_points)
     p_grid = np.linspace(p_min, p_max, p_points)
-    result = scan_region(a_grid, p_grid, t_max=t_max, eps=eps)
+    result = scan_region(a_grid, p_grid, t_max=t_max)
     if fmt_name == "csv":
+        a_text = [_fmt(a) for a in a_grid]
+        flag = ("false", "true")
         lines = ["a,p,path_backflow,switch_backflow"]
-        for i, p in enumerate(p_grid):
-            for j, a in enumerate(a_grid):
-                lines.append(
-                    f"{_fmt(a)},{_fmt(p)},"
-                    f"{'true' if result.backflow_path[i, j] else 'false'},"
-                    f"{'true' if result.backflow_switch[i, j] else 'false'}"
-                )
+        for p, path_row, switch_row in zip(p_grid, result.backflow_path.tolist(), result.backflow_switch.tolist()):
+            p_text = _fmt(p)
+            lines.extend(
+                f"{a},{p_text},{flag[path_v]},{flag[switch_v]}"
+                for a, path_v, switch_v in zip(a_text, path_row, switch_row)
+            )
         _emit(_csv(lines), out)
     else:
         payload = {

@@ -7,11 +7,15 @@ the evolved probes, and its time derivative, have closed forms; a positive
 derivative anywhere on t > 0 is the backflow criterion.
 
 Each derivative is exposed as (prefactor, bracket) with the prefactor
-strictly positive, so the sign of dD/dt is the sign of the bracket.  All
+strictly positive, so the sign of dD/dt is the sign of the bracket.  The
+bracket is a polynomial in x = e^{2t}; divided by its leading power of x it
+is a polynomial in u = e^{-2t} in (0, 1] with the same sign, and backflow
+windows are the stretches between its real roots where it is positive.  All
 formulas are vectorized over numpy arrays and are cross-checked against
 central finite differences of the distance.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
@@ -52,11 +56,15 @@ def log_time_grid(
 ) -> np.ndarray:
     """Logarithmically spaced time grid; backflow windows open late, so log
     spacing keeps both the early dip and the late window resolved."""
-    if not 0.0 < t_min < t_max < np.inf:
-        raise ValueError("need 0 < t_min < t_max < inf")
+    _check_time_range(t_min, t_max)
     if points < 2:
         raise ValueError("need at least two grid points")
     return np.exp(np.linspace(np.log(t_min), np.log(t_max), points))
+
+
+def _check_time_range(t_min: float, t_max: float) -> None:
+    if not 0.0 < t_min < t_max < np.inf:
+        raise ValueError("need 0 < t_min < t_max < inf")
 
 
 def central_difference(fn, t, h=FD_STEP):
@@ -106,6 +114,11 @@ def bare_derivative_parts(a: float, t):
     prefactor = np.sqrt(1.0 - a * a) * np.exp(-2.0 * t) / np.sqrt(root)
     bracket = 3.0 * a * a - a * a * x - 4.0
     return prefactor, bracket
+
+
+def bare_bracket(a: float):
+    """Bare bracket coefficients in ascending powers of u = e^{-2t}: -a^2 + (3a^2 - 4) u."""
+    return -a * a, 3.0 * a * a - 4.0
 
 
 def bare_dDdt(a: float, t):
@@ -168,6 +181,14 @@ def path_derivative_parts(a: float, p: float, t):
     return prefactor, bracket
 
 
+def path_bracket(a: float, p: float):
+    """Path bracket coefficients in ascending powers of u = e^{-2t}.
+
+    bracket / x = (p+2)(p - a^2(p+1)) + (a^2 (p+1)(p+6) - (p+2)(p+4)) u
+    """
+    return (p + 2.0) * (p - a * a * (p + 1.0)), a * a * (p + 1.0) * (p + 6.0) - (p + 2.0) * (p + 4.0)
+
+
 def analytic_dDdt_path(a: float, p: float, t):
     """Closed-form dD/dt for the path configuration."""
     return _checked_derivative("path", a, p, t)
@@ -201,13 +222,23 @@ def switch_derivative_parts(a: float, p: float, t):
         + (p * (x - 3.0) * (x + 1.0) - 4.0) ** 2
     )
     prefactor = 8.0 * np.sqrt(1.0 - a * a) * (p + 1.0) * x / (delta * delta * np.sqrt(tt))
+    a1, a2, a3, a4, a5 = _MODES["switch"].bracket(a, p)
+    bracket = ((((a1 * x) + a2) * x + a3) * x + a4) * x + a5
+    return prefactor, bracket
+
+
+def switch_bracket(a: float, p: float):
+    """Switch bracket coefficients A1 ... A5 (see switch_derivative_parts).
+
+    Descending in x, they are ascending in u = e^{-2t}:
+    bracket / x^4 = A1 + A2 u + A3 u^2 + A4 u^3 + A5 u^4.
+    """
     a1 = 2.0 * p * p - a * a * (3.0 * p + 2.0)
     a2 = -2.0 * (a * a * (p + 1.0) * (4.0 * p + 3.0) - 4.0 * p)
     a3 = 6.0 * (a * a * (2.0 * p * p + 2.0 * p - 1.0) - 2.0 * p * (p + 2.0))
     a4 = 2.0 * a * a * (4.0 * p * p + 15.0 * p + 15.0) - 8.0 * (p * (2.0 * p + 5.0) + 4.0)
     a5 = p * (a * a * (4.0 * p + 7.0) - 6.0 * p - 8.0)
-    bracket = ((((a1 * x) + a2) * x + a3) * x + a4) * x + a5
-    return prefactor, bracket
+    return a1, a2, a3, a4, a5
 
 
 def analytic_dDdt_switch(a: float, p: float, t):
@@ -291,19 +322,22 @@ def max_coherent_dDdt_switch(a: float, t):
 class _Mode(NamedTuple):
     distance: Callable
     derivative_parts: Callable
+    bracket: Callable
     threshold: Optional[Callable] = None
 
 
 # Each configuration stated once: distance and derivative parts as functions
-# of (a, p, t), and the late-time threshold as a function of p (none for the
-# bare channel).  The entries look the formulas up as module globals at call
-# time, so a wrapper installed on this module sees every call.
+# of (a, p, t), bracket coefficients in ascending powers of u = e^{-2t} as
+# functions of (a, p), and the late-time threshold as a function of p (none
+# for the bare channel).  The entries look the formulas up as module globals
+# at call time, so a wrapper installed on this module sees every call.
 _MODES = {
-    "bare": _Mode(lambda a, p, t: bare_distance(a, t), lambda a, p, t: bare_derivative_parts(a, t)),
+    "bare": _Mode(lambda a, p, t: bare_distance(a, t), lambda a, p, t: bare_derivative_parts(a, t),
+                  lambda a, p: bare_bracket(a)),
     "path": _Mode(lambda a, p, t: path_distance(a, p, t), lambda a, p, t: path_derivative_parts(a, p, t),
-                  lambda p: np.sqrt(p / (1.0 + p))),
+                  lambda a, p: path_bracket(a, p), lambda p: np.sqrt(p / (1.0 + p))),
     "switch": _Mode(lambda a, p, t: switch_distance(a, p, t), lambda a, p, t: switch_derivative_parts(a, p, t),
-                    lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
+                    lambda a, p: switch_bracket(a, p), lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
 }
 MODES = tuple(_MODES)
 CONTROLLED_MODES = tuple(m for m in MODES if _MODES[m].threshold is not None)
@@ -358,12 +392,115 @@ def analytic_derivative(config: ConfigLike, a: float, t):
 # detection
 # ---------------------------------------------------------------------------
 
+def _u_range(t_lo: float, t_hi: float) -> Tuple[float, float]:
+    """[t_lo, t_hi] as a range of u = e^{-2t}; u underflows to 0 past t ~ 372."""
+    return math.exp(-2.0 * t_hi), math.exp(-2.0 * t_lo)
+
+
+def _bracket_values(coeffs, u):
+    """The bracket at u by Horner's rule, coefficients ascending in u."""
+    value = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        value = value * u + c
+    return value
+
+
+def _cubic_roots(d3, d2, d1, d0):
+    """Candidates that include every real root of d3 u^3 + d2 u^2 + d1 u + d0.
+
+    Vectorized and branch-free: the three trigonometric-form values (all
+    roots when three are real), Cardano's value (the root when one is real)
+    and the two roots of d2 u^2 + d1 u + d0 (the roots as d3 -> 0, where
+    the cubic forms lose their precision).  A formula that does not apply
+    gives NaN or a spurious value; callers only ever use a candidate as one
+    more point at which to evaluate.
+    """
+    with np.errstate(all="ignore"):
+        shift = d2 / (3.0 * d3)
+        c, d = d1 / d3, d0 / d3
+        pp = c - 3.0 * shift * shift
+        qq = shift * (2.0 * shift * shift - c) + d
+        disc = 0.25 * qq * qq + pp * pp * pp / 27.0
+        s = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(disc), qq))
+        m = 2.0 * np.sqrt(-pp / 3.0)
+        phi = np.arccos(np.minimum(np.maximum(3.0 * qq / (pp * m), -1.0), 1.0)) / 3.0
+        q = -0.5 * (d1 + np.copysign(np.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
+        return (
+            m * np.cos(phi) - shift,
+            m * np.cos(phi - 2.0 * np.pi / 3.0) - shift,
+            m * np.cos(phi + 2.0 * np.pi / 3.0) - shift,
+            s - pp / (3.0 * s) - shift,
+            q / d2,
+            d0 / q,
+        )
+
+
+def _breakpoints(coeffs, u_lo, u_hi):
+    """(point, inside) pairs: both ends of [u_lo, u_hi], and every candidate
+    critical point of the bracket flagged with whether it lies strictly
+    inside.  The bracket is monotone between consecutive inside points, so
+    it is positive somewhere in the range iff it is positive at one of them.
+    A linear bracket has no critical point; the quartic's are the roots of
+    its cubic derivative."""
+    pairs = [(u_lo, True), (u_hi, True)]
+    if len(coeffs) == 5:
+        _, c1, c2, c3, c4 = coeffs
+        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in _cubic_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1)]
+    return pairs
+
+
+def _root(coeffs, lo, hi, f_lo, f_hi):
+    """The bracket's root in [lo, hi], where it is monotone and changes sign:
+    Newton steps from the secant guess, bisecting whenever a step would leave
+    the shrinking range."""
+    slopes = [k * c for k, c in enumerate(coeffs)][1:]
+    positive_lo = f_lo > 0.0
+    u = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(200):
+        f = _bracket_values(coeffs, u)
+        if f == 0.0:
+            return u
+        if (f > 0.0) == positive_lo:
+            lo = u
+        else:
+            hi = u
+        slope = _bracket_values(slopes, u)
+        step = u - f / slope if slope else 0.5 * (lo + hi)
+        if abs(step - u) <= 1e-15 * u:
+            return step
+        u = step if lo < step < hi else 0.5 * (lo + hi)
+    return u
+
+
+def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:
+    """The stretches of [t_lo, t_hi] where the bracket is positive, in time
+    order, with exact roots as inner endpoints: one root per monotone piece
+    whose ends differ in sign."""
+    u_lo, u_hi = _u_range(t_lo, t_hi)
+    # as an array, a zero leading coefficient divides to inf or NaN
+    candidates = _breakpoints(np.asarray(coeffs, dtype=float), u_lo, u_hi)
+    points = sorted(float(u) for u, inside in candidates if inside)
+    values = [_bracket_values(coeffs, u) for u in points]
+    # edges in descending time, since u = e^{-2t} runs backwards
+    edges = [t_hi] if values[0] > 0.0 else []
+    for i in range(1, len(points)):
+        if (values[i] > 0.0) != (values[i - 1] > 0.0):
+            u = _root(coeffs, points[i - 1], points[i], values[i - 1], values[i])
+            edges.append(t_hi if u <= u_lo else min(t_hi, max(t_lo, -0.5 * math.log(u))))
+    if values[-1] > 0.0:
+        edges.append(t_lo)
+    edges.reverse()
+    return list(zip(edges[::2], edges[1::2]))
+
+
 @dataclass(frozen=True)
 class BackflowReport:
-    """Distance/derivative series with detected backflow intervals.
+    """Distance/derivative series with exact backflow intervals.
 
-    ``verdict`` is True when some derivative sample on the grid exceeds
-    ``eps``; ``marginal`` flags reports whose peak derivative lies within
+    ``backflow_intervals`` are the stretches of [times[0], times[-1]] where
+    dD/dt > 0, with endpoints at the real roots of the derivative's bracket
+    (or at the ends of the grid); ``verdict`` is True when there is one.
+    ``marginal`` flags reports whose peak derivative on the grid lies within
     10 * eps of zero, so the verdict rests on a sub-resolution margin.
     ``fd_residual`` records the worst disagreement between the analytic
     derivative and its central-finite-difference cross-check.
@@ -381,37 +518,23 @@ class BackflowReport:
     fd_residual: float
 
 
-def _intervals_above(times: np.ndarray, values: np.ndarray, eps: float):
-    """Contiguous grid runs where values > eps, as (t_start, t_end) pairs."""
-    above = values > eps
-    intervals = []
-    start = None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = times[i]
-        elif not flag and start is not None:
-            intervals.append((float(start), float(times[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(times[-1])))
-    return intervals
-
-
 def detect_backflow(
     config: ConfigLike,
     a: float,
     times: Optional[np.ndarray] = None,
     eps: float = BACKFLOW_EPS,
 ) -> BackflowReport:
-    """Scan the probe-pair distance for intervals of positive derivative.
+    """Distance and derivative series, and the exact backflow intervals.
 
     The distance comes from the closed form of the configuration, the
     derivative from the analytic formula, and every call verifies the
     analytic derivative against a central finite difference of the distance
-    (step min(1e-4, t/2), tolerance 1e-6).  The grid must be strictly
-    increasing and start at t > 0.  Raises ValueError for invalid input and
-    RuntimeError when a series is not finite, leaves [0, 1], jumps, or fails
-    the finite-difference check.
+    (step min(1e-4, t/2), tolerance 1e-6).  The intervals are where the
+    derivative's bracket is positive in [times[0], times[-1]], from its real
+    roots rather than from the samples; ``eps`` only sets the ``marginal``
+    band.  The grid must be strictly increasing and start at t > 0.  Raises
+    ValueError for invalid input and RuntimeError when a series is not
+    finite, leaves [0, 1], jumps, or fails the finite-difference check.
     """
     _check_a_open(a)
     if times is None:
@@ -424,8 +547,12 @@ def detect_backflow(
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
 
-    dist = np.asarray(probe_distance(config, a, times), dtype=float)
-    deriv = np.asarray(analytic_derivative(config, a, times), dtype=float)
+    mode, p, label = _mode_and_p(config)
+    # one closed-form evaluation gives the series and both stencil points
+    # of the central difference
+    h = np.minimum(FD_STEP, 0.5 * times)
+    dist, ahead, behind = np.asarray(_MODES[mode].distance(a, p, np.stack([times, times + h, times - h])), dtype=float)
+    deriv = np.asarray(_checked_derivative(mode, a, p, times), dtype=float)
 
     if not (np.all(np.isfinite(dist)) and np.all(np.isfinite(deriv))):
         raise RuntimeError("distance or derivative series is not finite")
@@ -435,27 +562,23 @@ def detect_backflow(
     if np.any(np.abs(np.diff(dist)) > LIPSCHITZ_BOUND * steps + 1e-12):
         raise RuntimeError("distance series is not continuous at the grid resolution")
 
-    h = np.minimum(FD_STEP, 0.5 * times)
-    fd = central_difference(lambda s: probe_distance(config, a, s), times, h=h)
-    fd_residual = float(np.abs(fd - deriv).max())
+    fd_residual = float(np.abs((ahead - behind) / (2.0 * h) - deriv).max())
     if fd_residual > FD_CHECK_TOL:
         raise RuntimeError(
             f"analytic derivative disagrees with finite differences ({fd_residual:.3e})"
         )
 
-    intervals = _intervals_above(times, deriv, eps)
+    intervals = _windows(_MODES[mode].bracket(a, p), float(times[0]), float(times[-1]))
     peak = float(deriv.max())
-    verdict = len(intervals) > 0
-    marginal = abs(peak) < MARGINAL_FACTOR * eps
     return BackflowReport(
-        config=_mode_and_p(config)[2],
+        config=label,
         a=a,
         times=times,
         distance=dist,
         derivative=deriv,
         backflow_intervals=intervals,
-        verdict=verdict,
-        marginal=marginal,
+        verdict=bool(intervals),
+        marginal=abs(peak) < MARGINAL_FACTOR * eps,
         eps=eps,
         fd_residual=fd_residual,
     )
@@ -477,14 +600,6 @@ def asymptotic_threshold(mode: str, p: float) -> float:
     return float(_controlled(mode).threshold(p))
 
 
-def _derivative_matrix(parts, a_values: np.ndarray, p: float, t) -> np.ndarray:
-    """dD/dt on the (a, t) product grid from a mode's derivative parts."""
-    a_col = np.asarray(a_values, dtype=float)[:, None]
-    t_row = np.asarray(t, dtype=float)[None, :]
-    pre, br = parts(a_col, p, t_row)
-    return pre * br
-
-
 def empirical_threshold(
     mode: str,
     p: float,
@@ -493,17 +608,17 @@ def empirical_threshold(
     """Measured large-time edge of the backflow region at fixed p.
 
     Scans a in steps of ``a_step`` and returns the midpoint between the last
-    probe parameter whose derivative is still positive at DEFAULT_T_MAX and the
-    first one where it has turned negative.  Evaluating the sign at one late
-    time isolates the sustained (late-time) window; the switch configuration
-    additionally shows a transient positive window at intermediate times for
-    small p, which this measurement deliberately excludes.
+    probe parameter whose derivative (through the sign of its bracket) is
+    still positive at DEFAULT_T_MAX and the first one where it has turned
+    negative.  Evaluating the sign at one late time isolates the sustained
+    (late-time) window; the switch configuration additionally shows a
+    transient positive window at intermediate times for small p, which this
+    measurement deliberately excludes.
     """
     _check_p(p)
-    parts = _controlled(mode).derivative_parts
     a_values = np.arange(a_step, 1.0, a_step)
-    d = _derivative_matrix(parts, a_values, p, np.array([DEFAULT_T_MAX]))[:, 0]
-    positive = d > 0.0
+    coeffs = _controlled(mode).bracket(a_values, p)
+    positive = _bracket_values(coeffs, math.exp(-2.0 * DEFAULT_T_MAX)) > 0.0
     if not positive.any():
         return 0.0
     last_true = int(np.nonzero(positive)[0].max())
@@ -531,14 +646,14 @@ def scan_region(
     a_grid,
     p_grid,
     t_max: float = DEFAULT_T_MAX,
-    eps: float = BACKFLOW_EPS,
 ) -> RegionScan:
     """Backflow verdicts for both configurations over an (a, p) grid.
 
-    Each cell applies the detect_backflow criterion (some derivative sample
-    above ``eps`` on the default log time grid up to ``t_max``).  Rows are
-    evaluated one vectorized (a, t) call per (mode, p); the full (p, a, t)
-    grid is never materialized, so memory stays at one row.
+    A cell has backflow when its bracket is positive somewhere in
+    [DEFAULT_T_MIN, t_max], the detect_backflow criterion.  The whole grid
+    is decided at once from the bracket at both ends of the range and at
+    its real critical points in between: none for the linear path bracket,
+    the roots of the cubic derivative for the switch quartic.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -546,11 +661,13 @@ def scan_region(
         raise ValueError("a grid must lie in (0, 1]")
     if not np.all((p_grid >= 0.0) & (p_grid <= 1.0)):
         raise ValueError("p grid must lie in [0, 1]")
-    times = log_time_grid(DEFAULT_T_MIN, t_max)
+    _check_time_range(DEFAULT_T_MIN, t_max)
+    u_lo, u_hi = _u_range(DEFAULT_T_MIN, t_max)
+    a, p = a_grid[None, :], p_grid[:, None]
     verdicts = {}
     for m in CONTROLLED_MODES:
-        parts = _MODES[m].derivative_parts
-        verdicts[f"backflow_{m}"] = np.array(
-            [_derivative_matrix(parts, a_grid, p, times).max(axis=1) > eps for p in p_grid]
+        coeffs = _MODES[m].bracket(a, p)
+        verdicts[f"backflow_{m}"] = np.logical_or.reduce(
+            [inside & (_bracket_values(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
         )
     return RegionScan(a_grid, p_grid, **verdicts)

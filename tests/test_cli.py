@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -203,10 +204,25 @@ class TestScan:
         result = runner.invoke(main, ["scan", "--a-points", "2000", "--p-points", "2000"])
         assert result.exit_code == 2
 
-    def test_bad_eps_is_usage_error(self, runner):
-        result = runner.invoke(main, ["scan", "--a-points", "2", "--p-points", "2", "--eps", "nan"])
+    def test_has_no_eps_option(self, runner):
+        # verdicts come from exact bracket roots; no tolerance is involved
+        result = runner.invoke(main, ["scan", "--a-points", "2", "--p-points", "2", "--eps", "1e-9"])
         assert result.exit_code == 2
-        assert "--eps" in result.output
+        assert "No such option" in result.output
+
+    def test_late_t_max_keeps_every_window(self, runner):
+        args = ["scan", "--a-points", "20", "--p-points", "20"]
+        short = invoke(runner, *args, "--t-max", "12").output.splitlines()[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            long = invoke(runner, *args, "--t-max", "400").output.splitlines()[1:]
+        assert len(short) == len(long) == 400
+        for row_short, row_long in zip(short, long):
+            a, p, *short_flags = row_short.split(",")
+            assert row_long.split(",")[:2] == [a, p]
+            for flag_short, flag_long in zip(short_flags, row_long.split(",")[2:]):
+                assert flag_long == "true" or flag_short == "false"
+        assert "0.005,1,true,true" in long
 
     def test_byte_stable(self, runner):
         args = ["scan", "--a-points", "12", "--p-points", "9"]

@@ -1,15 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import backflow.detect as detect
 from backflow.channel import apply, phi_t_kraus
 from backflow.detect import (
+    BACKFLOW_EPS,
+    DEFAULT_T_MAX,
     DEFAULT_T_MIN,
     FD_STEP,
     analytic_dDdt_path,
     analytic_derivative,
     analytic_dDdt_switch,
     asymptotic_threshold,
+    bare_bracket,
     bare_dDdt,
     bare_derivative_parts,
     bare_distance,
@@ -21,11 +26,13 @@ from backflow.detect import (
     max_coherent_derivative_parts_switch,
     max_coherent_dDdt_path,
     max_coherent_dDdt_switch,
+    path_bracket,
     path_derivative_parts,
     path_distance,
     probe_distance,
     probe_pair,
     scan_region,
+    switch_bracket,
     switch_derivative_parts,
     switch_distance,
 )
@@ -299,7 +306,7 @@ class TestModeTable:
         # wrappers installed on the module (as a tracer does) must see every
         # call the mode table makes
         calls = {}
-        for name in ("path_derivative_parts", "switch_derivative_parts"):
+        for name in ("path_derivative_parts", "switch_derivative_parts", "path_bracket", "switch_bracket"):
             original = getattr(detect, name)
 
             def counted(*args, _name=name, _original=original):
@@ -308,13 +315,24 @@ class TestModeTable:
 
             monkeypatch.setattr(detect, name, counted)
         scan_region(np.array([0.5]), np.array([1.0]))
-        assert calls == {"path_derivative_parts": 1, "switch_derivative_parts": 1}
+        assert calls == {"path_bracket": 1, "switch_bracket": 1}
         analytic_derivative(path_config(1.0), 0.5, 1.0)
         analytic_derivative(switch_config(1.0), 0.5, 1.0)
-        assert calls == {"path_derivative_parts": 2, "switch_derivative_parts": 2}
+        # the switch derivative reads its A1 ... A5 from the table's bracket
+        assert calls == {
+            "path_bracket": 1,
+            "switch_bracket": 2,
+            "path_derivative_parts": 1,
+            "switch_derivative_parts": 1,
+        }
         empirical_threshold("path", 1.0)
         empirical_threshold("switch", 1.0)
-        assert calls == {"path_derivative_parts": 3, "switch_derivative_parts": 3}
+        assert calls == {
+            "path_bracket": 2,
+            "switch_bracket": 3,
+            "path_derivative_parts": 1,
+            "switch_derivative_parts": 1,
+        }
 
 
 class TestThresholds:
@@ -385,6 +403,198 @@ class TestScanRegion:
             scan_region(np.array([0.0, 0.5]), np.array([0.5]))
         with pytest.raises(ValueError):
             scan_region(np.array([0.5]), np.array([1.5]))
+        for t_max in (DEFAULT_T_MIN, np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_min < t_max"):
+                scan_region(np.array([0.5]), np.array([0.5]), t_max=t_max)
+
+    def test_late_range_keeps_every_window(self):
+        # [t_min, 400] contains [t_min, 12]; e^{-800} underflows to 0 quietly
+        a_grid, p_grid = np.linspace(0.005, 0.995, 60), np.linspace(0.0, 1.0, 40)
+        short = scan_region(a_grid, p_grid, t_max=12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            long = scan_region(a_grid, p_grid, t_max=400.0)
+        for mode in ("path", "switch"):
+            assert not np.any(getattr(short, f"backflow_{mode}") & ~getattr(long, f"backflow_{mode}"))
+        assert long.backflow_path[-1, 0] and long.backflow_switch[-1, 0]
+
+
+def _intervals_above(times, values, eps):
+    """Sampled oracle: contiguous grid runs where values > eps, as
+    (t_start, t_end) pairs."""
+    above = values > eps
+    intervals = []
+    start = None
+    for i, flag in enumerate(above):
+        if flag and start is None:
+            start = times[i]
+        elif not flag and start is not None:
+            intervals.append((float(start), float(times[i - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(start), float(times[-1])))
+    return intervals
+
+
+_PARTS = {"path": path_derivative_parts, "switch": switch_derivative_parts}
+_CONFIGS = {"path": path_config, "switch": switch_config}
+
+
+def _x_bracket(mode, a, p, t):
+    """The bracket in its x = e^{2t} form, from the derivative parts."""
+    return _PARTS[mode](a, p, t)[1]
+
+
+def _reference_verdict(coeffs, t_lo, t_hi):
+    """np.roots reference: the bracket, ascending in u = e^{-2t}, at both ends
+    of the range and at every real critical point inside it."""
+    u_lo, u_hi = np.exp(-2.0 * t_hi), np.exp(-2.0 * t_lo)
+    poly = np.array(coeffs[::-1], dtype=float)
+    crit = np.roots(np.polyder(poly))
+    real = crit[np.abs(crit.imag) <= 1e-9].real
+    points = [u_lo, u_hi, *real[(real > u_lo) & (real < u_hi)]]
+    return bool(np.max(np.polyval(poly, points)) > 0.0)
+
+
+def _reference_windows(coeffs, t_lo, t_hi):
+    """np.roots reference windows: the real roots of the bracket inside the
+    range split it into pieces, kept where the bracket is positive."""
+    poly = np.array(coeffs[::-1], dtype=float)
+    roots = np.roots(poly)
+    real = roots[np.abs(roots.imag) <= 1e-9].real
+    real = real[real > 0.0]
+    ts = np.sort(-0.5 * np.log(real))
+    edges = [t_lo, *ts[(ts > t_lo) & (ts < t_hi)], t_hi]
+    windows = []
+    for t0, t1 in zip(edges, edges[1:]):
+        if np.polyval(poly, np.exp(-(t0 + t1))) > 0.0:
+            if windows and windows[-1][1] == t0:
+                windows[-1] = (windows[-1][0], t1)
+            else:
+                windows.append((t0, t1))
+    return windows
+
+
+class TestExactWindows:
+    A_GRID = np.linspace(0.005, 0.995, 60)
+    P_GRID = np.linspace(0.0, 1.0, 40)
+
+    @pytest.mark.parametrize(
+        "coefficients, parts",
+        [
+            (lambda a, p: bare_bracket(a), lambda a, p, t: bare_derivative_parts(a, t)),
+            (path_bracket, path_derivative_parts),
+            (switch_bracket, switch_derivative_parts),
+        ],
+        ids=["bare", "path", "switch"],
+    )
+    def test_u_form_is_x_form_over_leading_power(self, coefficients, parts):
+        ts = np.linspace(0.0, 12.0, 25)
+        u = np.exp(-2.0 * ts)
+        for a in (0.1, 0.5, 0.9):
+            for p in (0.0, 0.4, 1.0):
+                c = coefficients(a, p)
+                in_u = sum(ck * u**k for k, ck in enumerate(c))
+                in_x = parts(a, p, ts)[1]
+                scale = sum(abs(ck) * u**k for k, ck in enumerate(c))
+                assert np.all(np.abs(in_x * u ** (len(c) - 1) - in_u) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("t_max", [4.0, 12.0])
+    def test_sampled_oracle(self, t_max):
+        times = log_time_grid(DEFAULT_T_MIN, t_max)
+        fine = log_time_grid(DEFAULT_T_MIN, t_max, 20001)
+        scan = scan_region(self.A_GRID, self.P_GRID, t_max=t_max)
+        assert not np.any(scan.backflow_switch & ~scan.backflow_path)
+        for mode, parts in _PARTS.items():
+            exact = getattr(scan, f"backflow_{mode}")
+            pre, br = parts(self.A_GRID[None, :, None], self.P_GRID[:, None, None], times)
+            deriv = pre * br
+            sampled = np.array([[bool(_intervals_above(times, d, BACKFLOW_EPS)) for d in row] for row in deriv])
+            assert not np.any(sampled & ~exact)
+            # no window: the derivative is not positive at any sample
+            assert np.all(deriv[~exact] <= 0.0)
+            # a window the samples miss is either narrower than a grid step
+            # or peaks in (0, eps]; the fine grid finds it either way
+            for i, j in zip(*np.nonzero(exact & ~sampled)):
+                assert deriv[i, j].max() <= BACKFLOW_EPS
+                assert np.any(_x_bracket(mode, self.A_GRID[j], self.P_GRID[i], fine) > 0.0)
+
+    def _degenerate_cells(self):
+        # A5 = 0 at p = 0 drops the switch quartic's u^4 term (and nearly so
+        # for tiny p); A1 = 0 at a^2 = 2p^2/(3p+2) puts a root of the x-form
+        # at x = infinity
+        cells = [(a, p) for a in self.A_GRID[::4] for p in (0.0, 1e-300, 1e-12, 1e-8, 1e-4)]
+        return cells + [(float(np.sqrt(2.0 * p * p / (3.0 * p + 2.0))), float(p)) for p in np.linspace(0.05, 1.0, 20)]
+
+    @pytest.mark.parametrize("t_max", [4.0, 12.0, 400.0])
+    def test_degenerate_lines_match_np_roots(self, t_max):
+        for a, p in self._degenerate_cells():
+            scan = scan_region(np.array([a]), np.array([p]), t_max=t_max)
+            for mode, coefficients in (("path", path_bracket), ("switch", switch_bracket)):
+                expected = _reference_verdict(coefficients(a, p), DEFAULT_T_MIN, t_max)
+                assert bool(getattr(scan, f"backflow_{mode}")[0, 0]) == expected, (mode, a, p)
+
+    def test_degenerate_lines_keep_every_critical_point(self):
+        u_lo, u_hi = np.exp(-2.0 * DEFAULT_T_MAX), np.exp(-2.0 * DEFAULT_T_MIN)
+        for a, p in self._degenerate_cells():
+            coeffs = switch_bracket(a, p)
+            crit = np.roots(np.polyder(np.array(coeffs[::-1])))
+            crit = crit[np.abs(crit.imag) <= 1e-9].real
+            found = np.array([float(u) for u, inside in detect._breakpoints(np.float64(coeffs), u_lo, u_hi) if inside])
+            assert np.all(np.isfinite(found))
+            poly = np.array(coeffs[::-1])
+            for r in crit[(crit > u_lo) & (crit < u_hi)]:
+                # the bracket is flat at a critical point, so a location off
+                # by 1e-6 relative still gives its extreme value to rounding
+                nearest = found[np.argmin(np.abs(found - r))]
+                assert abs(nearest - r) <= 1e-6 * r, (a, p, r, found)
+                scale = np.polyval(np.abs(poly), r)
+                assert abs(np.polyval(poly, nearest) - np.polyval(poly, r)) <= 1e-14 * scale
+
+    def test_detect_windows_on_degenerate_line_match_np_roots(self):
+        times = log_time_grid()
+        nonempty = 0
+        for a, p in self._degenerate_cells():
+            if a < 0.05:
+                continue  # outside detect_backflow's finite-difference check
+            windows = detect_backflow(switch_config(p), a, times).backflow_intervals
+            expected = _reference_windows(switch_bracket(a, p), times[0], times[-1])
+            assert len(windows) == len(expected), (a, p)
+            if windows:
+                assert np.allclose(windows, expected, rtol=1e-9, atol=0.0)
+                nonempty += 1
+        assert nonempty >= 5
+
+    @pytest.mark.parametrize("t_max", [4.0, 12.0])
+    def test_detect_intervals_are_exact(self, t_max):
+        times = log_time_grid(DEFAULT_T_MIN, t_max)
+        t_lo, t_hi = times[0], times[-1]
+        seen = 0
+        for mode, config in _CONFIGS.items():
+            for p in (0.05, 0.1, 0.2, 0.5, 1.0):
+                for a in (0.05, 0.1, 0.2, 0.3, 0.5, 0.65):
+                    report = detect_backflow(config(p), a, times)
+                    windows = report.backflow_intervals
+                    assert report.verdict == bool(windows)
+                    bracket = lambda t: _x_bracket(mode, a, p, np.asarray(t))
+                    edges = [t for w in windows for t in w]
+                    assert edges == sorted(edges)
+                    assert all(t_lo <= t <= t_hi for t in edges)
+                    for t0, t1 in windows:
+                        assert t1 > t0 and bracket(0.5 * (t0 + t1)) > 0.0
+                        for t in (t0, t1):
+                            if t not in (t_lo, t_hi):
+                                low, high = bracket(t * (1.0 - 1e-9)), bracket(t * (1.0 + 1e-9))
+                                assert low * high < 0.0, (mode, p, a, t)
+                                seen += 1
+                    gaps = zip([t_lo] + [w[1] for w in windows], [w[0] for w in windows] + [t_hi])
+                    for g0, g1 in gaps:
+                        if g1 > g0:
+                            assert np.all(bracket(np.linspace(g0, g1, 9)[1:-1]) < 0.0), (mode, p, a)
+                    # every sampled run above eps lies inside an exact window
+                    for s0, s1 in _intervals_above(times, report.derivative, report.eps):
+                        assert any(t0 <= s0 and s1 <= t1 for t0, t1 in windows)
+        assert seen > 20
 
 
 class TestCentralDifference:
