@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from backflow.channel import (
+    CanonicalGenerator,
     KrausChannel,
+    _bloch_decay_rates,
     apply,
     canonical_rhs,
     choi_matrix,
@@ -14,7 +16,18 @@ from backflow.channel import (
     validate_cptp,
 )
 from backflow.control import SUPERMAPS, default_amplitudes
-from backflow.qmat import I2, KET_0, KET_1, pure_state, trace_distance
+from backflow.qmat import (
+    I2,
+    KET_0,
+    KET_1,
+    KET_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    pure_state,
+    trace_distance,
+)
 from conftest import random_density
 
 LN2_HALF = 0.5 * np.log(2.0)
@@ -35,6 +48,40 @@ def choi_from_action(action, dim=2):
                 for c in range(dim):
                     choi[a * dim + b, c * dim + d] = out[a, c]
     return choi
+
+
+GENERATORS = {
+    "eternal-nm": eternal_nm_generator(),
+    # constant rates return a scalar for an array of times and are broadcast
+    "constant-and-cos": CanonicalGenerator(lambda t: 0.3, lambda t: 0.7, np.cos),
+}
+
+
+def _rk4_reference(gen, rho0, checkpoints, dt=1e-3):
+    """Per-step RK4 on the full density matrix through sorted checkpoints,
+    re-Hermitized and renormalized after every step (reference oracle)."""
+    rho = np.array(rho0, dtype=complex)
+    states = []
+    t_start = 0.0
+    for t_stop in checkpoints:
+        span = t_stop - t_start
+        if span > 0.0:
+            n_steps = max(1, int(round(span / dt)))
+            h = span / n_steps
+            t = t_start
+            for _ in range(n_steps):
+                k1 = canonical_rhs(gen, t, rho)
+                k2 = canonical_rhs(gen, t + 0.5 * h, rho + 0.5 * h * k1)
+                k3 = canonical_rhs(gen, t + 0.5 * h, rho + 0.5 * h * k2)
+                k4 = canonical_rhs(gen, t + h, rho + h * k3)
+                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rho = 0.5 * (rho + dagger(rho))
+                tr = np.real(np.einsum("...ii", rho))
+                rho = rho / tr[..., None, None]
+                t += h
+            t_start = t_stop
+        states.append(rho)
+    return np.stack(states)
 
 
 class TestCoefficients:
@@ -191,6 +238,15 @@ class TestCanonicalEquation:
         assert g3 == pytest.approx(-np.tanh(1.5))
         assert g3 < 0.0
 
+    @pytest.mark.parametrize("gen", GENERATORS.values(), ids=GENERATORS.keys())
+    def test_bloch_components_decay_at_their_rates(self, gen):
+        # each Pauli matrix is an eigenvector of the generator; the
+        # integrator's per-component rates are those eigenvalues
+        for t in (0.0, 0.7, 3.0):
+            rates = _bloch_decay_rates(gen, np.asarray(t))
+            for sigma, rate in zip((SIGMA_X, SIGMA_Y, SIGMA_Z), rates):
+                assert np.abs(canonical_rhs(gen, t, sigma) + rate * sigma).max() <= 1e-15
+
 
 class TestIntegrator:
     def test_zero_time_is_identity(self, rng):
@@ -243,6 +299,41 @@ class TestIntegrator:
             for k in range(5):
                 single = integrate_canonical(gen, stack[k], t, dt=1e-3)
                 assert np.abs(out[i, k] - single).max() < 1e-13
+
+    @pytest.mark.parametrize("gen", GENERATORS.values(), ids=GENERATORS.keys())
+    def test_matches_reference_loop(self, rng, gen):
+        # 7,300 steps, with segments longer than one block of steps
+        stack = np.stack([random_density(rng) for _ in range(5)])
+        checkpoints = [0.0, 0.3, 0.5, 0.5, 2.0, 5.0, 7.3]
+        out = integrate_canonical(gen, stack, checkpoints, dt=1e-3)
+        assert np.abs(out - _rk4_reference(gen, stack, checkpoints)).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        "rho",
+        [pure_state(KET_PLUS), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])],
+        ids=["plus", "mixed"],
+    )
+    def test_fourth_order_convergence(self, rho):
+        # halving dt cuts the error by about 2^4; an exact exponential
+        # would agree with the Kraus form at any dt
+        kraus = apply(phi_t_kraus(2.0), rho)
+        coarse, fine = (
+            trace_distance(integrate_canonical(eternal_nm_generator(), rho, 2.0, dt=dt), kraus)
+            for dt in (1e-2, 5e-3)
+        )
+        assert 12.0 <= coarse / fine <= 20.0
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"), (I2, "trace")],
+        ids=["non-hermitian", "trace-2"],
+    )
+    def test_rejects_invalid_state_in_stack(self, rng, bad, match):
+        gen = eternal_nm_generator()
+        with pytest.raises(ValueError, match=match):
+            integrate_canonical(gen, bad, 1.0)
+        with pytest.raises(ValueError, match=match):
+            integrate_canonical(gen, np.stack([random_density(rng), bad]), 1.0)
 
     def test_scalar_time_is_one_checkpoint(self, rng):
         gen = eternal_nm_generator()
