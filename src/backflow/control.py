@@ -192,38 +192,49 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     return block / prob, prob
 
 
+def _decay(t):
+    """u = e^{-2t} and 1 - u = -expm1(-2t): both in [0, 1] for every t >= 0,
+    the second exact at small t.  t may be complex."""
+    s = -2.0 * np.asarray(t)
+    return np.exp(s), -np.expm1(s)
+
+
 def path_coefficients(t, p: float):
     """Closed-form weights (A, B) of the plus-outcome path output.
 
-    With x = exp(2t):
+    With u = exp(-2t) and Delta = (4 + p) - p u = 4 + p (1 - u):
 
-        A(t) = 2 (x + 1) / ((4 + p) x - p)
-        B(t) = (x - 1) / ((4 + p) x - p)
+        A(t) = 2 (1 + u) / Delta
+        B(t) = (1 - u) / Delta
 
-    Unit trace of the output forces A + (2 + p) B = 1, which pins both
-    coefficients to the same denominator.  Vectorized over t.
+    These are the x = e^{2t} forms with numerator and denominator divided
+    by x, so they stay finite at every t >= 0.  Unit trace of the output
+    forces A + (2 + p) B = 1, which pins both coefficients to the same
+    denominator.  Vectorized over t.
     """
-    x = np.exp(2.0 * np.asarray(t, dtype=float))
-    den = (4.0 + p) * x - p
-    return 2.0 * (x + 1.0) / den, (x - 1.0) / den
+    u, v = _decay(t)
+    den = 4.0 + p * v
+    return 2.0 * (1.0 + u) / den, v / den
 
 
 def switch_coefficients(t, p: float):
     """Closed-form weights (A, B, C) of the plus-outcome switch output.
 
-    With x = exp(2t) and common denominator (4 + 3p) x^2 + 2 p x - p:
+    With u = exp(-2t) and common denominator
+    (4 + 3p) + 2 p u - p u^2 = 4 + 3p + p u (2 - u):
 
-        A = ((2 + p) x^2 + 2 p x + p + 2) / den
-        B = 2 (1 + p) (x^2 - 1) / den
-        C = ((1 + 2p) x^2 + 2 x + 2 p + 1) / den
+        A = ((2 + p) + 2 p u + (p + 2) u^2) / den
+        B = 2 (1 + p) (1 - u^2) / den
+        C = ((1 + 2p) + 2 u + (2p + 1) u^2) / den
 
-    A + B = 1; C weights the coherences.  Vectorized over t.
+    These are the x = e^{2t} forms divided through by x^2.  A + B = 1; C
+    weights the coherences.  Vectorized over t.
     """
-    x = np.exp(2.0 * np.asarray(t, dtype=float))
-    den = (4.0 + 3.0 * p) * x * x + 2.0 * p * x - p
-    a = ((2.0 + p) * x * x + 2.0 * p * x + p + 2.0) / den
-    b = 2.0 * (1.0 + p) * (x * x - 1.0) / den
-    c = ((1.0 + 2.0 * p) * x * x + 2.0 * x + 2.0 * p + 1.0) / den
+    u, v = _decay(t)
+    den = 4.0 + 3.0 * p + p * u * (1.0 + v)
+    a = ((2.0 + p) * (1.0 + u * u) + 2.0 * p * u) / den
+    b = 2.0 * (1.0 + p) * v * (1.0 + u) / den
+    c = ((1.0 + 2.0 * p) * (1.0 + u * u) + 2.0 * u) / den
     return a, b, c
 
 

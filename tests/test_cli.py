@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import backflow.detect as detect
 from backflow.cli import main
 
 
@@ -160,6 +161,13 @@ class TestDetect:
         assert result.exit_code == 1
         assert "# verdict: true" in result.output
 
+    @pytest.mark.parametrize("mode", ["path", "switch"])
+    def test_small_a_succeeds(self, runner, mode):
+        # the scan's default a_min; backflow persists at late times
+        result = runner.invoke(main, ["detect", "--mode", mode, "--a", "0.005"])
+        assert result.exit_code == 1
+        assert "# verdict: true" in result.output
+
     def test_json_payload(self, runner):
         result = runner.invoke(
             main,
@@ -301,7 +309,8 @@ class TestExitCodes:
             (["evolve", "--mode", "bare", "--t", "-1"], 2),
             (["detect", "--mode", "path", "--a", "1"], 2),
             (["detect", "--mode", "path", "--a", "0.5", "--p", "1.5"], 2),
-            (["detect", "--mode", "switch", "--a", "0.3", "--t-max", "400"], 4),
+            # once an overflow (exit 4); the u-forms stay finite, so backflow (exit 1)
+            (["detect", "--mode", "switch", "--a", "0.3", "--t-max", "400"], 1),
             (["detect", "--mode", "path", "--a", "0.5", "--t-max", "inf"], 2),
             (["evolve", "--mode", "bare", "--input", "nan,0,0,nan", "--t", "1"], 2),
             (["evolve", "--mode", "path", "--t", "nan"], 2),
@@ -322,6 +331,15 @@ class TestExitCodes:
         result = runner.invoke(main, args)
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_failed_derivative_check_exits_4(self, runner, monkeypatch):
+        # a prefactor off by 0.1% fails detect_backflow's complex-step check
+        original = detect.switch_prefactor
+        monkeypatch.setattr(detect, "switch_prefactor", lambda *args: 1.001 * original(*args))
+        result = runner.invoke(main, ["detect", "--mode", "switch", "--a", "0.3"])
+        assert result.exit_code == 4
+        assert "complex-step" in result.output
         assert "Traceback" not in result.output
 
     @settings(max_examples=60, deadline=None)

@@ -14,11 +14,11 @@ from backflow.detect import (
     analytic_derivative,
     analytic_dDdt_switch,
     asymptotic_threshold,
-    bare_bracket,
     bare_dDdt,
-    bare_derivative_parts,
     bare_distance,
+    bare_prefactor,
     central_difference,
+    derivative_parts,
     detect_backflow,
     empirical_threshold,
     log_time_grid,
@@ -27,13 +27,11 @@ from backflow.detect import (
     max_coherent_dDdt_path,
     max_coherent_dDdt_switch,
     path_bracket,
-    path_derivative_parts,
     path_distance,
     probe_distance,
     probe_pair,
     scan_region,
     switch_bracket,
-    switch_derivative_parts,
     switch_distance,
 )
 from backflow.control import (
@@ -75,7 +73,7 @@ class TestBareChannel:
             assert np.all(bare_dDdt(a, ts) < 0.0)
 
     def test_derivative_vanishes_for_identical_probes(self):
-        prefactor, _ = bare_derivative_parts(1.0 - 1e-15, 1.0)
+        prefactor = bare_prefactor(1.0 - 1e-15, 1.0)
         assert prefactor == pytest.approx(0.0, abs=1e-7)
 
     def test_derivative_against_finite_difference(self):
@@ -114,13 +112,13 @@ class TestPathDerivative:
         assert analytic_dDdt_path(0.9, 1.0, 2.0) < 0.0
 
     def test_pure_control_bracket_identity(self):
-        # the general bracket at p = 1 collapses to 14a^2 - 15 - 3(2a^2-1)x
+        # the general bracket at p = 1, times x = e^{2t}, collapses to the
+        # reduced form's 14a^2 - 15 - 3(2a^2-1)x
         for a in (0.2, 0.5, 0.65, 0.9):
             for t in (0.1, 0.8, 2.0, 4.0):
-                x = np.exp(2.0 * t)
-                _, bracket = path_derivative_parts(a, 1.0, t)
-                reduced = 14.0 * a * a - 15.0 - 3.0 * (2.0 * a * a - 1.0) * x
-                assert bracket == pytest.approx(reduced, rel=1e-10)
+                _, bracket = derivative_parts("path", a, 1.0, t)
+                _, reduced = max_coherent_derivative_parts_path(a, t)
+                assert np.exp(2.0 * t) * bracket == pytest.approx(reduced, rel=1e-10)
 
     def test_matches_pure_control_formula(self):
         ts = np.linspace(0.1, 5.0, 23)
@@ -140,7 +138,7 @@ class TestPathDerivative:
         ts = np.linspace(0.05, 8.0, 30)
         for a in (0.2, 0.65, 0.95):
             for p in (0.2, 0.7, 1.0):
-                prefactor, bracket = path_derivative_parts(a, p, ts)
+                prefactor, bracket = derivative_parts("path", a, p, ts)
                 assert np.all(prefactor > 0.0)
                 assert np.all(np.sign(prefactor * bracket) == np.sign(bracket))
 
@@ -170,13 +168,13 @@ class TestSwitchDerivative:
             assert np.abs((general - reduced) / general).max() <= 1e-10
 
     def test_pure_control_quartic_factors_through_quadratic(self):
-        # at p = 1 the quartic bracket equals the hyperbolic-form quadratic
-        # times (x^2 + 6x + 1), which is positive, so the two brackets agree
-        # in sign everywhere
+        # at p = 1 the quartic bracket, times x^4 = e^{8t}, equals the
+        # hyperbolic-form quadratic times (x^2 + 6x + 1), which is positive,
+        # so the two brackets agree in sign everywhere
         ts = np.linspace(0.05, 6.0, 60)
         x = np.exp(2.0 * ts)
         for a in (0.2, 0.5, 0.63, 0.65, 0.9):
-            _, quartic = switch_derivative_parts(a, 1.0, ts)
+            quartic = x**4 * derivative_parts("switch", a, 1.0, ts)[1]
             _, quadratic = max_coherent_derivative_parts_switch(a, ts)
             factored = quadratic * 2.0 * x * (x * x + 6.0 * x + 1.0)
             away_from_roots = np.abs(quartic) > 1e-9
@@ -190,7 +188,7 @@ class TestSwitchDerivative:
         ts = np.linspace(0.05, 8.0, 30)
         for a in (0.2, 0.65, 0.95):
             for p in (0.2, 0.7, 1.0):
-                prefactor, _ = switch_derivative_parts(a, p, ts)
+                prefactor, _ = derivative_parts("switch", a, p, ts)
                 assert np.all(prefactor > 0.0)
 
 
@@ -200,9 +198,9 @@ class TestSignCarriedByBracket:
     @pytest.mark.parametrize(
         "parts",
         [
-            lambda a, t: bare_derivative_parts(a, t),
-            lambda a, t: path_derivative_parts(a, 0.6, t),
-            lambda a, t: switch_derivative_parts(a, 0.6, t),
+            lambda a, t: derivative_parts("bare", a, 1.0, t),
+            lambda a, t: derivative_parts("path", a, 0.6, t),
+            lambda a, t: derivative_parts("switch", a, 0.6, t),
             lambda a, t: max_coherent_derivative_parts_path(a, t),
             lambda a, t: max_coherent_derivative_parts_switch(a, t),
         ],
@@ -293,6 +291,91 @@ class TestDetectBackflow:
             analytic_derivative(config, 0.65, 2.0)
 
 
+class TestComplexStepCheck:
+    @pytest.mark.parametrize("a", [0.001, 0.005, 0.01, 0.019])
+    def test_small_a_passes(self, a):
+        # the kink of width ~a in D(t) broke the h = 1e-4 central difference;
+        # the complex step has no subtraction, so it stays exact to rounding
+        for config in (path_config(1.0), switch_config(1.0), path_config(0.1), switch_config(0.1)):
+            assert detect_backflow(config, a).fd_residual <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
+    @pytest.mark.parametrize("part, scale", [("prefactor", 1.001), ("bracket", 1.0 + 1e-6)])
+    def test_perturbed_formula_raises(self, monkeypatch, mode, part, scale):
+        # the tolerance is absolute, so a 1e-6 relative error shows where
+        # |dD/dt| exceeds 1, as it does early on at a = 0.3
+        config = "bare" if mode == "bare" else _CONFIGS[mode](0.5)
+        assert detect_backflow(config, 0.3).fd_residual <= 1e-12
+        original = getattr(detect, f"{mode}_{part}")
+        if part == "prefactor":
+            patched = lambda *args: scale * original(*args)
+        else:
+            patched = lambda *args: tuple(scale * c for c in original(*args))
+        monkeypatch.setattr(detect, f"{mode}_{part}", patched)
+        with pytest.raises(RuntimeError, match="complex-step"):
+            detect_backflow(config, 0.3)
+
+    @pytest.mark.parametrize("mode", ["path", "switch"])
+    def test_late_range_keeps_the_verdict(self, mode):
+        for p in (0.2, 0.6, 1.0):
+            for a in (0.005, 0.1, 0.3, 0.5, 0.65, 0.9):
+                short = detect_backflow(_CONFIGS[mode](p), a)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    long = detect_backflow(_CONFIGS[mode](p), a, log_time_grid(t_max=400.0))
+                assert long.verdict == short.verdict, (mode, p, a)
+
+
+def _reference_distance(mp, mode, a, p, t):
+    """D(t) from the x = e^{2t} forms of the weights, in mpmath arithmetic,
+    whose exponent range holds e^{1400}."""
+    a, p, t = mp.mpf(a), mp.mpf(p), mp.mpf(t)
+    x, b2 = mp.exp(2 * t), 1 - a * a
+    if mode == "bare":
+        return mp.exp(-2 * t) * mp.sqrt(b2 * (4 - 3 * a * a + 2 * a * a * x + a * a * x * x)) / 2
+    if mode == "path":
+        den = (4 + p) * x - p
+        w_a, w_b = 2 * (x + 1) / den, (x - 1) / den
+        return mp.sqrt(b2 * (b2 * (2 * w_a - 1) ** 2 + a * a * (w_a + p * w_b) ** 2))
+    den = (4 + 3 * p) * x * x + 2 * p * x - p
+    w_a = ((2 + p) * x * x + 2 * p * x + p + 2) / den
+    w_b = 2 * (1 + p) * (x * x - 1) / den
+    w_c = ((1 + 2 * p) * x * x + 2 * x + 2 * p + 1) / den
+    return mp.sqrt(b2 * (b2 * (w_a - w_b) ** 2 + a * a * w_c * w_c))
+
+
+class TestLargeTimeReference:
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 700.0, 40)])
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        return mpmath.mp
+
+    @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
+    def test_forms_match_50_digit_reference(self, mp, mode):
+        for a in (0.005, 0.3, 0.5, 0.9):
+            for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    dist = detect._MODES[mode].distance(a, p, self.TIMES)
+                    prefactor, bracket = derivative_parts(mode, a, p, self.TIMES)
+                    deriv = detect._checked_derivative(mode, a, p, self.TIMES)
+                assert np.all(np.isfinite(prefactor)) and np.all(np.isfinite(bracket))
+                ref = [_reference_distance(mp, mode, a, p, t) for t in self.TIMES]
+                ref_deriv = [mp.diff(lambda s: _reference_distance(mp, mode, a, p, s), mp.mpf(t)) for t in self.TIMES]
+                ref, ref_deriv = np.array(ref, dtype=float), np.array(ref_deriv, dtype=float)
+                assert np.all(np.abs(dist - ref) <= 1e-15 * ref), (a, p)
+                assert np.all(np.abs(deriv - ref_deriv) <= 2e-15 * np.abs(ref_deriv).max()), (a, p)
+
+    def test_late_time_limits(self):
+        limits = {"bare": np.sqrt(3.0) / 8.0, "path": 0.3, "switch": 3.0 / 14.0}
+        for mode, limit in limits.items():
+            assert detect._MODES[mode].distance(0.5, 1.0, 700.0) == pytest.approx(limit, rel=1e-15)
+            assert detect._checked_derivative(mode, 0.5, 1.0, 700.0) == 0.0
+
+
 class TestProbeDistanceTimes:
     @pytest.mark.parametrize("t", [-1.0, np.nan, np.array([-2.0, -0.5, 1.0])])
     def test_rejects_negative_and_nan_times(self, t):
@@ -306,7 +389,7 @@ class TestModeTable:
         # wrappers installed on the module (as a tracer does) must see every
         # call the mode table makes
         calls = {}
-        for name in ("path_derivative_parts", "switch_derivative_parts", "path_bracket", "switch_bracket"):
+        for name in ("path_prefactor", "switch_prefactor", "path_bracket", "switch_bracket"):
             original = getattr(detect, name)
 
             def counted(*args, _name=name, _original=original):
@@ -318,20 +401,20 @@ class TestModeTable:
         assert calls == {"path_bracket": 1, "switch_bracket": 1}
         analytic_derivative(path_config(1.0), 0.5, 1.0)
         analytic_derivative(switch_config(1.0), 0.5, 1.0)
-        # the switch derivative reads its A1 ... A5 from the table's bracket
+        # each derivative is the table's prefactor times the table's bracket
         assert calls == {
-            "path_bracket": 1,
+            "path_bracket": 2,
             "switch_bracket": 2,
-            "path_derivative_parts": 1,
-            "switch_derivative_parts": 1,
+            "path_prefactor": 1,
+            "switch_prefactor": 1,
         }
         empirical_threshold("path", 1.0)
         empirical_threshold("switch", 1.0)
         assert calls == {
-            "path_bracket": 2,
+            "path_bracket": 3,
             "switch_bracket": 3,
-            "path_derivative_parts": 1,
-            "switch_derivative_parts": 1,
+            "path_prefactor": 1,
+            "switch_prefactor": 1,
         }
 
 
@@ -389,8 +472,8 @@ class TestScanRegion:
 
     @pytest.mark.parametrize("t_max", [12.0, 4.0])
     def test_every_cell_matches_detect_backflow(self, t_max):
-        # a >= 0.1 keeps detect_backflow's finite-difference check in range
-        a_grid = np.linspace(0.1, 0.9, 17)
+        # from the scan's default a_min: the complex-step check holds at every a
+        a_grid = np.linspace(0.005, 0.9, 17)
         p_grid = np.linspace(0.0, 1.0, 11)
         times = log_time_grid(DEFAULT_T_MIN, t_max)
         scan = scan_region(a_grid, p_grid, t_max=t_max)
@@ -436,13 +519,12 @@ def _intervals_above(times, values, eps):
     return intervals
 
 
-_PARTS = {"path": path_derivative_parts, "switch": switch_derivative_parts}
 _CONFIGS = {"path": path_config, "switch": switch_config}
 
 
-def _x_bracket(mode, a, p, t):
-    """The bracket in its x = e^{2t} form, from the derivative parts."""
-    return _PARTS[mode](a, p, t)[1]
+def _bracket(mode, a, p, t):
+    """The table bracket of a mode sampled at times t."""
+    return derivative_parts(mode, a, p, t)[1]
 
 
 def _reference_verdict(coeffs, t_lo, t_hi):
@@ -479,35 +561,15 @@ class TestExactWindows:
     A_GRID = np.linspace(0.005, 0.995, 60)
     P_GRID = np.linspace(0.0, 1.0, 40)
 
-    @pytest.mark.parametrize(
-        "coefficients, parts",
-        [
-            (lambda a, p: bare_bracket(a), lambda a, p, t: bare_derivative_parts(a, t)),
-            (path_bracket, path_derivative_parts),
-            (switch_bracket, switch_derivative_parts),
-        ],
-        ids=["bare", "path", "switch"],
-    )
-    def test_u_form_is_x_form_over_leading_power(self, coefficients, parts):
-        ts = np.linspace(0.0, 12.0, 25)
-        u = np.exp(-2.0 * ts)
-        for a in (0.1, 0.5, 0.9):
-            for p in (0.0, 0.4, 1.0):
-                c = coefficients(a, p)
-                in_u = sum(ck * u**k for k, ck in enumerate(c))
-                in_x = parts(a, p, ts)[1]
-                scale = sum(abs(ck) * u**k for k, ck in enumerate(c))
-                assert np.all(np.abs(in_x * u ** (len(c) - 1) - in_u) <= 1e-12 * scale)
-
     @pytest.mark.parametrize("t_max", [4.0, 12.0])
     def test_sampled_oracle(self, t_max):
         times = log_time_grid(DEFAULT_T_MIN, t_max)
         fine = log_time_grid(DEFAULT_T_MIN, t_max, 20001)
         scan = scan_region(self.A_GRID, self.P_GRID, t_max=t_max)
         assert not np.any(scan.backflow_switch & ~scan.backflow_path)
-        for mode, parts in _PARTS.items():
+        for mode in _CONFIGS:
             exact = getattr(scan, f"backflow_{mode}")
-            pre, br = parts(self.A_GRID[None, :, None], self.P_GRID[:, None, None], times)
+            pre, br = derivative_parts(mode, self.A_GRID[None, :, None], self.P_GRID[:, None, None], times)
             deriv = pre * br
             sampled = np.array([[bool(_intervals_above(times, d, BACKFLOW_EPS)) for d in row] for row in deriv])
             assert not np.any(sampled & ~exact)
@@ -517,7 +579,7 @@ class TestExactWindows:
             # or peaks in (0, eps]; the fine grid finds it either way
             for i, j in zip(*np.nonzero(exact & ~sampled)):
                 assert deriv[i, j].max() <= BACKFLOW_EPS
-                assert np.any(_x_bracket(mode, self.A_GRID[j], self.P_GRID[i], fine) > 0.0)
+                assert np.any(_bracket(mode, self.A_GRID[j], self.P_GRID[i], fine) > 0.0)
 
     def _degenerate_cells(self):
         # A5 = 0 at p = 0 drops the switch quartic's u^4 term (and nearly so
@@ -555,8 +617,6 @@ class TestExactWindows:
         times = log_time_grid()
         nonempty = 0
         for a, p in self._degenerate_cells():
-            if a < 0.05:
-                continue  # outside detect_backflow's finite-difference check
             windows = detect_backflow(switch_config(p), a, times).backflow_intervals
             expected = _reference_windows(switch_bracket(a, p), times[0], times[-1])
             assert len(windows) == len(expected), (a, p)
@@ -576,7 +636,7 @@ class TestExactWindows:
                     report = detect_backflow(config(p), a, times)
                     windows = report.backflow_intervals
                     assert report.verdict == bool(windows)
-                    bracket = lambda t: _x_bracket(mode, a, p, np.asarray(t))
+                    bracket = lambda t: _bracket(mode, a, p, np.asarray(t))
                     edges = [t for w in windows for t in w]
                     assert edges == sorted(edges)
                     assert all(t_lo <= t <= t_hi for t in edges)
