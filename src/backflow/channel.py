@@ -79,9 +79,13 @@ class CptpReport:
 
 
 def completeness_residual(channel: KrausChannel) -> float:
-    """Max-entry deviation of sum_i K_i^dag K_i from the identity."""
-    acc = np.einsum("kji,kjl->il", channel.ops.conj(), channel.ops)
-    return float(np.abs(acc - np.eye(channel.dim)).max())
+    """Max-entry deviation of sum_i K_i^dag K_i from the identity.
+
+    The operators stacked as one (k*d, d) column block W give the sum as the
+    single product W^dag W.
+    """
+    w = channel.ops.reshape(-1, channel.dim)
+    return float(np.abs(w.conj().T @ w - np.eye(channel.dim)).max())
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -140,17 +144,19 @@ def phi_t_coefficients(t: float) -> PhiCoefficients:
     return PhiCoefficients(float(t), (1.0 + u) / 2.0, (1.0 - u) / 2.0, (1.0 + u) / 2.0)
 
 
+# |0><1|, |1><0| and I: the lossy channel's operators before their weights;
+# read-only, since every phi_t_kraus call shares it
+_PHI_TEMPLATES = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], I2], dtype=complex)
+_PHI_TEMPLATES.flags.writeable = False
+
+
 def phi_t_kraus(t: float) -> KrausChannel:
     """The lossy channel at time t as a three-operator Kraus set."""
     c = phi_t_coefficients(t)
     k_flip = np.sqrt(c.alpha2)
     k_id = np.sqrt((c.alpha1 + c.alpha3) / 2.0)
-    ops = (
-        k_flip * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-        k_flip * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-        k_id * I2,
-    )
-    return KrausChannel(ops, label=f"phi_t(t={t:g})")
+    weights = np.array([k_flip, k_flip, k_id])
+    return KrausChannel(weights[:, None, None] * _PHI_TEMPLATES, label=f"phi_t(t={t:g})")
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,15 @@ class AmplitudeVectors:
         object.__setattr__(self, "beta", beta)
 
 
+_R = 1.0 / np.sqrt(2.0)
+# frozen and built from tuples, so one instance serves every caller
+_DEFAULT_AMPLITUDES = AmplitudeVectors(alpha=(_R, _R, 0.0), beta=(_R, _R, 0.0))
+
+
 def default_amplitudes() -> AmplitudeVectors:
-    """Equal weight on the two exchange operators, none on the identity one."""
-    r = 1.0 / np.sqrt(2.0)
-    return AmplitudeVectors(alpha=(r, r, 0.0), beta=(r, r, 0.0))
+    """Equal weight on the two exchange operators, none on the identity one;
+    the same instance on every call."""
+    return _DEFAULT_AMPLITUDES
 
 
 @dataclass(frozen=True)

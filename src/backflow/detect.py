@@ -37,7 +37,7 @@ DEFAULT_T_MAX = 12.0
 DEFAULT_GRID_POINTS = 481
 FD_STEP = 1e-4
 COMPLEX_STEP = 1e-30
-FD_CHECK_TOL = 1e-6
+FD_CHECK_TOL = 1e-10
 LIPSCHITZ_BOUND = 6.0
 
 ConfigLike = Union[str, ControlConfig]
@@ -96,22 +96,30 @@ def _check_p(p: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _bare_terms(a: float, t):
-    """u = e^{-2t} and R = a^2 (1 + 2u) + (4 - 3a^2) u^2 of the bare forms."""
+    """u = e^{-2t}, a power of two s above max(a, |u|), and r = R / s^2 for
+    R = a^2 (1 + 2u) + (4 - 3a^2) u^2 of the bare forms, so sqrt(R) = s sqrt(r).
+
+    R itself underflows to 0 once a and u are both below about 1e-154; r
+    does not, since a / s or |u| / s is at least 1/2.  Scaling by a power of
+    two is exact, so wherever R is a normal number s sqrt(r) equals its
+    square root bit for bit.  s is real, so the forms stay analytic in t."""
     u, _ = _decay(t)
-    return u, a * a * (1.0 + 2.0 * u) + (4.0 - 3.0 * a * a) * u * u
+    s = np.ldexp(1.0, np.frexp(np.maximum(a, np.abs(u)))[1])
+    x, y = a / s, u / s
+    return u, s, x * x * (1.0 + 2.0 * u) + (4.0 - 3.0 * a * a) * y * y
 
 
 def bare_distance(a: float, t):
     """D(t) = (1/2) sqrt((1-a^2) R)."""
     _check_a(a)
-    _, r = _bare_terms(a, t)
-    return 0.5 * np.sqrt((1.0 - a * a) * r)
+    _, s, r = _bare_terms(a, t)
+    return 0.5 * np.sqrt((1.0 - a * a) * r) * s
 
 
 def bare_prefactor(a: float, t):
     """Positive prefactor of the bare dD/dt: sqrt(1-a^2) u / sqrt(R)."""
-    u, r = _bare_terms(a, t)
-    return np.sqrt(1.0 - a * a) * u / np.sqrt(r)
+    u, s, r = _bare_terms(a, t)
+    return np.sqrt(1.0 - a * a) * u / (s * np.sqrt(r))
 
 
 def bare_bracket(a: float):
@@ -321,9 +329,6 @@ _MODES = {
 MODES = tuple(_MODES)
 CONTROLLED_MODES = tuple(m for m in MODES if _MODES[m].threshold is not None)
 
-# The path closed forms hold for these amplitudes only.
-_DEFAULT_AMPLITUDES = default_amplitudes()
-
 
 def derivative_parts(mode: str, a: float, p: float, t):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
@@ -355,7 +360,8 @@ def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
         raise TypeError("config must be 'bare' or a ControlConfig")
     if config.postselect_outcome != CLOSED_FORM_OUTCOME:
         raise ValueError(f"closed-form detection covers the {CLOSED_FORM_OUTCOME} outcome only")
-    if config.amplitudes not in (None, _DEFAULT_AMPLITUDES):
+    # the path closed forms hold for the default amplitudes only
+    if config.amplitudes not in (None, default_amplitudes()):
         raise ValueError("closed-form detection covers the default path amplitudes only")
     return config.mode, config.control.p, f"{config.mode}(p={config.control.p:g})"
 
@@ -515,7 +521,7 @@ def detect_backflow(
     The distance comes from the closed form of the configuration, the
     derivative from the table's prefactor and bracket, and every call
     verifies the derivative against the complex-step derivative
-    Im D(t + ih) / h of the same closed form (h = 1e-30, tolerance 1e-6).
+    Im D(t + ih) / h of the same closed form (h = 1e-30, tolerance 1e-10).
     The intervals are where the derivative's bracket is positive in
     [times[0], times[-1]], from its real roots rather than from the samples;
     ``eps`` only sets the ``marginal`` band.  The grid must be strictly
@@ -531,7 +537,8 @@ def detect_backflow(
         raise ValueError("times must be a 1-d grid with at least two points")
     if times[0] <= 0.0:
         raise ValueError("time grid must start at t > 0")
-    if np.any(np.diff(times) <= 0.0):
+    steps = np.diff(times)
+    if (steps <= 0.0).any():
         raise ValueError("time grid must be strictly increasing")
 
     mode, p, label = _mode_and_p(config)
@@ -539,12 +546,11 @@ def detect_backflow(
     dist = distance(a, p, times)
     deriv = _checked_derivative(mode, a, p, times)
 
-    if not (np.all(np.isfinite(dist)) and np.all(np.isfinite(deriv))):
+    if not (np.isfinite(dist).all() and np.isfinite(deriv).all()):
         raise RuntimeError("distance or derivative series is not finite")
-    if np.any(dist < -1e-12) or np.any(dist > 1.0 + 1e-12):
+    if dist.min() < -1e-12 or dist.max() > 1.0 + 1e-12:
         raise RuntimeError("distance series escaped [0, 1]")
-    steps = np.diff(times)
-    if np.any(np.abs(np.diff(dist)) > LIPSCHITZ_BOUND * steps + 1e-12):
+    if (np.abs(dist[1:] - dist[:-1]) > LIPSCHITZ_BOUND * steps + 1e-12).any():
         raise RuntimeError("distance series is not continuous at the grid resolution")
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to

@@ -44,12 +44,17 @@ def pure_state(amplitudes) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor major (system (x) control)."""
+    """Kronecker product with the first factor major (system (x) control).
+
+    One broadcast outer product: each entry is the single product a[i, j] *
+    b[k, l], as in ``np.kron``, without its general-rank machinery.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("kron expects two square matrices")
-    return np.kron(a, b)
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:

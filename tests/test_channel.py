@@ -134,6 +134,21 @@ class TestPhiKraus:
         with pytest.raises(ValueError):
             phi_t_kraus(-1.0)
 
+    @pytest.mark.parametrize("t", [0.0, 1e-8, 0.5, 3.0, 400.0])
+    def test_equals_explicit_operators(self, t):
+        # the shared read-only template, scaled, against three matrices built per call
+        c = phi_t_coefficients(t)
+        k_flip, k_id = np.sqrt(c.alpha2), np.sqrt((c.alpha1 + c.alpha3) / 2.0)
+        explicit = np.array([
+            k_flip * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+            k_flip * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+            k_id * I2,
+        ])
+        channel = phi_t_kraus(t)
+        assert np.array_equal(channel.ops, explicit)
+        channel.ops[0, 0, 1] = 7.0  # each call owns its operators
+        assert np.array_equal(phi_t_kraus(t).ops, explicit)
+
     def test_cptp_over_grid(self):
         for t in np.arange(0.0, 5.0 + 1e-9, 0.1):
             report = validate_cptp(phi_t_kraus(t))

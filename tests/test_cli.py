@@ -319,18 +319,21 @@ class TestExitCodes:
             (["distance", "--mode", "switch", "--a", "0.5", "--t", "nan"], 2),
             (["scan", "--a-min", "nan", "--a-points", "3", "--p-points", "2"], 2),
             (["scan", "--p-max", "nan", "--a-points", "2", "--p-points", "2"], 2),
+            # a * a underflows at a = 1e-200; the rescaled bare forms stay finite
+            (["detect", "--mode", "bare", "--a", "1e-200", "--t-max", "400"], 0),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
             "detect-p", "detect-overflow", "detect-t-max-inf",
             "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
-            "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan",
+            "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan", "detect-bare-tiny-a",
         ],
     )
     def test_library_errors_map_to_exit_codes(self, runner, args, code):
         result = runner.invoke(main, args)
         assert result.exit_code == code
-        assert isinstance(result.exception, SystemExit)
+        # a command that succeeds returns normally; every other code comes from SystemExit
+        assert isinstance(result.exception, SystemExit) if code else result.exception is None
         assert "Traceback" not in result.output
 
     def test_failed_derivative_check_exits_4(self, runner, monkeypatch):

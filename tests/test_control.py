@@ -61,6 +61,11 @@ class TestConfigInvariants:
                 mode="switch", control=ControlState(1.0), amplitudes=default_amplitudes()
             )
 
+    def test_default_amplitudes_are_one_instance(self):
+        r = 1.0 / np.sqrt(2.0)
+        assert default_amplitudes() is default_amplitudes()
+        assert default_amplitudes() == AmplitudeVectors((r, r, 0.0), (r, r, 0.0))
+
     def test_amplitude_normalization_enforced(self):
         with pytest.raises(ValueError, match="not normalized"):
             AmplitudeVectors(alpha=(1.0, 1.0, 0.0), beta=(1.0, 0.0, 0.0))

@@ -253,6 +253,15 @@ class TestDetectBackflow:
         assert report.fd_residual <= 1e-6
         assert len(report.times) == len(report.distance) == len(report.derivative)
 
+    @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
+    def test_series_equal_the_public_forms(self, mode):
+        grid = log_time_grid(t_max=400.0)
+        for a, p in ((0.3, 0.5), (0.65, 1.0)):
+            config = "bare" if mode == "bare" else _CONFIGS[mode](p)
+            report = detect_backflow(config, a, grid)
+            assert np.array_equal(report.distance, probe_distance(config, a, grid))
+            assert np.array_equal(report.derivative, analytic_derivative(config, a, grid))
+
     def test_marginal_flag_near_threshold(self):
         a_inside = 1.0 / np.sqrt(2.0) - 1e-4
         report = detect_backflow(path_config(1.0), a_inside)
@@ -315,6 +324,19 @@ class TestComplexStepCheck:
         with pytest.raises(RuntimeError, match="complex-step"):
             detect_backflow(config, 0.3)
 
+    @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
+    def test_bracket_error_raises_where_the_derivative_is_small(self, monkeypatch, mode):
+        # at a = 0.9, p = 1 every |dD/dt| stays below 1, so a 1e-6 relative
+        # bracket error is an absolute error below 1e-6; FD_CHECK_TOL must see it
+        config = "bare" if mode == "bare" else _CONFIGS[mode](1.0)
+        assert np.abs(detect_backflow(config, 0.9).derivative).max() < 1.0
+        original = getattr(detect, f"{mode}_bracket")
+        monkeypatch.setattr(
+            detect, f"{mode}_bracket", lambda *args: tuple((1.0 + 1e-6) * c for c in original(*args))
+        )
+        with pytest.raises(RuntimeError, match="complex-step"):
+            detect_backflow(config, 0.9)
+
     @pytest.mark.parametrize("mode", ["path", "switch"])
     def test_late_range_keeps_the_verdict(self, mode):
         for p in (0.2, 0.6, 1.0):
@@ -355,7 +377,8 @@ class TestLargeTimeReference:
 
     @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
     def test_forms_match_50_digit_reference(self, mp, mode):
-        for a in (0.005, 0.3, 0.5, 0.9):
+        # at a = 1e-200, a * a underflows; the bare forms rescale R by a power of two
+        for a in (0.005, 0.3, 0.5, 0.9) + ((1e-200,) if mode == "bare" else ()):
             for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)

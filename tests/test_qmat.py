@@ -177,6 +177,12 @@ class TestKron:
         with pytest.raises(ValueError):
             kron(np.ones((2, 3)), I2)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 4), (4, 2), (3, 2)])
+    def test_equals_numpy_kron_bit_for_bit(self, rng, m, n):
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+
 
 class TestProjectControl:
     def test_plus_control_passthrough(self, rng):
