@@ -20,12 +20,13 @@ which is what makes this family interesting.  A fixed-step RK4 integrator of
 that equation serves as an independent oracle for the Kraus form.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_operator
+from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_operator, dagger
 
 COMPLETENESS_TOL = 1e-12
 CHOI_PSD_TOL = 1e-10
@@ -78,6 +79,14 @@ class CptpReport:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, read-only, since every caller of a dimension shares it."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def completeness_residual(channel: KrausChannel) -> float:
     """Max-entry deviation of sum_i K_i^dag K_i from the identity.
 
@@ -85,7 +94,7 @@ def completeness_residual(channel: KrausChannel) -> float:
     single product W^dag W.
     """
     w = channel.ops.reshape(-1, channel.dim)
-    return float(np.abs(w.conj().T @ w - np.eye(channel.dim)).max())
+    return float(np.abs(w.conj().T @ w - _identity(channel.dim)).max())
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -119,7 +128,9 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"channel {channel.label!r} is not trace preserving (residual {res:.3e})"
         )
-    return np.einsum("kij,jl,kml->im", channel.ops, rho, channel.ops.conj())
+    # [K_1 rho ... K_k rho] times the K_i^dag stacked as one (k*d, d) column
+    ops = channel.ops
+    return (ops @ rho).swapaxes(0, 1).reshape(channel.dim, -1) @ dagger(ops).reshape(-1, channel.dim)
 
 
 class PhiCoefficients(NamedTuple):

@@ -95,30 +95,47 @@ def _check_p(p: float) -> None:
 # (S = R, q, T; Delta = 2 for bare), and dD/dt = prefactor * bracket, prefactor > 0
 # ---------------------------------------------------------------------------
 
-def _bare_terms(a: float, t):
-    """u = e^{-2t}, a power of two s above max(a, |u|), and r = R / s^2 for
-    R = a^2 (1 + 2u) + (4 - 3a^2) u^2 of the bare forms, so sqrt(R) = s sqrt(r).
+# While a >= 2^-500 the a^2 term keeps every closed-form radicand a normal
+# number (where 1 - u is small, the u terms are of order 1), so the forms
+# need no scale.
+_UNSCALED_A = 2.0 ** -500
 
-    R itself underflows to 0 once a and u are both below about 1e-154; r
-    does not, since a / s or |u| / s is at least 1/2.  Scaling by a power of
-    two is exact, so wherever R is a normal number s sqrt(r) equals its
-    square root bit for bit.  s is real, so the forms stay analytic in t."""
+
+def _scale(a, p, u):
+    """Power of two s at which a closed-form radicand S is evaluated as
+    r = S / s^2, so sqrt(S) = s sqrt(r).
+
+    Once a, p and u are all below about 1e-154, S underflows to 0 while r
+    does not: s is then the power of two with s / 2 <= max(a, p, |u|) < s,
+    elementwise, so one scaled term is at least 1/2 in size.  While
+    a >= 2^-500, S is itself normal and s = 1.  Scaling by a power of two is
+    exact, so s sqrt(r) equals sqrt(S) bit for bit wherever S is normal; s
+    is real, so the forms stay analytic in complex t."""
+    unscaled = a >= _UNSCALED_A
+    if unscaled.all() if isinstance(unscaled, np.ndarray) else unscaled:
+        return 1.0
+    return np.ldexp(1.0, np.frexp(np.maximum(np.maximum(a, p), np.abs(u)))[1])
+
+
+def _bare_terms(a: float, t):
+    """u = e^{-2t}, the scale s and r = R / s^2 for
+    R = a^2 (1 + 2u) + (4 - 3a^2) u^2 of the bare forms, so sqrt(R) = s sqrt(r)."""
     u, _ = _decay(t)
-    s = np.ldexp(1.0, np.frexp(np.maximum(a, np.abs(u)))[1])
+    s = _scale(a, 0.0, u)
     x, y = a / s, u / s
     return u, s, x * x * (1.0 + 2.0 * u) + (4.0 - 3.0 * a * a) * y * y
 
 
-def bare_distance(a: float, t):
+def bare_distance(a: float, t, terms=None):
     """D(t) = (1/2) sqrt((1-a^2) R)."""
     _check_a(a)
-    _, s, r = _bare_terms(a, t)
+    _, s, r = _bare_terms(a, t) if terms is None else terms
     return 0.5 * np.sqrt((1.0 - a * a) * r) * s
 
 
-def bare_prefactor(a: float, t):
+def bare_prefactor(a: float, t, terms=None):
     """Positive prefactor of the bare dD/dt: sqrt(1-a^2) u / sqrt(R)."""
-    u, s, r = _bare_terms(a, t)
+    u, s, r = _bare_terms(a, t) if terms is None else terms
     return np.sqrt(1.0 - a * a) * u / (s * np.sqrt(r))
 
 
@@ -134,14 +151,16 @@ def bare_dDdt(a: float, t):
 
 
 def _path_terms(a: float, p: float, t):
-    """u = e^{-2t}, Delta = (4+p) - pu and
+    """u = e^{-2t}, the scale s, Delta = (4+p) - pu and r = q / s^2 for
     q = 4a^2 (p+1)(1 + 2u - 3u^2) + (p - (p+4)u)^2 of the path forms,
     written with 1 - u = -expm1(-2t)."""
     u, v = _decay(t)
-    return u, 4.0 + p * v, 4.0 * a * a * (p + 1.0) * v * (1.0 + 3.0 * u) + (p * v - 4.0 * u) ** 2
+    s = _scale(a, p, u)
+    x = a / s
+    return u, s, 4.0 + p * v, 4.0 * x * x * (p + 1.0) * v * (1.0 + 3.0 * u) + ((p * v - 4.0 * u) / s) ** 2
 
 
-def path_distance(a: float, p: float, t):
+def path_distance(a: float, p: float, t, terms=None):
     """Probe distance under the path configuration.
 
     D = b sqrt(b^2 (2A - 1)^2 + a^2 (A + pB)^2) = b sqrt(q) / Delta, with
@@ -149,14 +168,14 @@ def path_distance(a: float, p: float, t):
     """
     _check_a(a)
     _check_p(p)
-    _, delta, q = _path_terms(a, p, t)
-    return np.sqrt((1.0 - a * a) * q) / delta
+    _, s, delta, r = _path_terms(a, p, t) if terms is None else terms
+    return np.sqrt((1.0 - a * a) * r) * s / delta
 
 
-def path_prefactor(a: float, p: float, t):
+def path_prefactor(a: float, p: float, t, terms=None):
     """Positive prefactor of the path dD/dt: 16 b u / (Delta^2 sqrt(q))."""
-    u, delta, q = _path_terms(a, p, t)
-    return 16.0 * np.sqrt(1.0 - a * a) * u / (delta * delta * np.sqrt(q))
+    u, s, delta, r = _path_terms(a, p, t) if terms is None else terms
+    return 16.0 * np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
 
 
 def path_bracket(a: float, p: float):
@@ -177,19 +196,21 @@ def analytic_dDdt_path(a: float, p: float, t):
 
 
 def _switch_terms(a: float, p: float, t):
-    """u = e^{-2t}, Delta = (4+3p) + 2pu - pu^2 and
+    """u = e^{-2t}, the scale s, Delta = (4+3p) + 2pu - pu^2 and r = T / s^2 for
     T = a^2 (p+1)(1 + u + 3u^2 - 5u^3)((3p+1) + (p+3)u) + (p(1-3u)(1+u) - 4u^2)^2
     of the switch forms, written with 1 - u = -expm1(-2t)."""
     u, v = _decay(t)
+    s = _scale(a, p, u)
+    x = a / s
     delta = 4.0 + 3.0 * p + p * u * (1.0 + v)
-    tt = (
-        a * a * (p + 1.0) * v * (1.0 + 2.0 * u + 5.0 * u * u) * (3.0 * p + 1.0 + (p + 3.0) * u)
-        + (p * (1.0 - 3.0 * u) * (1.0 + u) - 4.0 * u * u) ** 2
+    r = (
+        x * x * (p + 1.0) * v * (1.0 + 2.0 * u + 5.0 * u * u) * (3.0 * p + 1.0 + (p + 3.0) * u)
+        + (p / s * (1.0 - 3.0 * u) * (1.0 + u) - 4.0 * u * (u / s)) ** 2
     )
-    return u, delta, tt
+    return u, s, delta, r
 
 
-def switch_distance(a: float, p: float, t):
+def switch_distance(a: float, p: float, t, terms=None):
     """Probe distance under the switch configuration.
 
     D = b sqrt(b^2 (A - B)^2 + a^2 C^2) = b sqrt(T) / Delta, with the
@@ -197,14 +218,14 @@ def switch_distance(a: float, p: float, t):
     """
     _check_a(a)
     _check_p(p)
-    _, delta, tt = _switch_terms(a, p, t)
-    return np.sqrt((1.0 - a * a) * tt) / delta
+    _, s, delta, r = _switch_terms(a, p, t) if terms is None else terms
+    return np.sqrt((1.0 - a * a) * r) * s / delta
 
 
-def switch_prefactor(a: float, p: float, t):
+def switch_prefactor(a: float, p: float, t, terms=None):
     """Positive prefactor of the switch dD/dt: 8 b (p+1) u / (Delta^2 sqrt(T))."""
-    u, delta, tt = _switch_terms(a, p, t)
-    return 8.0 * np.sqrt(1.0 - a * a) * (p + 1.0) * u / (delta * delta * np.sqrt(tt))
+    u, s, delta, r = _switch_terms(a, p, t) if terms is None else terms
+    return 8.0 * np.sqrt(1.0 - a * a) * (p + 1.0) * u / (delta * delta * (s * np.sqrt(r)))
 
 
 def switch_bracket(a: float, p: float):
@@ -307,40 +328,52 @@ def max_coherent_dDdt_switch(a: float, t):
 # ---------------------------------------------------------------------------
 
 class _Mode(NamedTuple):
+    terms: Callable
     distance: Callable
     prefactor: Callable
     bracket: Callable
     threshold: Optional[Callable] = None
 
 
-# Each configuration stated once: distance and positive derivative prefactor
-# of (a, p, t), bracket coefficients ascending in u = e^{-2t} of (a, p), and
-# the late-time threshold of p (none for the bare channel).  The entries look
-# the formulas up as module globals at call time, so a wrapper installed on
-# this module sees every call.
+# Each configuration stated once: the closed-form terms of (a, p, t), whose
+# first entry is u = e^{-2t}; distance and positive derivative prefactor of
+# (a, p, t), from those terms when given; bracket coefficients ascending in
+# u of (a, p); and the late-time threshold of p (none for the bare channel).
+# The entries look the formulas up as module globals at call time and pass
+# the terms positionally, so a wrapper installed on this module sees every
+# call.
 _MODES = {
-    "bare": _Mode(lambda a, p, t: bare_distance(a, t), lambda a, p, t: bare_prefactor(a, t),
+    "bare": _Mode(lambda a, p, t: _bare_terms(a, t),
+                  lambda a, p, t, terms=None: bare_distance(a, t, terms),
+                  lambda a, p, t, terms=None: bare_prefactor(a, t, terms),
                   lambda a, p: bare_bracket(a)),
-    "path": _Mode(lambda a, p, t: path_distance(a, p, t), lambda a, p, t: path_prefactor(a, p, t),
+    "path": _Mode(lambda a, p, t: _path_terms(a, p, t),
+                  lambda a, p, t, terms=None: path_distance(a, p, t, terms),
+                  lambda a, p, t, terms=None: path_prefactor(a, p, t, terms),
                   lambda a, p: path_bracket(a, p), lambda p: np.sqrt(p / (1.0 + p))),
-    "switch": _Mode(lambda a, p, t: switch_distance(a, p, t), lambda a, p, t: switch_prefactor(a, p, t),
+    "switch": _Mode(lambda a, p, t: _switch_terms(a, p, t),
+                    lambda a, p, t, terms=None: switch_distance(a, p, t, terms),
+                    lambda a, p, t, terms=None: switch_prefactor(a, p, t, terms),
                     lambda a, p: switch_bracket(a, p), lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
 }
 MODES = tuple(_MODES)
 CONTROLLED_MODES = tuple(m for m in MODES if _MODES[m].threshold is not None)
 
 
-def derivative_parts(mode: str, a: float, p: float, t):
+def derivative_parts(mode: str, a: float, p: float, t, terms=None):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
-    the bracket is the table's polynomial evaluated at u = e^{-2t}."""
+    the bracket is the table's polynomial evaluated at u = e^{-2t}.  ``terms``
+    are the mode's closed-form terms at t, evaluated here when not given."""
     record = _MODES[mode]
-    return record.prefactor(a, p, t), _bracket_values(record.bracket(a, p), _decay(t)[0])
+    if terms is None:
+        terms = record.terms(a, p, t)
+    return record.prefactor(a, p, t, terms), _bracket_values(record.bracket(a, p), terms[0])
 
 
-def _checked_derivative(mode: str, a: float, p: float, t):
+def _checked_derivative(mode: str, a: float, p: float, t, terms=None):
     _check_a_open(a)
     _check_p(p)
-    prefactor, bracket = derivative_parts(mode, a, p, t)
+    prefactor, bracket = derivative_parts(mode, a, p, t, terms)
     return prefactor * bracket
 
 
@@ -369,7 +402,7 @@ def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
 def probe_distance(config: ConfigLike, a: float, t):
     """Probe-pair trace distance for a configuration ('bare' or ControlConfig) at t >= 0."""
     mode, p, _ = _mode_and_p(config)
-    if not np.all(np.asarray(t) >= 0.0):
+    if not (np.asarray(t) >= 0.0).all():
         raise ValueError(f"times must be non-negative, got {t}")
     return _MODES[mode].distance(a, p, t)
 
@@ -542,28 +575,30 @@ def detect_backflow(
         raise ValueError("time grid must be strictly increasing")
 
     mode, p, label = _mode_and_p(config)
-    distance = _MODES[mode].distance
-    dist = distance(a, p, times)
-    deriv = _checked_derivative(mode, a, p, times)
+    record = _MODES[mode]
+    terms = record.terms(a, p, times)
+    dist = record.distance(a, p, times, terms)
+    deriv = _checked_derivative(mode, a, p, times, terms)
 
-    if not (np.isfinite(dist).all() and np.isfinite(deriv).all()):
+    # min and max carry any NaN, so the series are finite iff their extremes are
+    lo, hi, peak = float(dist.min()), float(dist.max()), float(deriv.max())
+    if not all(map(math.isfinite, (lo, hi, float(deriv.min()), peak))):
         raise RuntimeError("distance or derivative series is not finite")
-    if dist.min() < -1e-12 or dist.max() > 1.0 + 1e-12:
+    if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise RuntimeError("distance series escaped [0, 1]")
     if (np.abs(dist[1:] - dist[:-1]) > LIPSCHITZ_BOUND * steps + 1e-12).any():
         raise RuntimeError("distance series is not continuous at the grid resolution")
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to
     # rounding at any h, including across the kinks of D at small a
-    slope = distance(a, p, times + 1j * COMPLEX_STEP).imag / COMPLEX_STEP
+    slope = record.distance(a, p, times + 1j * COMPLEX_STEP).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
         raise RuntimeError(
             f"analytic derivative disagrees with the complex-step derivative ({fd_residual:.3e})"
         )
 
-    intervals = _windows(_MODES[mode].bracket(a, p), float(times[0]), float(times[-1]))
-    peak = float(deriv.max())
+    intervals = _windows(record.bracket(a, p), float(times[0]), float(times[-1]))
     return BackflowReport(
         config=label,
         a=a,

@@ -31,16 +31,21 @@ class PostSelectionImpossibleError(ValueError):
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, batch-friendly over leading axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    return m.swapaxes(-1, -2).conj()
 
 
 def pure_state(amplitudes) -> np.ndarray:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
     psi = np.asarray(amplitudes, dtype=complex)
-    norm = np.linalg.norm(psi)
+    norm = _norm(psi)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {norm}")
     return np.outer(psi, psi.conj())
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector."""
+    return np.sqrt(np.vdot(v, v).real)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,7 +92,7 @@ def check_density_operator(rho: np.ndarray) -> None:
     res = hermiticity_residual(rho)
     if not res <= HERMITICITY_TOL:
         raise ValueError(f"density operator not Hermitian (residual {res:.3e})")
-    tr = np.trace(rho)
+    tr = rho.trace()
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density operator trace is {tr}, expected 1")
     lam_min = float(np.linalg.eigvalsh(rho).min())
@@ -128,11 +133,11 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray):
     v = np.asarray(control_vec, dtype=complex)
     if v.shape != (2,):
         raise ValueError("control_vec must be a 2-vector")
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
+    if not abs(_norm(v) - 1.0) <= 1e-10:
         raise ValueError("control_vec must be normalized")
-    j = joint.reshape(2, 2, 2, 2)  # indices (s1, c1, s2, c2)
-    block = np.einsum("i,aibj,j->ab", v.conj(), j, v)
-    prob = float(np.real(np.trace(block)))
+    # indices (s1, c1, s2, c2): contract c2 with v, then c1 with v*
+    block = v.conj() @ (joint.reshape(2, 2, 2, 2) @ v)
+    prob = float(block.trace().real)
     if not prob >= POSTSELECT_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection impossible: outcome probability {prob:.3e}"

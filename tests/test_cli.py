@@ -321,12 +321,16 @@ class TestExitCodes:
             (["scan", "--p-max", "nan", "--a-points", "2", "--p-points", "2"], 2),
             # a * a underflows at a = 1e-200; the rescaled bare forms stay finite
             (["detect", "--mode", "bare", "--a", "1e-200", "--t-max", "400"], 0),
+            # at p = 0 the u terms underflow too; the rescaled forms stay finite
+            (["detect", "--mode", "path", "--p", "0", "--a", "1e-200", "--t-max", "400"], 0),
+            (["detect", "--mode", "switch", "--p", "0", "--a", "1e-200", "--t-max", "400"], 0),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
             "detect-p", "detect-overflow", "detect-t-max-inf",
             "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
             "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan", "detect-bare-tiny-a",
+            "detect-path-tiny-a", "detect-switch-tiny-a",
         ],
     )
     def test_library_errors_map_to_exit_codes(self, runner, args, code):

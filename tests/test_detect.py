@@ -255,12 +255,17 @@ class TestDetectBackflow:
 
     @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
     def test_series_equal_the_public_forms(self, mode):
-        grid = log_time_grid(t_max=400.0)
-        for a, p in ((0.3, 0.5), (0.65, 1.0)):
-            config = "bare" if mode == "bare" else _CONFIGS[mode](p)
-            report = detect_backflow(config, a, grid)
-            assert np.array_equal(report.distance, probe_distance(config, a, grid))
-            assert np.array_equal(report.derivative, analytic_derivative(config, a, grid))
+        # detect_backflow evaluates the closed-form terms once and shares
+        # them; the series must equal the separately evaluated public forms
+        # bit for bit, also where the radicands are rescaled (a = 1e-200)
+        for t_max in (DEFAULT_T_MAX, 400.0):
+            grid = log_time_grid(t_max=t_max)
+            for a in (1e-200, 0.3, 0.65, 0.9):
+                for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
+                    config = "bare" if mode == "bare" else _CONFIGS[mode](p)
+                    report = detect_backflow(config, a, grid)
+                    assert np.array_equal(report.distance, probe_distance(config, a, grid)), (a, p)
+                    assert np.array_equal(report.derivative, analytic_derivative(config, a, grid)), (a, p)
 
     def test_marginal_flag_near_threshold(self):
         a_inside = 1.0 / np.sqrt(2.0) - 1e-4
@@ -377,8 +382,9 @@ class TestLargeTimeReference:
 
     @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
     def test_forms_match_50_digit_reference(self, mp, mode):
-        # at a = 1e-200, a * a underflows; the bare forms rescale R by a power of two
-        for a in (0.005, 0.3, 0.5, 0.9) + ((1e-200,) if mode == "bare" else ()):
+        # at a = 1e-200, a * a underflows; the forms rescale their radicand by
+        # a power of two, which p = 0 needs once u underflows too
+        for a in (1e-200, 0.005, 0.3, 0.5, 0.9):
             for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
@@ -386,8 +392,11 @@ class TestLargeTimeReference:
                     prefactor, bracket = derivative_parts(mode, a, p, self.TIMES)
                     deriv = detect._checked_derivative(mode, a, p, self.TIMES)
                 assert np.all(np.isfinite(prefactor)) and np.all(np.isfinite(bracket))
-                ref = [_reference_distance(mp, mode, a, p, t) for t in self.TIMES]
-                ref_deriv = [mp.diff(lambda s: _reference_distance(mp, mode, a, p, s), mp.mpf(t)) for t in self.TIMES]
+                # the x-form weights cancel down to terms of size e^{-2t}, which
+                # at a = 1e-200 must resolve far below a: 50 digits do not
+                with mp.workdps(250 if a < 1e-100 else 50):
+                    ref = [_reference_distance(mp, mode, a, p, t) for t in self.TIMES]
+                    ref_deriv = [mp.diff(lambda s: _reference_distance(mp, mode, a, p, s), mp.mpf(t)) for t in self.TIMES]
                 ref, ref_deriv = np.array(ref, dtype=float), np.array(ref_deriv, dtype=float)
                 assert np.all(np.abs(dist - ref) <= 1e-15 * ref), (a, p)
                 assert np.all(np.abs(deriv - ref_deriv) <= 2e-15 * np.abs(ref_deriv).max()), (a, p)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow.qmat import (
     KET_0,
@@ -16,7 +18,7 @@ from backflow.qmat import (
     pure_state,
     trace_distance,
 )
-from backflow.channel import apply, phi_t_kraus
+from backflow.channel import KrausChannel, apply, phi_t_kraus
 from backflow.control import default_amplitudes, path_kraus, switch_kraus
 from conftest import random_density, random_pure
 
@@ -251,3 +253,68 @@ class TestDensityCheck:
         # NaN fails every comparison, so it must fail the check too
         with pytest.raises(ValueError, match="Hermitian"):
             check_density_operator(np.diag([np.nan, np.nan]).astype(complex))
+
+
+def einsum_apply(ops, rho):
+    """sum_k K_k rho K_k^dag as one einsum contraction (reference)."""
+    return np.einsum("kij,jl,kml->im", ops, rho, ops.conj())
+
+
+def einsum_project(joint, v):
+    """<v| joint |v> over the control factor as one einsum contraction (reference)."""
+    block = np.einsum("i,aibj,j->ab", v.conj(), joint.reshape(2, 2, 2, 2), v)
+    return block, float(np.real(np.trace(block)))
+
+
+def random_kraus(rng, k, d):
+    """k complete d x d Kraus operators: the blocks of a random (k d) x d
+    isometry from a QR factorization, so sum_i K_i^dag K_i = I."""
+    g = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
+    return np.linalg.qr(g)[0].reshape(k, d, d)
+
+
+def random_unit(rng, n=2):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.sqrt(np.vdot(v, v).real)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestMatmulKernels:
+    """apply and project_control are matmul contractions; they must equal
+    the einsum contractions that define them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=SEEDS, k=st.integers(1, 9), d=st.integers(1, 4))
+    def test_apply_matches_einsum(self, seed, k, d):
+        rng = np.random.default_rng(seed)
+        ops, rho = random_kraus(rng, k, d), random_density(rng, d)
+        assert np.abs(apply(KrausChannel(ops), rho) - einsum_apply(ops, rho)).max() <= 1e-15
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=SEEDS, k=st.integers(1, 9))
+    def test_project_control_matches_einsum(self, seed, k):
+        rng = np.random.default_rng(seed)
+        joint = apply(KrausChannel(random_kraus(rng, k, 4)), random_density(rng, 4))
+        v = random_unit(rng)
+        block, prob = project_control(joint, v)
+        ref_block, ref_prob = einsum_project(joint, v)
+        assert np.abs(block - ref_block).max() <= 1e-15
+        assert abs(prob - ref_prob) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, k=st.integers(1, 9))
+    def test_refusals_still_raise(self, seed, k):
+        rng = np.random.default_rng(seed)
+        ops = random_kraus(rng, k, 2)
+        with pytest.raises(ValueError, match="not trace preserving"):
+            apply(KrausChannel(0.999 * ops), random_density(rng))
+        joint = random_density(rng, 4)
+        with pytest.raises(ValueError, match="normalized"):
+            project_control(joint, (1.0 + 1e-9) * random_unit(rng))
+        # a NaN on the diagonal reaches the outcome probability
+        nan_joint = joint.copy()
+        nan_joint[(rng.integers(4),) * 2] = np.nan
+        with pytest.raises(PostSelectionImpossibleError):
+            project_control(nan_joint, random_unit(rng))

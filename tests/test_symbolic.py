@@ -131,3 +131,33 @@ def test_package_weights_are_the_proven_ones():
             got = coefficients(t_, p_)
             want = [w(a_, p_, np.exp(-2.0 * t_)) for w in numeric]
             assert got == pytest.approx(want, rel=1e-13)
+
+
+def squared_threshold(mode):
+    """a^2 at which the bracket's u^0 coefficient, its sign as u = e^{-2t} -> 0,
+    vanishes; the coefficient is linear in a^2."""
+    coeff0 = table_bracket(mode).subs(u, 0)
+    a2 = sp.Symbol("a2", positive=True)
+    (root,) = sp.solve(coeff0.subs(a, sp.sqrt(a2)), a2)
+    return coeff0, root
+
+
+@pytest.mark.parametrize("mode, expected", [("path", p / (1 + p)), ("switch", 2 * p**2 / (3 * p + 2))])
+def test_thresholds_follow_from_the_late_time_coefficient(mode, expected):
+    coeff0, root = squared_threshold(mode)
+    assert _is_zero(root - expected)
+    # coeff0 = c(p) (root - a^2) with c(p) > 0 on [0, 1], so late-time
+    # backflow (coeff0 > 0) holds exactly for a below sqrt(root)
+    c = sp.factor(coeff0 / (root - a**2))
+    assert not c.has(a)
+    assert sp.minimum(c, p, sp.Interval(0, 1)) > 0
+    for p_ in (0.0, 0.1, 0.5, 1.0):
+        assert detect._MODES[mode].threshold(p_) ** 2 == pytest.approx(float(root.subs(p, p_)), rel=1e-15, abs=0.0)
+
+
+def test_path_threshold_dominates_switch():
+    # path ⊇ switch: p/(1+p) - 2p^2/(3p+2) = p (2 + p - 2p^2) / ((1+p)(3p+2)),
+    # and 2 + p - 2p^2 >= 1 on [0, 1], so the difference is >= 0 there
+    gap = squared_threshold("path")[1] - squared_threshold("switch")[1]
+    assert _is_zero(gap - p * (2 + p - 2 * p**2) / ((1 + p) * (3 * p + 2)))
+    assert sp.minimum(2 + p - 2 * p**2, p, sp.Interval(0, 1)) == 1
