@@ -108,6 +108,14 @@ def _finite_nonnegative(ctx, param, value):
     return value
 
 
+def _unit_interval(ctx, param, value):
+    """Option callback: values outside [0, 1], NaN included, are usage errors,
+    in every mode, including bare, which does not use them."""
+    if not 0.0 <= value <= 1.0:
+        raise click.BadParameter(f"must lie in [0, 1], got {value}")
+    return value
+
+
 def _time_axis(t, t_min, t_max, points) -> np.ndarray:
     if t is not None:
         return np.array([t], dtype=float)
@@ -146,7 +154,7 @@ def main():
 @click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--a", type=float, default=None, help="Probe parameter; evolves a|0>+sqrt(1-a^2)|1>.")
 @click.option("--input", "input_text", type=str, default=None, help="Initial state rho11,re12,im12,rho22.")
-@click.option("--p", type=float, default=1.0, show_default=True, help="Control purity parameter.")
+@click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval, help="Control purity parameter.")
 @click.option("--outcome", type=click.Choice(list(OUTCOMES)), default="plus", show_default=True)
 @click.option("--t", type=float, default=None, help="Single evaluation time.")
 @click.option("--t-min", type=float, default=0.0, show_default=True)
@@ -196,7 +204,7 @@ def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, o
 @main.command()
 @click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--a", type=float, required=True)
-@click.option("--p", type=float, default=1.0, show_default=True)
+@click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t", type=float, default=None)
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, default=None)
@@ -226,7 +234,7 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @main.command()
 @click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--a", type=float, required=True)
-@click.option("--p", type=float, default=1.0, show_default=True)
+@click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
 @click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)

@@ -19,11 +19,13 @@ default amplitudes, the plus-outcome output admits closed forms, implemented
 here alongside the direct supermap route so that each can check the other.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ._cache import content_cache
 from .channel import KrausChannel, apply, phi_t_kraus
 from .qmat import (
     KET_MINUS,
@@ -77,7 +79,15 @@ class ControlState:
             raise ValueError(f"control purity parameter p must be in [0, 1], got {self.p}")
 
     def density(self) -> np.ndarray:
-        return 0.5 * np.array([[1.0, self.p], [self.p, 1.0]], dtype=complex)
+        """omega as a 2x2 array, built on the first call and read-only, since
+        every later call returns the same array."""
+        return self._density
+
+    @functools.cached_property
+    def _density(self) -> np.ndarray:
+        omega = 0.5 * np.array([[1.0, self.p], [self.p, 1.0]], dtype=complex)
+        omega.flags.writeable = False
+        return omega
 
 
 @dataclass(frozen=True)
@@ -174,9 +184,25 @@ def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> Krau
     return KrausChannel(ops, label=f"path({e.label},{f.label})")
 
 
+# (config, t, channel) of the last build_supermap call
+_last_supermap = None
+
+
 def build_supermap(config: ControlConfig, t: float) -> KrausChannel:
-    """Joint Kraus set for two copies of the lossy channel at time t."""
-    return SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
+    """Joint Kraus set for two copies of the lossy channel at time t.
+
+    The last result is kept and returned again for the same config object
+    (``is``) and an equal t, so the probes of one query share one build; its
+    operators are read-only.  Any other config, equal or not, is built.
+    """
+    global _last_supermap
+    last = _last_supermap
+    if last is not None and last[0] is config and last[1] == t:
+        return last[2]
+    channel = SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
+    channel.ops.flags.writeable = False
+    _last_supermap = (config, float(t), channel)
+    return channel
 
 
 def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
@@ -197,10 +223,17 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     return block / prob, prob
 
 
+# distinct time arrays whose decay pair is kept: detection's real and
+# complex-step grids, with room for a few other grids
+DECAY_CACHE_SIZE = 8
+
+
+@content_cache(DECAY_CACHE_SIZE)
 def _decay(t):
     """u = e^{-2t} and 1 - u = -expm1(-2t): both in [0, 1] for every t >= 0,
-    the second exact at small t.  t may be complex."""
-    s = -2.0 * np.asarray(t)
+    the second exact at small t.  t may be complex.  Kept for the last
+    DECAY_CACHE_SIZE time arrays by content, so the arrays are read-only."""
+    s = -2.0 * t
     return np.exp(s), -np.expm1(s)
 
 

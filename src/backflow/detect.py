@@ -16,12 +16,15 @@ arrays and analytic in complex t, so ``detect_backflow`` checks every
 derivative against the complex-step derivative Im D(t + ih) / h.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from ._cache import content_cache
 from .control import (
     CLOSED_FORM_OUTCOME,
     ControlConfig,
@@ -39,6 +42,9 @@ FD_STEP = 1e-4
 COMPLEX_STEP = 1e-30
 FD_CHECK_TOL = 1e-10
 LIPSCHITZ_BOUND = 6.0
+# distinct grids whose checks, Lipschitz allowance and complex-step grid are
+# kept, and distinct (t_min, t_max, points) whose log grid is kept
+GRID_CACHE_SIZE = 8
 
 ConfigLike = Union[str, ControlConfig]
 
@@ -56,11 +62,19 @@ def log_time_grid(
     points: int = DEFAULT_GRID_POINTS,
 ) -> np.ndarray:
     """Logarithmically spaced time grid; backflow windows open late, so log
-    spacing keeps both the early dip and the late window resolved."""
+    spacing keeps both the early dip and the late window resolved.  Kept
+    for the last GRID_CACHE_SIZE argument triples, so the grid is read-only."""
+    return _log_grid(float(t_min), float(t_max), operator.index(points))
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     _check_time_range(t_min, t_max)
     if points < 2:
         raise ValueError("need at least two grid points")
-    return np.exp(np.linspace(np.log(t_min), np.log(t_max), points))
+    grid = np.exp(np.linspace(np.log(t_min), np.log(t_max), points))
+    grid.flags.writeable = False
+    return grid
 
 
 def _check_time_range(t_min: float, t_max: float) -> None:
@@ -543,6 +557,20 @@ class BackflowReport:
     fd_residual: float
 
 
+@content_cache(GRID_CACHE_SIZE)
+def _checked_grid(times):
+    """The Lipschitz allowance of each step of a valid detection grid and
+    the complex-step grid times + ih; kept by grid content."""
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError("times must be a 1-d grid with at least two points")
+    if times[0] <= 0.0:
+        raise ValueError("time grid must start at t > 0")
+    steps = np.diff(times)
+    if (steps <= 0.0).any():
+        raise ValueError("time grid must be strictly increasing")
+    return LIPSCHITZ_BOUND * steps + 1e-12, times + 1j * COMPLEX_STEP
+
+
 def detect_backflow(
     config: ConfigLike,
     a: float,
@@ -566,13 +594,7 @@ def detect_backflow(
     if times is None:
         times = log_time_grid()
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise ValueError("times must be a 1-d grid with at least two points")
-    if times[0] <= 0.0:
-        raise ValueError("time grid must start at t > 0")
-    steps = np.diff(times)
-    if (steps <= 0.0).any():
-        raise ValueError("time grid must be strictly increasing")
+    allowance, shifted = _checked_grid(times)
 
     mode, p, label = _mode_and_p(config)
     record = _MODES[mode]
@@ -586,12 +608,12 @@ def detect_backflow(
         raise RuntimeError("distance or derivative series is not finite")
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise RuntimeError("distance series escaped [0, 1]")
-    if (np.abs(dist[1:] - dist[:-1]) > LIPSCHITZ_BOUND * steps + 1e-12).any():
+    if (np.abs(dist[1:] - dist[:-1]) > allowance).any():
         raise RuntimeError("distance series is not continuous at the grid resolution")
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to
     # rounding at any h, including across the kinks of D at small a
-    slope = record.distance(a, p, times + 1j * COMPLEX_STEP).imag / COMPLEX_STEP
+    slope = record.distance(a, p, shifted).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
         raise RuntimeError(

@@ -126,6 +126,8 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray):
     system block and its trace, which is the outcome probability.  Raises
     PostSelectionImpossibleError when that probability falls below the
     post-selection floor; the block must not be normalized in that case.
+    Raises ValueError when an entry of the block is not finite, which a NaN
+    off the system diagonal would otherwise carry past the trace.
     """
     joint = np.asarray(joint, dtype=complex)
     if joint.shape != (4, 4):
@@ -142,4 +144,6 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray):
         raise PostSelectionImpossibleError(
             f"post-selection impossible: outcome probability {prob:.3e}"
         )
+    if not np.isfinite(block).all():
+        raise ValueError("projected control block is not finite")
     return block, prob

@@ -1,0 +1,140 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import backflow.control as control
+import backflow.detect as detect
+from backflow._cache import MAX_KEY_BYTES, ContentCache
+from backflow.control import (
+    DECAY_CACHE_SIZE,
+    ControlState,
+    _decay,
+    build_supermap,
+    path_config,
+    switch_config,
+)
+from backflow.detect import GRID_CACHE_SIZE, detect_backflow, log_time_grid
+
+
+def _clear_caches():
+    control._decay.cache_clear()
+    detect._checked_grid.cache_clear()
+    detect._log_grid.cache_clear()
+
+
+def _times(dtype):
+    if dtype == np.complex128:
+        elements = st.complex_numbers(max_magnitude=400.0, allow_nan=False, allow_infinity=False)
+        elements = elements.filter(lambda z: z.real >= -300.0)
+    else:
+        elements = st.floats(-300.0, 800.0)
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, max_side=5), elements=elements)
+
+
+def _view(base, kind):
+    """A view of ``base`` that is not C-contiguous, when base allows one."""
+    if kind == "reversed" and base.ndim:
+        return base[::-1]
+    if kind == "transposed":
+        return base.T
+    if kind == "strided":
+        return np.repeat(base, 2, axis=-1)[..., ::2] if base.ndim else base
+    return base
+
+
+def _assert_reports_equal(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.distance, want.distance)
+    assert np.array_equal(got.derivative, want.derivative)
+    assert got.backflow_intervals == want.backflow_intervals
+    assert got.fd_residual == want.fd_residual
+
+
+class TestReuse:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.sampled_from([np.float64, np.complex128]).flatmap(_times),
+        kind=st.sampled_from(["plain", "reversed", "transposed", "strided"]),
+    )
+    def test_decay_equals_direct_computation(self, t, kind):
+        t = _view(t, kind)
+        want = np.exp(-2.0 * t), -np.expm1(-2.0 * t)
+        for _ in range(2):  # a miss, then a hit (0-d inputs are never stored)
+            for got, ref in zip(_decay(t), want):
+                assert np.array_equal(got, ref)
+                assert np.shape(got) == t.shape
+                assert not got.flags.writeable
+        # keyed by content: a fresh copy of the values is a hit with equal values
+        for got, ref in zip(_decay(np.array(t)), want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("config", ["bare", path_config(0.6), switch_config(0.6)])
+    def test_grid_changed_in_place_is_recomputed(self, config):
+        grid = np.array(log_time_grid(t_max=20.0, points=97))
+        first = detect_backflow(config, 0.3, grid)
+        assert first.times is grid
+        grid *= 0.5
+        second = detect_backflow(config, 0.3, grid)
+        assert not np.array_equal(second.distance, first.distance)
+        _clear_caches()
+        _assert_reports_equal(second, detect_backflow(config, 0.3, np.array(grid)))
+        # a grid edited into an invalid one is refused, not served from the cache
+        grid[5] = grid[4]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            detect_backflow(config, 0.3, grid)
+
+    def test_caches_stay_within_their_sizes(self):
+        for i in range(50):
+            detect_backflow(switch_config(0.5), 0.3, log_time_grid(t_max=5.0 + i, points=50 + i))
+        assert len(control._decay) == DECAY_CACHE_SIZE
+        assert len(detect._checked_grid) == GRID_CACHE_SIZE
+        assert detect._log_grid.cache_info().currsize == GRID_CACHE_SIZE
+
+    def test_scalar_and_large_inputs_are_not_stored(self):
+        cache = ContentCache(lambda x: x + 1.0, maxsize=4)
+        big = np.zeros(MAX_KEY_BYTES // 8 + 1)
+        assert not cache(big).flags.writeable
+        assert cache(2.0) == 3.0
+        assert len(cache) == 0
+        assert np.array_equal(cache(np.ones(3)), np.full(3, 2.0))
+        assert len(cache) == 1
+
+    def test_supermap_reused_for_the_same_config_and_time(self, monkeypatch):
+        calls = []
+        original = control.path_kraus
+        monkeypatch.setattr(control, "path_kraus", lambda *args: calls.append(1) or original(*args))
+        config = path_config(0.5)
+        first = build_supermap(config, 1.0)
+        assert build_supermap(config, 1.0) is first
+        assert not first.ops.flags.writeable
+        with pytest.raises(ValueError):
+            first.ops[0, 0, 0] = 1.0
+        assert len(calls) == 1
+        # an equal but new config, or another time, is built again
+        fresh = build_supermap(path_config(0.5), 1.0)
+        assert fresh is not first and np.array_equal(fresh.ops, first.ops)
+        assert len(calls) == 2
+        later = build_supermap(config, 2.0)
+        assert later is not first and not np.array_equal(later.ops, first.ops)
+        assert len(calls) == 3
+
+    def test_log_time_grid_is_read_only_and_takes_0d_bounds(self):
+        grid = log_time_grid(1e-2, 12.0, 50)
+        assert not grid.flags.writeable
+        assert log_time_grid(np.array(1e-2), np.array(12.0), np.int64(50)) is grid
+        assert np.array_equal(grid, np.exp(np.linspace(np.log(1e-2), np.log(12.0), 50)))
+        with pytest.raises(TypeError):
+            log_time_grid(1e-2, 12.0, 50.0)
+        with pytest.raises(ValueError):
+            log_time_grid(np.array(np.nan), 12.0)
+
+    def test_control_density_built_once_and_read_only(self):
+        state = ControlState(0.25)
+        omega = state.density()
+        assert state.density() is omega
+        assert not omega.flags.writeable
+        assert np.array_equal(omega, 0.5 * np.array([[1.0, 0.25], [0.25, 1.0]]))
+        # equality and hashing still follow the field alone
+        assert state == ControlState(0.25) and hash(state) == hash(ControlState(0.25))

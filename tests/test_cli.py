@@ -324,13 +324,23 @@ class TestExitCodes:
             # at p = 0 the u terms underflow too; the rescaled forms stay finite
             (["detect", "--mode", "path", "--p", "0", "--a", "1e-200", "--t-max", "400"], 0),
             (["detect", "--mode", "switch", "--p", "0", "--a", "1e-200", "--t-max", "400"], 0),
+            # bare mode ignores --p but still refuses one outside [0, 1]
+            (["distance", "--mode", "bare", "--a", "0.5", "--p", "7", "--t", "1"], 2),
+            (["detect", "--mode", "bare", "--a", "0.5", "--p", "nan"], 2),
+            (["evolve", "--mode", "bare", "--p", "7", "--t", "1", "--format", "json"], 2),
+            (["evolve", "--mode", "bare", "--p", "-0.5", "--t", "1"], 2),
+            (["evolve", "--mode", "path", "--p", "nan", "--t", "1"], 2),
+            (["distance", "--mode", "switch", "--a", "0.5", "--p", "1.5", "--t", "1"], 2),
+            (["detect", "--mode", "switch", "--a", "0.5", "--p", "-1"], 2),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
             "detect-p", "detect-overflow", "detect-t-max-inf",
             "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
             "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan", "detect-bare-tiny-a",
-            "detect-path-tiny-a", "detect-switch-tiny-a",
+            "detect-path-tiny-a", "detect-switch-tiny-a", "distance-bare-p", "detect-bare-p-nan",
+            "evolve-bare-p", "evolve-bare-p-negative", "evolve-path-p-nan", "distance-switch-p",
+            "detect-switch-p-negative",
         ],
     )
     def test_library_errors_map_to_exit_codes(self, runner, args, code):

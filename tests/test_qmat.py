@@ -318,3 +318,18 @@ class TestMatmulKernels:
         nan_joint[(rng.integers(4),) * 2] = np.nan
         with pytest.raises(PostSelectionImpossibleError):
             project_control(nan_joint, random_unit(rng))
+
+    # (s1, c1) x (s2, c2) entries with s1 != s2 land off the block's diagonal
+    OFF_DIAGONAL = [(i, j) for i in range(4) for j in range(4) if i // 2 != j // 2]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("i, j", OFF_DIAGONAL)
+    def test_non_finite_off_diagonal_refused(self, i, j, bad):
+        # the trace never sees these entries, so only the finiteness check can
+        rng = np.random.default_rng(4 * i + j)
+        joint = random_density(rng, 4)
+        joint[i, j] = bad
+        with pytest.raises(ValueError, match="not finite") as info:
+            project_control(joint, random_unit(rng))
+        assert not isinstance(info.value, PostSelectionImpossibleError)
