@@ -37,10 +37,8 @@ from .control import (
     controlled_output,
     default_amplitudes,
     path_config,
-    path_coefficients,
     path_kraus,
     switch_config,
-    switch_coefficients,
     switch_kraus,
 )
 from .detect import (

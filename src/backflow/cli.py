@@ -123,6 +123,9 @@ def _time_axis(t, t_min, t_max, points) -> np.ndarray:
         raise click.UsageError("provide either --t or --t-max")
     if points < 1:
         raise click.UsageError("--points must be positive")
+    for name, value in (("--t-min", t_min), ("--t-max", t_max)):
+        if not np.isfinite(value):
+            raise click.UsageError(f"{name} must be finite, got {value}")
     return np.linspace(t_min, t_max, points)
 
 

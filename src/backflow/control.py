@@ -237,43 +237,24 @@ def _decay(t):
     return np.exp(s), -np.expm1(s)
 
 
-def path_coefficients(t, p: float):
-    """Closed-form weights (A, B) of the plus-outcome path output.
-
-    With u = exp(-2t) and Delta = (4 + p) - p u = 4 + p (1 - u):
-
-        A(t) = 2 (1 + u) / Delta
-        B(t) = (1 - u) / Delta
-
-    These are the x = e^{2t} forms with numerator and denominator divided
-    by x, so they stay finite at every t >= 0.  Unit trace of the output
-    forces A + (2 + p) B = 1, which pins both coefficients to the same
-    denominator.  Vectorized over t.
-    """
-    u, v = _decay(t)
-    den = 4.0 + p * v
-    return 2.0 * (1.0 + u) / den, v / den
+def _switch_row(p, u, v):
+    # n_z in this factored form: expanded, it loses digits near its root at
+    # small a, or cancels to nothing at p = 0 once u is tiny
+    n_xy = (1.0 + 2.0 * p) * (1.0 + u * u) + 2.0 * u
+    return 4.0 + 3.0 * p + p * u * (1.0 + v), n_xy, n_xy, 4.0 * u * u - p * (1.0 + u) * (1.0 - 3.0 * u)
 
 
-def switch_coefficients(t, p: float):
-    """Closed-form weights (A, B, C) of the plus-outcome switch output.
-
-    With u = exp(-2t) and common denominator
-    (4 + 3p) + 2 p u - p u^2 = 4 + 3p + p u (2 - u):
-
-        A = ((2 + p) + 2 p u + (p + 2) u^2) / den
-        B = 2 (1 + p) (1 - u^2) / den
-        C = ((1 + 2p) + 2 u + (2p + 1) u^2) / den
-
-    These are the x = e^{2t} forms divided through by x^2.  A + B = 1; C
-    weights the coherences.  Vectorized over t.
-    """
-    u, v = _decay(t)
-    den = 4.0 + 3.0 * p + p * u * (1.0 + v)
-    a = ((2.0 + p) * (1.0 + u * u) + 2.0 * p * u) / den
-    b = 2.0 * (1.0 + p) * v * (1.0 + u) / den
-    c = ((1.0 + 2.0 * p) * (1.0 + u * u) + 2.0 * u) / den
-    return a, b, c
+# Bloch multipliers of each configuration, plus outcome and default path
+# amplitudes: the output for an input with Bloch vector r is
+# (I + sum_j lambda_j r_j sigma_j) / 2, with lambda_j = n_j / Delta.  Each
+# row gives (Delta, n_x, n_y, n_z) as functions of p, u = e^{-2t} and
+# v = 1 - u = -expm1(-2t), so every entry stays finite and accurate at all
+# t >= 0 and for complex t; the bare channel ignores p.
+BLOCH_ROWS = {
+    "bare": lambda p, u, v: (2.0, 1.0 + u, 1.0 + u, 2.0 * u),
+    "path": lambda p, u, v: (4.0 + p * v, 2.0 * (1.0 + u) + p * v, 2.0 * (1.0 + u) - p * v, 4.0 * u - p * v),
+    "switch": lambda p, u, v: _switch_row(p, u, v),
+}
 
 
 def _closed_form_input(rho0: np.ndarray, t: float, p: float):
@@ -288,42 +269,34 @@ def _closed_form_input(rho0: np.ndarray, t: float, p: float):
     return rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
 
 
-def analytic_state_path(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
-    """Closed-form plus-outcome path output; equals the supermap route.
+def _closed_form_output(mode: str, rho0: np.ndarray, t: float, p: float) -> np.ndarray:
+    """A row's output for any 2x2 input sigma, with l+- = (l_x +- l_y) / 2:
 
-    Entry map for input sigma:
-
-        [ s11 A + (2+p) s22 B    s12 A + p s21 B ]
-        [ p s12 B + s21 A        (2+p) s11 B + s22 A ]
+        [ tr/2 + l_z (s11 - s22)/2    l+ s12 + l- s21 ]
+        [ l+ s21 + l- s12             tr/2 - l_z (s11 - s22)/2 ]
     """
     s11, s12, s21, s22 = _closed_form_input(rho0, t, p)
-    a_w, b_w = path_coefficients(t, p)
+    delta, n_x, n_y, n_z = BLOCH_ROWS[mode](p, *_decay(t))
+    half_trace, half_z = 0.5 * (s11 + s22), 0.5 * n_z / delta * (s11 - s22)
+    plus, minus = 0.5 * (n_x + n_y) / delta, 0.5 * (n_x - n_y) / delta
     return np.array(
-        [
-            [s11 * a_w + (2.0 + p) * s22 * b_w, s12 * a_w + p * s21 * b_w],
-            [p * s12 * b_w + s21 * a_w, (2.0 + p) * s11 * b_w + s22 * a_w],
-        ],
+        [[half_trace + half_z, plus * s12 + minus * s21], [plus * s21 + minus * s12, half_trace - half_z]],
         dtype=complex,
     )
+
+
+def analytic_state_path(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
+    """Closed-form plus-outcome path output; equals the supermap route.
+    Its Bloch multipliers are (A + pB, A - pB, A - (2+p)B) with the weights
+    A = 2(1+u)/Delta, B = (1-u)/Delta and Delta = 4 + p(1-u)."""
+    return _closed_form_output("path", rho0, t, p)
 
 
 def analytic_state_switch(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
     """Closed-form plus-outcome switch output; equals the supermap route.
-
-    Entry map for input sigma:
-
-        [ s11 A + s22 B    s12 C ]
-        [ s21 C            s11 B + s22 A ]
-    """
-    s11, s12, s21, s22 = _closed_form_input(rho0, t, p)
-    a_w, b_w, c_w = switch_coefficients(t, p)
-    return np.array(
-        [
-            [s11 * a_w + s22 * b_w, s12 * c_w],
-            [s21 * c_w, s11 * b_w + s22 * a_w],
-        ],
-        dtype=complex,
-    )
+    Its Bloch multipliers are (C, C, A - B) with the switch weights A, B, C
+    over Delta = 4 + 3p + pu(2-u)."""
+    return _closed_form_output("switch", rho0, t, p)
 
 
 class _Supermap(NamedTuple):

@@ -6,7 +6,8 @@ for both plus-outcome control configurations the trace distance D(t) between
 the evolved probes, and its time derivative, have closed forms; a positive
 derivative anywhere on t > 0 is the backflow criterion.
 
-Every closed form is written in u = e^{-2t} in (0, 1], with
+Every closed form reads the mode's row of Bloch multipliers in
+``control.BLOCH_ROWS``, written in u = e^{-2t} in (0, 1] with
 1 - u = -expm1(-2t), so each stays finite and accurate for all t >= 0.
 Each derivative is a strictly positive prefactor times a bracket, a
 polynomial in u stated once per mode in ``_MODES``, so the sign of dD/dt is
@@ -26,6 +27,7 @@ import numpy as np
 
 from ._cache import content_cache
 from .control import (
+    BLOCH_ROWS,
     CLOSED_FORM_OUTCOME,
     ControlConfig,
     _decay,
@@ -105,13 +107,15 @@ def _check_p(p: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# closed forms in u = e^{-2t}: D = b sqrt(S) / Delta with b = sqrt(1-a^2)
-# (S = R, q, T; Delta = 2 for bare), and dD/dt = prefactor * bracket, prefactor > 0
+# closed forms from the Bloch rows of ``control``: with b = sqrt(1 - a^2) the
+# probes' Bloch difference is 2b (a, 0, -b), so D = b sqrt(S) / Delta for
+# S = a^2 n_x^2 + b^2 n_z^2, and dD/dt = prefactor * bracket with the
+# positive prefactor c b u / (Delta^2 sqrt(S))
 # ---------------------------------------------------------------------------
 
-# While a >= 2^-500 the a^2 term keeps every closed-form radicand a normal
-# number (where 1 - u is small, the u terms are of order 1), so the forms
-# need no scale.
+# While a >= 2^-500 the a^2 term keeps every radicand S a normal number
+# (where 1 - u is small, the u terms are of order 1), so the forms need no
+# scale.
 _UNSCALED_A = 2.0 ** -500
 
 
@@ -131,30 +135,42 @@ def _scale(a, p, u):
     return np.ldexp(1.0, np.frexp(np.maximum(np.maximum(a, p), np.abs(u)))[1])
 
 
-def _bare_terms(a: float, t):
-    """u = e^{-2t}, the scale s and r = R / s^2 for
-    R = a^2 (1 + 2u) + (4 - 3a^2) u^2 of the bare forms, so sqrt(R) = s sqrt(r)."""
-    u, _ = _decay(t)
-    s = _scale(a, 0.0, u)
-    x, y = a / s, u / s
-    return u, s, x * x * (1.0 + 2.0 * u) + (4.0 - 3.0 * a * a) * y * y
+def _terms(mode: str, a: float, p: float, t):
+    """u = e^{-2t}, the scale s, Delta and r = S / s^2 of a mode's row at t,
+    so sqrt(S) = s sqrt(r)."""
+    u, v = _decay(t)
+    delta, n_x, _, n_z = BLOCH_ROWS[mode](p, u, v)
+    # the bare row has no p terms, so p must not set its scale
+    s = _scale(a, 0.0 if mode == "bare" else p, u)
+    return u, s, delta, (a / s * n_x) ** 2 + (1.0 - a * a) * (n_z / s) ** 2
 
 
-def bare_distance(a: float, t, terms=None):
-    """D(t) = (1/2) sqrt((1-a^2) R)."""
+def _distance(mode: str, a: float, p: float, t, terms=None):
+    """D = b s sqrt(r) / Delta, from the mode's terms at t when given."""
+    _, s, delta, r = _terms(mode, a, p, t) if terms is None else terms
+    return np.sqrt((1.0 - a * a) * r) * s / delta
+
+
+def _prefactor(mode: str, a: float, p: float, terms):
+    """Positive prefactor c b u / (Delta^2 s sqrt(r)) of a mode's dD/dt."""
+    u, s, delta, r = terms
+    return _MODES[mode].c(p) * np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
+
+
+def _checked_distance(mode: str, a: float, p: float, t):
     _check_a(a)
-    _, s, r = _bare_terms(a, t) if terms is None else terms
-    return 0.5 * np.sqrt((1.0 - a * a) * r) * s
+    _check_p(p)
+    return _distance(mode, a, p, t)
 
 
-def bare_prefactor(a: float, t, terms=None):
-    """Positive prefactor of the bare dD/dt: sqrt(1-a^2) u / sqrt(R)."""
-    u, s, r = _bare_terms(a, t) if terms is None else terms
-    return np.sqrt(1.0 - a * a) * u / (s * np.sqrt(r))
+def bare_distance(a: float, t):
+    """D(t) = (1/2) sqrt((1-a^2) R) for R = a^2 (1 + 2u) + (4 - 3a^2) u^2."""
+    return _checked_distance("bare", a, 1.0, t)
 
 
 def bare_bracket(a: float):
-    """Bare bracket coefficients in ascending powers of u = e^{-2t}: -a^2 + (3a^2 - 4) u."""
+    """Bare bracket coefficients in ascending powers of u = e^{-2t}: -a^2 + (3a^2 - 4) u.
+    With primes in u, 2 S Delta' - S' Delta = 4 bracket."""
     return -a * a, 3.0 * a * a - 4.0
 
 
@@ -164,32 +180,9 @@ def bare_dDdt(a: float, t):
     return _checked_derivative("bare", a, 1.0, t)
 
 
-def _path_terms(a: float, p: float, t):
-    """u = e^{-2t}, the scale s, Delta = (4+p) - pu and r = q / s^2 for
-    q = 4a^2 (p+1)(1 + 2u - 3u^2) + (p - (p+4)u)^2 of the path forms,
-    written with 1 - u = -expm1(-2t)."""
-    u, v = _decay(t)
-    s = _scale(a, p, u)
-    x = a / s
-    return u, s, 4.0 + p * v, 4.0 * x * x * (p + 1.0) * v * (1.0 + 3.0 * u) + ((p * v - 4.0 * u) / s) ** 2
-
-
-def path_distance(a: float, p: float, t, terms=None):
-    """Probe distance under the path configuration.
-
-    D = b sqrt(b^2 (2A - 1)^2 + a^2 (A + pB)^2) = b sqrt(q) / Delta, with
-    the closed-form weights (A, B) of the path output.
-    """
-    _check_a(a)
-    _check_p(p)
-    _, s, delta, r = _path_terms(a, p, t) if terms is None else terms
-    return np.sqrt((1.0 - a * a) * r) * s / delta
-
-
-def path_prefactor(a: float, p: float, t, terms=None):
-    """Positive prefactor of the path dD/dt: 16 b u / (Delta^2 sqrt(q))."""
-    u, s, delta, r = _path_terms(a, p, t) if terms is None else terms
-    return 16.0 * np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
+def path_distance(a: float, p: float, t):
+    """Probe distance under the path configuration, b sqrt(S) / Delta."""
+    return _checked_distance("path", a, p, t)
 
 
 def path_bracket(a: float, p: float):
@@ -197,7 +190,7 @@ def path_bracket(a: float, p: float):
 
     bracket = (p+2)(p - a^2(p+1)) + (a^2 (p+1)(p+6) - (p+2)(p+4)) u
 
-    With primes in u, 2 q Delta' - q' Delta = 16 bracket.  The u^0
+    With primes in u, 2 S Delta' - S' Delta = 16 bracket.  The u^0
     coefficient sets the large-time sign, hence the backflow condition
     a^2 < p / (1+p).
     """
@@ -209,37 +202,9 @@ def analytic_dDdt_path(a: float, p: float, t):
     return _checked_derivative("path", a, p, t)
 
 
-def _switch_terms(a: float, p: float, t):
-    """u = e^{-2t}, the scale s, Delta = (4+3p) + 2pu - pu^2 and r = T / s^2 for
-    T = a^2 (p+1)(1 + u + 3u^2 - 5u^3)((3p+1) + (p+3)u) + (p(1-3u)(1+u) - 4u^2)^2
-    of the switch forms, written with 1 - u = -expm1(-2t)."""
-    u, v = _decay(t)
-    s = _scale(a, p, u)
-    x = a / s
-    delta = 4.0 + 3.0 * p + p * u * (1.0 + v)
-    r = (
-        x * x * (p + 1.0) * v * (1.0 + 2.0 * u + 5.0 * u * u) * (3.0 * p + 1.0 + (p + 3.0) * u)
-        + (p / s * (1.0 - 3.0 * u) * (1.0 + u) - 4.0 * u * (u / s)) ** 2
-    )
-    return u, s, delta, r
-
-
-def switch_distance(a: float, p: float, t, terms=None):
-    """Probe distance under the switch configuration.
-
-    D = b sqrt(b^2 (A - B)^2 + a^2 C^2) = b sqrt(T) / Delta, with the
-    closed-form switch weights.
-    """
-    _check_a(a)
-    _check_p(p)
-    _, s, delta, r = _switch_terms(a, p, t) if terms is None else terms
-    return np.sqrt((1.0 - a * a) * r) * s / delta
-
-
-def switch_prefactor(a: float, p: float, t, terms=None):
-    """Positive prefactor of the switch dD/dt: 8 b (p+1) u / (Delta^2 sqrt(T))."""
-    u, s, delta, r = _switch_terms(a, p, t) if terms is None else terms
-    return 8.0 * np.sqrt(1.0 - a * a) * (p + 1.0) * u / (delta * delta * (s * np.sqrt(r)))
+def switch_distance(a: float, p: float, t):
+    """Probe distance under the switch configuration, b sqrt(S) / Delta."""
+    return _checked_distance("switch", a, p, t)
 
 
 def switch_bracket(a: float, p: float):
@@ -252,7 +217,7 @@ def switch_bracket(a: float, p: float):
         A4 = 2 a^2 (4p^2+15p+15) - 8 (p(2p+5)+4)
         A5 = p (a^2 (4p+7) - 6p - 8)
 
-    With primes in u, 2 T Delta' - T' Delta = 8 (p+1) bracket.  A1 sets
+    With primes in u, 2 S Delta' - S' Delta = 8 (p+1) bracket.  A1 sets
     the large-time sign, hence the backflow condition a^2 < 2p^2 / (3p+2).
     """
     a1 = 2.0 * p * p - a * a * (3.0 * p + 2.0)
@@ -342,33 +307,22 @@ def max_coherent_dDdt_switch(a: float, t):
 # ---------------------------------------------------------------------------
 
 class _Mode(NamedTuple):
-    terms: Callable
-    distance: Callable
-    prefactor: Callable
+    c: Callable
     bracket: Callable
     threshold: Optional[Callable] = None
 
 
-# Each configuration stated once: the closed-form terms of (a, p, t), whose
-# first entry is u = e^{-2t}; distance and positive derivative prefactor of
-# (a, p, t), from those terms when given; bracket coefficients ascending in
-# u of (a, p); and the late-time threshold of p (none for the bare channel).
-# The entries look the formulas up as module globals at call time and pass
-# the terms positionally, so a wrapper installed on this module sees every
-# call.
+# Each configuration's derivative stated once, beside its Bloch row in
+# ``control.BLOCH_ROWS``: the constant c of p with 2 S Delta' - S' Delta =
+# c bracket (primes in u), the bracket coefficients ascending in u of
+# (a, p), and the late-time threshold of p (none for the bare channel).  The
+# bracket entries look the coefficients up as module globals at call time,
+# so a wrapper installed on this module sees every call.
 _MODES = {
-    "bare": _Mode(lambda a, p, t: _bare_terms(a, t),
-                  lambda a, p, t, terms=None: bare_distance(a, t, terms),
-                  lambda a, p, t, terms=None: bare_prefactor(a, t, terms),
-                  lambda a, p: bare_bracket(a)),
-    "path": _Mode(lambda a, p, t: _path_terms(a, p, t),
-                  lambda a, p, t, terms=None: path_distance(a, p, t, terms),
-                  lambda a, p, t, terms=None: path_prefactor(a, p, t, terms),
-                  lambda a, p: path_bracket(a, p), lambda p: np.sqrt(p / (1.0 + p))),
-    "switch": _Mode(lambda a, p, t: _switch_terms(a, p, t),
-                    lambda a, p, t, terms=None: switch_distance(a, p, t, terms),
-                    lambda a, p, t, terms=None: switch_prefactor(a, p, t, terms),
-                    lambda a, p: switch_bracket(a, p), lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
+    "bare": _Mode(lambda p: 4.0, lambda a, p: bare_bracket(a)),
+    "path": _Mode(lambda p: 16.0, lambda a, p: path_bracket(a, p), lambda p: np.sqrt(p / (1.0 + p))),
+    "switch": _Mode(lambda p: 8.0 * (p + 1.0), lambda a, p: switch_bracket(a, p),
+                    lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
 }
 MODES = tuple(_MODES)
 CONTROLLED_MODES = tuple(m for m in MODES if _MODES[m].threshold is not None)
@@ -378,10 +332,9 @@ def derivative_parts(mode: str, a: float, p: float, t, terms=None):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
     the bracket is the table's polynomial evaluated at u = e^{-2t}.  ``terms``
     are the mode's closed-form terms at t, evaluated here when not given."""
-    record = _MODES[mode]
     if terms is None:
-        terms = record.terms(a, p, t)
-    return record.prefactor(a, p, t, terms), _bracket_values(record.bracket(a, p), terms[0])
+        terms = _terms(mode, a, p, t)
+    return _prefactor(mode, a, p, terms), _bracket_values(_MODES[mode].bracket(a, p), terms[0])
 
 
 def _checked_derivative(mode: str, a: float, p: float, t, terms=None):
@@ -418,7 +371,7 @@ def probe_distance(config: ConfigLike, a: float, t):
     mode, p, _ = _mode_and_p(config)
     if not (np.asarray(t) >= 0.0).all():
         raise ValueError(f"times must be non-negative, got {t}")
-    return _MODES[mode].distance(a, p, t)
+    return _checked_distance(mode, a, p, t)
 
 
 def analytic_derivative(config: ConfigLike, a: float, t):
@@ -593,13 +546,15 @@ def detect_backflow(
     _check_a_open(a)
     if times is None:
         times = log_time_grid()
-    times = np.asarray(times, dtype=float)
+    # the report keeps its own read-only copy, so a later edit of the
+    # caller's grid cannot change it
+    times = np.array(times, dtype=float)
+    times.flags.writeable = False
     allowance, shifted = _checked_grid(times)
 
     mode, p, label = _mode_and_p(config)
-    record = _MODES[mode]
-    terms = record.terms(a, p, times)
-    dist = record.distance(a, p, times, terms)
+    terms = _terms(mode, a, p, times)
+    dist = _distance(mode, a, p, times, terms)
     deriv = _checked_derivative(mode, a, p, times, terms)
 
     # min and max carry any NaN, so the series are finite iff their extremes are
@@ -613,14 +568,14 @@ def detect_backflow(
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to
     # rounding at any h, including across the kinks of D at small a
-    slope = record.distance(a, p, shifted).imag / COMPLEX_STEP
+    slope = _distance(mode, a, p, shifted).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
         raise RuntimeError(
             f"analytic derivative disagrees with the complex-step derivative ({fd_residual:.3e})"
         )
 
-    intervals = _windows(record.bracket(a, p), float(times[0]), float(times[-1]))
+    intervals = _windows(_MODES[mode].bracket(a, p), float(times[0]), float(times[-1]))
     return BackflowReport(
         config=label,
         a=a,

@@ -74,8 +74,10 @@ class TestReuse:
     def test_grid_changed_in_place_is_recomputed(self, config):
         grid = np.array(log_time_grid(t_max=20.0, points=97))
         first = detect_backflow(config, 0.3, grid)
-        assert first.times is grid
+        before = grid.copy()
         grid *= 0.5
+        # the report holds its own read-only copy of the grid
+        assert np.array_equal(first.times, before) and not first.times.flags.writeable
         second = detect_backflow(config, 0.3, grid)
         assert not np.array_equal(second.distance, first.distance)
         _clear_caches()

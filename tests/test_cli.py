@@ -332,6 +332,9 @@ class TestExitCodes:
             (["evolve", "--mode", "path", "--p", "nan", "--t", "1"], 2),
             (["distance", "--mode", "switch", "--a", "0.5", "--p", "1.5", "--t", "1"], 2),
             (["detect", "--mode", "switch", "--a", "0.5", "--p", "-1"], 2),
+            # a non-finite time bound is refused before it reaches np.linspace
+            (["distance", "--mode", "path", "--a", "0.5", "--t-max", "inf", "--points", "5"], 2),
+            (["evolve", "--mode", "path", "--t-max", "inf"], 2),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
@@ -340,9 +343,10 @@ class TestExitCodes:
             "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan", "detect-bare-tiny-a",
             "detect-path-tiny-a", "detect-switch-tiny-a", "distance-bare-p", "detect-bare-p-nan",
             "evolve-bare-p", "evolve-bare-p-negative", "evolve-path-p-nan", "distance-switch-p",
-            "detect-switch-p-negative",
+            "detect-switch-p-negative", "distance-t-max-inf", "evolve-t-max-inf",
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_library_errors_map_to_exit_codes(self, runner, args, code):
         result = runner.invoke(main, args)
         assert result.exit_code == code
@@ -350,10 +354,28 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit) if code else result.exception is None
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["distance", "--mode", "path", "--a", "0.5", "--t-max", "inf", "--points", "5"], "--t-max"),
+            (["evolve", "--mode", "path", "--t-max", "inf"], "--t-max"),
+            (["evolve", "--mode", "switch", "--t-min", "-inf", "--t-max", "1"], "--t-min"),
+            (["distance", "--mode", "bare", "--a", "0.5", "--t-min", "nan", "--t-max", "1"], "--t-min"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_time_bound_is_a_usage_error(self, runner, args, option):
+        # refused before np.linspace, whose NaN would reach the time check
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"{option} must be finite" in result.output
+
     def test_failed_derivative_check_exits_4(self, runner, monkeypatch):
-        # a prefactor off by 0.1% fails detect_backflow's complex-step check
-        original = detect.switch_prefactor
-        monkeypatch.setattr(detect, "switch_prefactor", lambda *args: 1.001 * original(*args))
+        # a switch prefactor off by 0.1% fails detect_backflow's complex-step check
+        original = detect._prefactor
+        monkeypatch.setattr(
+            detect, "_prefactor", lambda mode, *args: (1.001 if mode == "switch" else 1.0) * original(mode, *args)
+        )
         result = runner.invoke(main, ["detect", "--mode", "switch", "--a", "0.3"])
         assert result.exit_code == 4
         assert "complex-step" in result.output

@@ -17,10 +17,8 @@ from backflow.control import (
     default_amplitudes,
     outcome_vector,
     path_config,
-    path_coefficients,
     path_kraus,
     switch_config,
-    switch_coefficients,
     switch_kraus,
 )
 from backflow.qmat import (
@@ -220,30 +218,36 @@ class TestClosedForms:
         rho = random_density(rng)
         assert np.allclose(analytic_state_switch(rho, 0.0, 1.0), rho, atol=1e-14)
 
+    @staticmethod
+    def multipliers(mode, t, p):
+        delta, *n = control.BLOCH_ROWS[mode](p, *control._decay(np.asarray(t, dtype=float)))
+        return [n_j / delta for n_j in n]
+
     def test_pure_control_path_weights(self):
-        # p = 1 weights equal their dedicated pure-control forms
+        # p = 1 multipliers equal their x = e^{2t} forms (A + B, A - B, A - 3B)
         for t in (0.5, 1.0, 2.0):
             x = np.exp(2.0 * t)
-            a_w, b_w = path_coefficients(t, 1.0)
-            assert a_w == pytest.approx(2.0 * (x + 1.0) / (5.0 * x - 1.0), rel=1e-14)
-            assert b_w == pytest.approx((x - 1.0) / (5.0 * x - 1.0), rel=1e-14)
+            a_w, b_w = 2.0 * (x + 1.0) / (5.0 * x - 1.0), (x - 1.0) / (5.0 * x - 1.0)
+            want = (a_w + b_w, a_w - b_w, a_w - 3.0 * b_w)
+            assert self.multipliers("path", t, 1.0) == pytest.approx(want, rel=1e-14)
 
     def test_pure_control_switch_weights(self):
+        # p = 1 multipliers equal their x = e^{2t} forms (C, C, A - B), C = A
         for t in (0.5, 1.0, 2.0):
             x = np.exp(2.0 * t)
             den = 7.0 * x * x + 2.0 * x - 1.0
-            a_w, b_w, c_w = switch_coefficients(t, 1.0)
-            assert a_w == pytest.approx((3.0 * x * x + 2.0 * x + 3.0) / den, rel=1e-14)
-            assert b_w == pytest.approx(4.0 * (x * x - 1.0) / den, rel=1e-14)
-            assert c_w == pytest.approx(a_w, rel=1e-14)
+            a_w, b_w = (3.0 * x * x + 2.0 * x + 3.0) / den, 4.0 * (x * x - 1.0) / den
+            assert self.multipliers("switch", t, 1.0) == pytest.approx((a_w, a_w, a_w - b_w), rel=1e-14)
 
-    def test_unit_trace_identities(self):
-        ts = np.linspace(0.0, 6.0, 25)
-        for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-            a_w, b_w = path_coefficients(ts, p)
-            assert np.abs(a_w + (2.0 + p) * b_w - 1.0).max() <= 1e-12
-            a_s, b_s, _ = switch_coefficients(ts, p)
-            assert np.abs(a_s + b_s - 1.0).max() <= 1e-12
+    def test_unit_trace_identities(self, rng):
+        # the entry map keeps the trace of any 2x2 input: its diagonal is
+        # tr/2 +- l_z (s11 - s22)/2, which sums back to tr up to rounding
+        for closed_form in (analytic_state_path, analytic_state_switch):
+            for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+                for t in (0.0, 0.3, 1.0, 6.0, 400.0):
+                    sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    out = closed_form(sigma, t, p)
+                    assert abs(np.trace(out) - np.trace(sigma)) <= 4e-16 * np.abs(sigma).max()
 
     def test_path_matches_supermap(self, rng):
         rho = pure_state(KET_0)

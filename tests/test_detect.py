@@ -16,7 +16,6 @@ from backflow.detect import (
     asymptotic_threshold,
     bare_dDdt,
     bare_distance,
-    bare_prefactor,
     central_difference,
     derivative_parts,
     detect_backflow,
@@ -73,7 +72,7 @@ class TestBareChannel:
             assert np.all(bare_dDdt(a, ts) < 0.0)
 
     def test_derivative_vanishes_for_identical_probes(self):
-        prefactor = bare_prefactor(1.0 - 1e-15, 1.0)
+        prefactor, _ = derivative_parts("bare", 1.0 - 1e-15, 1.0, 1.0)
         assert prefactor == pytest.approx(0.0, abs=1e-7)
 
     def test_derivative_against_finite_difference(self):
@@ -320,12 +319,15 @@ class TestComplexStepCheck:
         # |dD/dt| exceeds 1, as it does early on at a = 0.3
         config = "bare" if mode == "bare" else _CONFIGS[mode](0.5)
         assert detect_backflow(config, 0.3).fd_residual <= 1e-12
-        original = getattr(detect, f"{mode}_{part}")
         if part == "prefactor":
-            patched = lambda *args: scale * original(*args)
+            # the one generic prefactor, perturbed for this mode only
+            original = detect._prefactor
+            patched = lambda m, *args: (scale if m == mode else 1.0) * original(m, *args)
+            monkeypatch.setattr(detect, "_prefactor", patched)
         else:
+            original = getattr(detect, f"{mode}_bracket")
             patched = lambda *args: tuple(scale * c for c in original(*args))
-        monkeypatch.setattr(detect, f"{mode}_{part}", patched)
+            monkeypatch.setattr(detect, f"{mode}_bracket", patched)
         with pytest.raises(RuntimeError, match="complex-step"):
             detect_backflow(config, 0.3)
 
@@ -388,7 +390,7 @@ class TestLargeTimeReference:
             for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    dist = detect._MODES[mode].distance(a, p, self.TIMES)
+                    dist = detect._distance(mode, a, p, self.TIMES)
                     prefactor, bracket = derivative_parts(mode, a, p, self.TIMES)
                     deriv = detect._checked_derivative(mode, a, p, self.TIMES)
                 assert np.all(np.isfinite(prefactor)) and np.all(np.isfinite(bracket))
@@ -404,7 +406,7 @@ class TestLargeTimeReference:
     def test_late_time_limits(self):
         limits = {"bare": np.sqrt(3.0) / 8.0, "path": 0.3, "switch": 3.0 / 14.0}
         for mode, limit in limits.items():
-            assert detect._MODES[mode].distance(0.5, 1.0, 700.0) == pytest.approx(limit, rel=1e-15)
+            assert detect._distance(mode, 0.5, 1.0, 700.0) == pytest.approx(limit, rel=1e-15)
             assert detect._checked_derivative(mode, 0.5, 1.0, 700.0) == 0.0
 
 
@@ -419,36 +421,45 @@ class TestProbeDistanceTimes:
 class TestModeTable:
     def test_formulas_called_through_module_globals(self, monkeypatch):
         # wrappers installed on the module (as a tracer does) must see every
-        # call the mode table makes
+        # call the mode table makes; the generic terms and prefactor are
+        # counted per mode, from their first argument
         calls = {}
-        for name in ("path_prefactor", "switch_prefactor", "path_bracket", "switch_bracket"):
-            original = getattr(detect, name)
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args)
+        def count(name, original, key=lambda args: None):
+            def counted(*args):
+                mode = key(args)
+                label = name if mode is None else f"{mode}:{name}"
+                calls[label] = calls.get(label, 0) + 1
+                return original(*args)
 
             monkeypatch.setattr(detect, name, counted)
+
+        for name in ("path_bracket", "switch_bracket"):
+            count(name, getattr(detect, name))
+        for name in ("_terms", "_prefactor"):
+            count(name, getattr(detect, name), key=lambda args: args[0])
         scan_region(np.array([0.5]), np.array([1.0]))
         assert calls == {"path_bracket": 1, "switch_bracket": 1}
         analytic_derivative(path_config(1.0), 0.5, 1.0)
         analytic_derivative(switch_config(1.0), 0.5, 1.0)
-        # each derivative is the table's prefactor times the table's bracket
-        assert calls == {
+        # each derivative is the generic prefactor of the table's terms times
+        # the table's bracket
+        derivative_calls = {
             "path_bracket": 2,
             "switch_bracket": 2,
-            "path_prefactor": 1,
-            "switch_prefactor": 1,
+            "path:_terms": 1,
+            "switch:_terms": 1,
+            "path:_prefactor": 1,
+            "switch:_prefactor": 1,
         }
+        assert calls == derivative_calls
         empirical_threshold("path", 1.0)
         empirical_threshold("switch", 1.0)
-        assert calls == {
-            "path_bracket": 3,
-            "switch_bracket": 3,
-            "path_prefactor": 1,
-            "switch_prefactor": 1,
-        }
-
+        assert calls == {**derivative_calls, "path_bracket": 3, "switch_bracket": 3}
+        # detect_backflow computes the terms once for its grid, shared by the
+        # distance and the derivative, and once for the complex-step grid
+        detect_backflow(path_config(1.0), 0.5)
+        assert calls["path:_terms"] == 3 and calls["path:_prefactor"] == 2
 
 class TestThresholds:
     def test_pure_control_values(self):

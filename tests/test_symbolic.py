@@ -1,13 +1,16 @@
 """Symbolic proofs of the closed forms in u = e^{-2t}.
 
-Each probe distance is D = b sqrt(S) / E with b = sqrt(1 - a^2), and each
-derivative prefactor is c b u / (E^2 sqrt(S)) with S, E > 0.  The proofs
-below show that -2u dD/du (which is dD/dt) equals that prefactor times the
-table bracket of ``detect``, that D is the distance of the closed-form
-weights, and that the u-form weights of ``control`` equal their
-x = e^{2t} forms.  Brackets enter as the package computes them, called on
-symbols; the other forms are stated here and pinned to the package's
-numbers at sample points.
+Every configuration is a Pauli-diagonal qubit channel: its output for an
+input with Bloch vector r is (I + sum_j lambda_j r_j sigma_j) / 2, with
+lambda_j = n_j / Delta from the row of ``control.BLOCH_ROWS``.  The proofs
+below derive those rows from the Kraus supermaps, post-selected on |+>, and
+from the closed-form weights; show that the outcome probability does not
+depend on the input; and show that the probe distance D = b sqrt(S) / Delta,
+S = a^2 n_x^2 + b^2 n_z^2 with b = sqrt(1 - a^2), has the derivative
+-2u dD/du = c b u / (Delta^2 sqrt(S)) times the table bracket of ``detect``.
+Rows and brackets enter as the package computes them, called on symbols;
+the weights are stated here and pinned to the package's numbers at sample
+points.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ SWITCH_X = (
     ((1 + 2 * p) * x**2 + 2 * x + 2 * p + 1) / SWITCH_DEN_X,
 )
 
-# u-form weights, as control.path_coefficients / switch_coefficients state them
+# u-form weights: path (A, B) and switch (A, B, C)
 PATH_U = (2 * (1 + u) / (4 + p * v), v / (4 + p * v))
 SWITCH_DEN_U = 4 + 3 * p + p * u * (2 - u)
 SWITCH_U = (
@@ -38,32 +41,44 @@ SWITCH_U = (
     ((1 + 2 * p) + 2 * u + (2 * p + 1) * u**2) / SWITCH_DEN_U,
 )
 
-# (S, E, c) of each mode: D = b sqrt(S) / E, prefactor = c b u / (E^2 sqrt(S))
-FORMS = {
-    "bare": (a**2 * (1 + 2 * u) + (4 - 3 * a**2) * u**2, sp.Integer(2), 4),
-    "path": (4 * a**2 * (p + 1) * (1 + 2 * u - 3 * u**2) + (p - (p + 4) * u) ** 2, 4 + p * v, 16),
-    "switch": (
-        a**2 * (p + 1) * (1 + u + 3 * u**2 - 5 * u**3) * ((3 * p + 1) + (p + 3) * u)
-        + (p * (1 - 3 * u) * (1 + u) - 4 * u**2) ** 2,
-        SWITCH_DEN_U,
-        8 * (p + 1),
-    ),
+# Bloch multipliers of the weights: the entry maps
+# [s11 A + (2+p) s22 B, s12 A + p s21 B; p s12 B + s21 A, (2+p) s11 B + s22 A]
+# (path) and [s11 A + s22 B, s12 C; s21 C, s11 B + s22 A] (switch)
+WEIGHT_MULTIPLIERS = {
+    "path": (PATH_U[0] + p * PATH_U[1], PATH_U[0] - p * PATH_U[1], PATH_U[0] - (2 + p) * PATH_U[1]),
+    "switch": (SWITCH_U[2], SWITCH_U[2], SWITCH_U[0] - SWITCH_U[1]),
 }
 
-# D^2 from the closed-form weights
+# D^2 from the closed-form weights, and for bare from the stated radicand
 DISTANCE_SQUARED = {
-    "bare": (1 - a**2) * FORMS["bare"][0] / 4,
+    "bare": (1 - a**2) * (a**2 * (1 + 2 * u) + (4 - 3 * a**2) * u**2) / 4,
     "path": (1 - a**2) * ((1 - a**2) * (2 * PATH_U[0] - 1) ** 2 + a**2 * (PATH_U[0] + p * PATH_U[1]) ** 2),
     "switch": (1 - a**2) * ((1 - a**2) * (SWITCH_U[0] - SWITCH_U[1]) ** 2 + a**2 * SWITCH_U[2] ** 2),
 }
 
+MODES = ("bare", "path", "switch")
 SAMPLES = [(a_, p_, t_) for a_ in (0.05, 0.5, 0.9) for p_ in (0.0, 0.4, 1.0) for t_ in (0.0, 1e-3, 0.7, 5.0, 300.0)]
+
+
+def _exact(expr):
+    return sp.nsimplify(expr, rational=True)
+
+
+def table_row(mode):
+    """The package's (Delta, n_x, n_y, n_z) for a mode, as exact expressions in p and u."""
+    return tuple(_exact(sp.expand(e)) for e in control.BLOCH_ROWS[mode](p, u, v))
 
 
 def table_bracket(mode):
     """The package's bracket for a mode, as an exact polynomial in u."""
     coeffs = detect._MODES[mode].bracket(a, p)
-    return sp.nsimplify(sum(c * u**k for k, c in enumerate(coeffs)), rational=True)
+    return _exact(sum(c * u**k for k, c in enumerate(coeffs)))
+
+
+def radicand(mode):
+    """Delta and S = a^2 n_x^2 + b^2 n_z^2 of a mode's row, so D = b sqrt(S) / Delta."""
+    delta, n_x, _, n_z = table_row(mode)
+    return delta, a**2 * n_x**2 + (1 - a**2) * n_z**2
 
 
 def _is_zero(expr):
@@ -71,26 +86,115 @@ def _is_zero(expr):
     return sp.expand(sp.numer(sp.together(expr))) == 0
 
 
-def _distance_and_prefactor(mode, b):
-    s, e, c = FORMS[mode]
-    return b * sp.sqrt(s) / e, c * b * u / (e**2 * sp.sqrt(s))
+# Bloch vector of a general input and the Paulis
+r = sp.symbols("r_x r_y r_z", real=True)
+PAULI = (sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]), sp.Matrix([[1, 0], [0, -1]]))
 
 
-@pytest.mark.parametrize("mode", list(FORMS))
+def _bloch_state(multipliers):
+    return (sp.eye(2) + sum((m * r_j * s for m, r_j, s in zip(multipliers, r, PAULI)), sp.zeros(2))) / 2
+
+
+def _phi_kraus():
+    """The lossy channel's real Kraus operators: sqrt((1-u)/2) |0><1|,
+    sqrt((1-u)/2) |1><0| and sqrt((1+u)/2) I, the weights of ``phi_t_kraus``."""
+    flip = sp.sqrt(v / 2)
+    return [flip * sp.Matrix([[0, 1], [0, 0]]), flip * sp.Matrix([[0, 0], [1, 0]]), sp.sqrt((1 + u) / 2) * sp.eye(2)]
+
+
+def _joint_kraus(mode):
+    """The supermap's joint operators over system (x) control, system-major:
+    switch E_i F_j (x) |0><0| + F_j E_i (x) |1><1|, path with the default
+    amplitudes alpha = beta = (1, 1, 0) / sqrt(2)."""
+    ops = _phi_kraus()
+    amps = (1 / sp.sqrt(2), 1 / sp.sqrt(2), 0)
+    p0, p1 = sp.diag(1, 0), sp.diag(0, 1)
+    joint = []
+    for i, e in enumerate(ops):
+        for j, f in enumerate(ops):
+            if mode == "switch":
+                joint.append(sp.kronecker_product(e * f, p0) + sp.kronecker_product(f * e, p1))
+            else:
+                joint.append(amps[j] * sp.kronecker_product(e, p0) + amps[i] * sp.kronecker_product(f, p1))
+    return joint
+
+
+def _postselected(mode, sign):
+    """Unnormalized block and outcome probability of the supermap output for
+    the general input, with the control measured on (|0> + sign |1>) / sqrt(2)."""
+    omega = sp.Matrix([[1, p], [p, 1]]) / 2
+    joint_state = sp.kronecker_product(_bloch_state((1, 1, 1)), omega)
+    # every operator is real, so its adjoint is its transpose
+    out = sum((k * joint_state * k.T for k in _joint_kraus(mode)), sp.zeros(4))
+    ket = (1, sign)
+    block = sp.Matrix(2, 2, lambda i, j: sum(ket[c] * ket[d] * out[2 * i + c, 2 * j + d] for c in (0, 1) for d in (0, 1)) / 2)
+    return block, sp.expand(block.trace())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_table_rows_are_the_kraus_multipliers(mode):
+    # bare: the lossy channel itself; path and switch: the supermap output
+    # post-selected on |+> and renormalized
+    if mode == "bare":
+        state = _bloch_state((1, 1, 1))
+        output = sum((k * state * k.T for k in _phi_kraus()), sp.zeros(2))
+    else:
+        block, prob = _postselected(mode, +1)
+        output = block / prob
+    delta, *n = table_row(mode)
+    expected = _bloch_state([n_j / delta for n_j in n])
+    assert all(_is_zero(output[i, j] - expected[i, j]) for i in (0, 1) for j in (0, 1))
+
+
+@pytest.mark.parametrize("sign", [+1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("mode", ["path", "switch"])
+def test_outcome_probability_does_not_depend_on_the_input(mode, sign):
+    _, prob = _postselected(mode, sign)
+    assert not prob.free_symbols & set(r)
+    assert prob != 0
+
+
+@pytest.mark.parametrize("mode", ["path", "switch"])
+def test_table_rows_are_the_weights_multipliers(mode):
+    delta, *n = table_row(mode)
+    assert all(_is_zero(n_j / delta - lam) for n_j, lam in zip(n, WEIGHT_MULTIPLIERS[mode]))
+
+
+def test_entry_map_is_the_bloch_form():
+    # the entry map of control's closed-form outputs, for any 2x2 input:
+    # diagonal tr/2 +- l_z (s11 - s22)/2, off-diagonal l+ s12 + l- s21 with
+    # l+- = (l_x +- l_y)/2; on a Hermitian unit-trace input it is the Bloch
+    # form, and it keeps the trace of every input exactly
+    lam = sp.symbols("l_x l_y l_z")
+    s11, s12, s21, s22 = sp.symbols("s11 s12 s21 s22")
+    plus, minus = (lam[0] + lam[1]) / 2, (lam[0] - lam[1]) / 2
+    half_trace, half_z = (s11 + s22) / 2, lam[2] * (s11 - s22) / 2
+    entry_map = sp.Matrix([[half_trace + half_z, plus * s12 + minus * s21], [plus * s21 + minus * s12, half_trace - half_z]])
+    assert sp.expand(entry_map.trace() - (s11 + s22)) == 0
+    bloch = {s11: (1 + r[2]) / 2, s22: (1 - r[2]) / 2, s12: (r[0] - sp.I * r[1]) / 2, s21: (r[0] + sp.I * r[1]) / 2}
+    assert sp.expand(entry_map.subs(bloch) - _bloch_state(lam)) == sp.zeros(2)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_derivative_is_prefactor_times_table_bracket(mode):
-    # b = sqrt(1 - a^2) does not depend on u, so a free symbol stands for it
+    # with primes in u, N = 2 S Delta' - S' Delta is c times the bracket ...
+    delta, s = radicand(mode)
+    c = _exact(detect._MODES[mode].c(p))
+    numerator = 2 * s * sp.diff(delta, u) - sp.diff(s, u) * delta
+    assert _is_zero(numerator - c * table_bracket(mode))
+    # ... so -2u dD/du (which is dD/dt) is the prefactor c b u / (Delta^2
+    # sqrt(S)) times the bracket; b = sqrt(1 - a^2) does not depend on u, so
+    # a free symbol stands for it, and sqrt(S) Delta^2 / (b u) clears every root
     b = sp.Symbol("b", positive=True)
-    s, e, _ = FORMS[mode]
-    distance, prefactor = _distance_and_prefactor(mode, b)
-    residual = -2 * u * sp.diff(distance, u) - prefactor * table_bracket(mode)
-    # sqrt(S) E^2 / (b u) clears every root
-    assert _is_zero(residual * sp.sqrt(s) * e**2 / (b * u))
+    prefactor = c * b * u / (delta**2 * sp.sqrt(s))
+    residual = -2 * u * sp.diff(b * sp.sqrt(s) / delta, u) - prefactor * table_bracket(mode)
+    assert _is_zero(residual * sp.sqrt(s) * delta**2 / (b * u))
 
 
-@pytest.mark.parametrize("mode", list(FORMS))
+@pytest.mark.parametrize("mode", MODES)
 def test_distance_is_that_of_the_weights(mode):
-    s, e, _ = FORMS[mode]
-    assert _is_zero(DISTANCE_SQUARED[mode] - (1 - a**2) * s / e**2)
+    delta, s = radicand(mode)
+    assert _is_zero(DISTANCE_SQUARED[mode] - (1 - a**2) * s / delta**2)
 
 
 @pytest.mark.parametrize("in_u, in_x", [(PATH_U, PATH_X), (SWITCH_U, SWITCH_X)], ids=["path", "switch"])
@@ -115,22 +219,32 @@ def _numeric(expr):
     return sp.lambdify((a, p, u), expr, "numpy")
 
 
-@pytest.mark.parametrize("mode", list(FORMS))
+@pytest.mark.parametrize("mode", MODES)
 def test_package_forms_are_the_proven_ones(mode):
-    distance, prefactor = map(_numeric, _distance_and_prefactor(mode, sp.sqrt(1 - a**2)))
+    delta, s = radicand(mode)
+    b = sp.sqrt(1 - a**2)
+    distance = _numeric(b * sp.sqrt(s) / delta)
+    prefactor = _numeric(_exact(detect._MODES[mode].c(p)) * b * u / (delta**2 * sp.sqrt(s)))
     for a_, p_, t_ in SAMPLES:
         u_ = np.exp(-2.0 * t_)
-        assert detect._MODES[mode].distance(a_, p_, t_) == pytest.approx(distance(a_, p_, u_), rel=1e-13)
-        assert detect._MODES[mode].prefactor(a_, p_, t_) == pytest.approx(prefactor(a_, p_, u_), rel=1e-13, abs=1e-300)
+        assert detect._distance(mode, a_, p_, t_) == pytest.approx(distance(a_, p_, u_), rel=1e-13)
+        got = detect.derivative_parts(mode, a_, p_, t_)[0]
+        assert got == pytest.approx(prefactor(a_, p_, u_), rel=1e-13, abs=1e-300)
 
 
 def test_package_weights_are_the_proven_ones():
-    for coefficients, forms in ((control.path_coefficients, PATH_U), (control.switch_coefficients, SWITCH_U)):
-        numeric = [_numeric(w) for w in forms]
-        for a_, p_, t_ in SAMPLES:
-            got = coefficients(t_, p_)
-            want = [w(a_, p_, np.exp(-2.0 * t_)) for w in numeric]
-            assert got == pytest.approx(want, rel=1e-13)
+    # the package's closed-form outputs equal the weights' entry maps
+    sigma = np.array([[0.3, 0.2 - 0.7j], [-0.4 + 0.1j, 0.9]])
+    (s11, s12), (s21, s22) = sigma
+    path_weights, switch_weights = [_numeric(w) for w in PATH_U], [_numeric(w) for w in SWITCH_U]
+    for a_, p_, t_ in SAMPLES:
+        u_ = np.exp(-2.0 * t_)
+        w_a, w_b = (w(a_, p_, u_) for w in path_weights)
+        want = [[s11 * w_a + (2 + p_) * s22 * w_b, s12 * w_a + p_ * s21 * w_b], [p_ * s12 * w_b + s21 * w_a, (2 + p_) * s11 * w_b + s22 * w_a]]
+        assert np.abs(control.analytic_state_path(sigma, t_, p_) - want).max() <= 1e-15
+        w_a, w_b, w_c = (w(a_, p_, u_) for w in switch_weights)
+        want = [[s11 * w_a + s22 * w_b, s12 * w_c], [s21 * w_c, s11 * w_b + s22 * w_a]]
+        assert np.abs(control.analytic_state_switch(sigma, t_, p_) - want).max() <= 1e-15
 
 
 def squared_threshold(mode):
