@@ -31,6 +31,10 @@ from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_operator, dagger
 COMPLETENESS_TOL = 1e-12
 CHOI_PSD_TOL = 1e-10
 MAX_ODE_STEP = 1e-2
+# From t ~ 372.6 on, exp(-2t) underflows to exactly 0 and expm1(-2t) rounds
+# to -1, so capping t here changes no value and keeps -2t finite for every
+# float t.
+DECAYED_TIME = 400.0
 # Steps whose RK4 multipliers are computed in one array pass; keeps memory
 # flat at any t_final.
 RK4_BLOCK_STEPS = 1024
@@ -151,7 +155,7 @@ def phi_t_coefficients(t: float) -> PhiCoefficients:
     """
     if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    u = np.exp(-2.0 * t)
+    u = np.exp(-2.0 * min(t, DECAYED_TIME))
     return PhiCoefficients(float(t), (1.0 + u) / 2.0, (1.0 - u) / 2.0, (1.0 + u) / 2.0)
 
 

@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._cache import content_cache
-from .channel import KrausChannel, apply, phi_t_kraus
+from .channel import DECAYED_TIME, KrausChannel, apply, phi_t_kraus
 from .qmat import (
     KET_MINUS,
     KET_PLUS,
@@ -223,17 +222,13 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     return block / prob, prob
 
 
-# distinct time arrays whose decay pair is kept: detection's real and
-# complex-step grids, with room for a few other grids
-DECAY_CACHE_SIZE = 8
-
-
-@content_cache(DECAY_CACHE_SIZE)
 def _decay(t):
-    """u = e^{-2t} and 1 - u = -expm1(-2t): both in [0, 1] for every t >= 0,
-    the second exact at small t.  t may be complex.  Kept for the last
-    DECAY_CACHE_SIZE time arrays by content, so the arrays are read-only."""
-    s = -2.0 * t
+    """u = e^{-2t} and v = 1 - u = -expm1(-2t) for real t: both in [0, 1] for
+    every t >= 0, v exact at small t.  t is capped at DECAYED_TIME, which
+    changes no value and keeps -2t finite up to the largest float.  The
+    Bloch rows are polynomials in (u, v), so a complex step enters through
+    u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu, not through complex t."""
+    s = -2.0 * np.minimum(t, DECAYED_TIME)
     return np.exp(s), -np.expm1(s)
 
 
@@ -249,7 +244,7 @@ def _switch_row(p, u, v):
 # (I + sum_j lambda_j r_j sigma_j) / 2, with lambda_j = n_j / Delta.  Each
 # row gives (Delta, n_x, n_y, n_z) as functions of p, u = e^{-2t} and
 # v = 1 - u = -expm1(-2t), so every entry stays finite and accurate at all
-# t >= 0 and for complex t; the bare channel ignores p.
+# t >= 0; each row is analytic in (u, v); the bare channel ignores p.
 BLOCH_ROWS = {
     "bare": lambda p, u, v: (2.0, 1.0 + u, 1.0 + u, 2.0 * u),
     "path": lambda p, u, v: (4.0 + p * v, 2.0 * (1.0 + u) + p * v, 2.0 * (1.0 + u) - p * v, 4.0 * u - p * v),

@@ -8,13 +8,15 @@ derivative anywhere on t > 0 is the backflow criterion.
 
 Every closed form reads the mode's row of Bloch multipliers in
 ``control.BLOCH_ROWS``, written in u = e^{-2t} in (0, 1] with
-1 - u = -expm1(-2t), so each stays finite and accurate for all t >= 0.
+v = 1 - u = -expm1(-2t), so each stays finite and accurate for all t >= 0.
 Each derivative is a strictly positive prefactor times a bracket, a
 polynomial in u stated once per mode in ``_MODES``, so the sign of dD/dt is
 the sign of the bracket and backflow windows are the stretches between its
 real roots where it is positive.  All formulas are vectorized over numpy
-arrays and analytic in complex t, so ``detect_backflow`` checks every
-derivative against the complex-step derivative Im D(t + ih) / h.
+arrays and analytic in (u, v), so ``detect_backflow`` checks every
+derivative against the complex-step derivative Im D(t + ih) / h, with the
+step entering through u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu:
+exact in double precision at h = 1e-30, where cos 2h = 1 and sin 2h = 2h.
 """
 
 import functools
@@ -25,7 +27,6 @@ from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ._cache import content_cache
 from .control import (
     BLOCH_ROWS,
     CLOSED_FORM_OUTCOME,
@@ -44,9 +45,12 @@ FD_STEP = 1e-4
 COMPLEX_STEP = 1e-30
 FD_CHECK_TOL = 1e-10
 LIPSCHITZ_BOUND = 6.0
-# distinct grids whose checks, Lipschitz allowance and complex-step grid are
-# kept, and distinct (t_min, t_max, points) whose log grid is kept
+# distinct detection grids whose checked work is kept, and distinct
+# (t_min, t_max, points) whose log grid is kept
 GRID_CACHE_SIZE = 8
+# longer detection grids (64 KiB of float64) are checked on every call and
+# never kept
+GRID_CACHE_MAX_POINTS = 8192
 
 ConfigLike = Union[str, ControlConfig]
 
@@ -127,18 +131,20 @@ def _scale(a, p, u):
     does not: s is then the power of two with s / 2 <= max(a, p, |u|) < s,
     elementwise, so one scaled term is at least 1/2 in size.  While
     a >= 2^-500, S is itself normal and s = 1.  Scaling by a power of two is
-    exact, so s sqrt(r) equals sqrt(S) bit for bit wherever S is normal; s
-    is real, so the forms stay analytic in complex t."""
+    exact, so s sqrt(r) equals sqrt(S) bit for bit wherever S is normal.  s
+    is real and reads u only through |u|, which the complex step
+    u (1 - 2ih) leaves unchanged in double precision, so the forms stay
+    analytic in (u, v), the pair through which the complex step enters; no
+    complex t is formed."""
     unscaled = a >= _UNSCALED_A
     if unscaled.all() if isinstance(unscaled, np.ndarray) else unscaled:
         return 1.0
     return np.ldexp(1.0, np.frexp(np.maximum(np.maximum(a, p), np.abs(u)))[1])
 
 
-def _terms(mode: str, a: float, p: float, t):
-    """u = e^{-2t}, the scale s, Delta and r = S / s^2 of a mode's row at t,
-    so sqrt(S) = s sqrt(r)."""
-    u, v = _decay(t)
+def _terms(mode: str, a: float, p: float, u, v):
+    """u, the scale s, Delta and r = S / s^2 of a mode's row at the decay
+    pair (u, v), so sqrt(S) = s sqrt(r)."""
     delta, n_x, _, n_z = BLOCH_ROWS[mode](p, u, v)
     # the bare row has no p terms, so p must not set its scale
     s = _scale(a, 0.0 if mode == "bare" else p, u)
@@ -147,7 +153,7 @@ def _terms(mode: str, a: float, p: float, t):
 
 def _distance(mode: str, a: float, p: float, t, terms=None):
     """D = b s sqrt(r) / Delta, from the mode's terms at t when given."""
-    _, s, delta, r = _terms(mode, a, p, t) if terms is None else terms
+    _, s, delta, r = _terms(mode, a, p, *_decay(t)) if terms is None else terms
     return np.sqrt((1.0 - a * a) * r) * s / delta
 
 
@@ -333,7 +339,7 @@ def derivative_parts(mode: str, a: float, p: float, t, terms=None):
     the bracket is the table's polynomial evaluated at u = e^{-2t}.  ``terms``
     are the mode's closed-form terms at t, evaluated here when not given."""
     if terms is None:
-        terms = _terms(mode, a, p, t)
+        terms = _terms(mode, a, p, *_decay(t))
     return _prefactor(mode, a, p, terms), _bracket_values(_MODES[mode].bracket(a, p), terms[0])
 
 
@@ -510,18 +516,42 @@ class BackflowReport:
     fd_residual: float
 
 
-@content_cache(GRID_CACHE_SIZE)
-def _checked_grid(times):
-    """The Lipschitz allowance of each step of a valid detection grid and
-    the complex-step grid times + ih; kept by grid content."""
+def _grid_work(times):
+    """The checked work of a detection grid, a 1-d float64 array: the
+    Lipschitz allowance of each step, the decay pair u, v and the
+    complex-step pair u - 2ihu, v + 2ihu, all read-only.  Kept by the grid's
+    bytes for grids of up to GRID_CACHE_MAX_POINTS points."""
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("times must be a 1-d grid with at least two points")
-    if times[0] <= 0.0:
+    if len(times) > GRID_CACHE_MAX_POINTS:
+        return _checked_grid_work(times)
+    return _kept_grid_work(times.tobytes())
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _kept_grid_work(key: bytes):
+    return _checked_grid_work(np.frombuffer(key))
+
+
+def _checked_grid_work(times):
+    if not times[0] > 0.0:
         raise ValueError("time grid must start at t > 0")
     steps = np.diff(times)
-    if (steps <= 0.0).any():
+    if not steps.min() > 0.0:
         raise ValueError("time grid must be strictly increasing")
-    return LIPSCHITZ_BOUND * steps + 1e-12, times + 1j * COMPLEX_STEP
+    # NaN fails both comparisons above, and an increasing grid with a finite
+    # last point holds no inf
+    if not math.isfinite(times[-1]):
+        raise ValueError("time grid must be finite")
+    # the distance is checked to lie in [0, 1] first, so no step of length
+    # 1 or more can exceed the allowance; the cap keeps it finite
+    allowance = LIPSCHITZ_BOUND * np.minimum(steps, 1.0) + 1e-12
+    u, v = _decay(times)
+    step = (2j * COMPLEX_STEP) * u
+    work = allowance, u, v, u - step, v + step
+    for array in work:
+        array.flags.writeable = False
+    return work
 
 
 def detect_backflow(
@@ -538,10 +568,10 @@ def detect_backflow(
     Im D(t + ih) / h of the same closed form (h = 1e-30, tolerance 1e-10).
     The intervals are where the derivative's bracket is positive in
     [times[0], times[-1]], from its real roots rather than from the samples;
-    ``eps`` only sets the ``marginal`` band.  The grid must be strictly
-    increasing and start at t > 0.  Raises ValueError for invalid input and
-    RuntimeError when a series is not finite, leaves [0, 1], jumps, or
-    fails the complex-step check.
+    ``eps`` only sets the ``marginal`` band.  The grid must be finite,
+    strictly increasing and start at t > 0.  Raises ValueError for invalid
+    input and RuntimeError when a series is not finite, leaves [0, 1],
+    jumps, or fails the complex-step check.
     """
     _check_a_open(a)
     if times is None:
@@ -550,10 +580,10 @@ def detect_backflow(
     # caller's grid cannot change it
     times = np.array(times, dtype=float)
     times.flags.writeable = False
-    allowance, shifted = _checked_grid(times)
+    allowance, u, v, u_shifted, v_shifted = _grid_work(times)
 
     mode, p, label = _mode_and_p(config)
-    terms = _terms(mode, a, p, times)
+    terms = _terms(mode, a, p, u, v)
     dist = _distance(mode, a, p, times, terms)
     deriv = _checked_derivative(mode, a, p, times, terms)
 
@@ -568,7 +598,7 @@ def detect_backflow(
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to
     # rounding at any h, including across the kinks of D at small a
-    slope = _distance(mode, a, p, shifted).imag / COMPLEX_STEP
+    slope = _distance(mode, a, p, None, _terms(mode, a, p, u_shifted, v_shifted)).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
         raise RuntimeError(

@@ -335,6 +335,12 @@ class TestExitCodes:
             # a non-finite time bound is refused before it reaches np.linspace
             (["distance", "--mode", "path", "--a", "0.5", "--t-max", "inf", "--points", "5"], 2),
             (["evolve", "--mode", "path", "--t-max", "inf"], 2),
+            # -2t and the grid's steps stay finite up to the largest float
+            (["distance", "--mode", "bare", "--a", "0.5", "--t", "1e308"], 0),
+            (["distance", "--mode", "path", "--a", "0.5", "--t", "1e308"], 0),
+            (["evolve", "--mode", "bare", "--t", "1e308"], 0),
+            (["evolve", "--mode", "switch", "--t", "1e308"], 0),
+            (["detect", "--mode", "path", "--a", "0.3", "--t-max", "1e308", "--points", "5"], 1),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
@@ -344,6 +350,8 @@ class TestExitCodes:
             "detect-path-tiny-a", "detect-switch-tiny-a", "distance-bare-p", "detect-bare-p-nan",
             "evolve-bare-p", "evolve-bare-p-negative", "evolve-path-p-nan", "distance-switch-p",
             "detect-switch-p-negative", "distance-t-max-inf", "evolve-t-max-inf",
+            "distance-bare-t-1e308", "distance-path-t-1e308", "evolve-bare-t-1e308",
+            "evolve-switch-t-1e308", "detect-path-t-max-1e308",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -282,6 +282,17 @@ class TestDetectBackflow:
         with pytest.raises(ValueError, match="increasing"):
             detect_backflow("bare", 0.5, times=np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize(
+        "times",
+        [[np.nan, 0.1, 1.0], [0.1, np.nan, 1.0], [0.1, 1.0, np.nan], [0.1, 1.0, np.inf]],
+        ids=["nan-first", "nan-middle", "nan-last", "inf-last"],
+    )
+    def test_rejects_non_finite_grid(self, times):
+        # invalid input, not a failed check of the series
+        for config in ("bare", path_config(0.5), switch_config(0.5)):
+            with pytest.raises(ValueError, match="time grid"):
+                detect_backflow(config, 0.3, times)
+
     def test_rejects_minus_outcome(self):
         with pytest.raises(ValueError, match="plus outcome"):
             detect_backflow(path_config(1.0, outcome="minus"), 0.5)
