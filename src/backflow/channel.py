@@ -20,7 +20,6 @@ which is what makes this family interesting.  A fixed-step RK4 integrator of
 that equation serves as an independent oracle for the Kraus form.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -83,22 +82,14 @@ class CptpReport:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _identity(d: int) -> np.ndarray:
-    """The d x d identity, read-only, since every caller of a dimension shares it."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
 def completeness_residual(channel: KrausChannel) -> float:
     """Max-entry deviation of sum_i K_i^dag K_i from the identity.
 
     The operators stacked as one (k*d, d) column block W give the sum as the
-    single product W^dag W.
+    single product W^dag W, from which a fresh identity is subtracted.
     """
     w = channel.ops.reshape(-1, channel.dim)
-    return float(np.abs(w.conj().T @ w - _identity(channel.dim)).max())
+    return float(np.abs(w.conj().T @ w - np.eye(channel.dim)).max())
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -301,6 +292,9 @@ def integrate_canonical(
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     if np.any(np.diff(checkpoints) < 0):
         raise ValueError(f"checkpoints must be non-decreasing, got {t_final}")
+    # no span exceeds the last checkpoint
+    if not np.isfinite(float(checkpoints[-1]) / dt):
+        raise ValueError(f"t_final / dt must give a finite step count, got {t_final} / {dt}")
     rho = np.array(rho0, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError("integrate_canonical expects qubit states")

@@ -19,7 +19,6 @@ default amplitudes, the plus-outcome output admits closed forms, implemented
 here alongside the direct supermap route so that each can check the other.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -78,15 +77,9 @@ class ControlState:
             raise ValueError(f"control purity parameter p must be in [0, 1], got {self.p}")
 
     def density(self) -> np.ndarray:
-        """omega as a 2x2 array, built on the first call and read-only, since
-        every later call returns the same array."""
-        return self._density
-
-    @functools.cached_property
-    def _density(self) -> np.ndarray:
-        omega = 0.5 * np.array([[1.0, self.p], [self.p, 1.0]], dtype=complex)
-        omega.flags.writeable = False
-        return omega
+        """omega as a new 2x2 complex array on each call."""
+        half_p = self.p / 2
+        return np.array([[0.5, half_p], [half_p, 0.5]], dtype=complex)
 
 
 @dataclass(frozen=True)

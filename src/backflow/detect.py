@@ -45,12 +45,6 @@ FD_STEP = 1e-4
 COMPLEX_STEP = 1e-30
 FD_CHECK_TOL = 1e-10
 LIPSCHITZ_BOUND = 6.0
-# distinct detection grids whose checked work is kept, and distinct
-# (t_min, t_max, points) whose log grid is kept
-GRID_CACHE_SIZE = 8
-# longer detection grids (64 KiB of float64) are checked on every call and
-# never kept
-GRID_CACHE_MAX_POINTS = 8192
 
 ConfigLike = Union[str, ControlConfig]
 
@@ -69,11 +63,11 @@ def log_time_grid(
 ) -> np.ndarray:
     """Logarithmically spaced time grid; backflow windows open late, so log
     spacing keeps both the early dip and the late window resolved.  Kept
-    for the last GRID_CACHE_SIZE argument triples, so the grid is read-only."""
+    for the last argument triple, so the grid is read-only."""
     return _log_grid(float(t_min), float(t_max), operator.index(points))
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     _check_time_range(t_min, t_max)
     if points < 2:
@@ -517,23 +511,19 @@ class BackflowReport:
 
 
 def _grid_work(times):
-    """The checked work of a detection grid, a 1-d float64 array: the
-    Lipschitz allowance of each step, the decay pair u, v and the
-    complex-step pair u - 2ihu, v + 2ihu, all read-only.  Kept by the grid's
-    bytes for grids of up to GRID_CACHE_MAX_POINTS points."""
+    """The checked work of a detection grid, a 1-d float64 array: the grid
+    itself, the Lipschitz allowance of each step, the decay pair u, v and
+    the complex-step pair u - 2ihu, v + 2ihu, all read-only.  Kept for the
+    last grid, by its bytes, at any length; the grid returned is rebuilt
+    from those bytes, so it cannot be made writeable."""
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("times must be a 1-d grid with at least two points")
-    if len(times) > GRID_CACHE_MAX_POINTS:
-        return _checked_grid_work(times)
     return _kept_grid_work(times.tobytes())
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def _kept_grid_work(key: bytes):
-    return _checked_grid_work(np.frombuffer(key))
-
-
-def _checked_grid_work(times):
+    times = np.frombuffer(key)
     if not times[0] > 0.0:
         raise ValueError("time grid must start at t > 0")
     steps = np.diff(times)
@@ -551,7 +541,7 @@ def _checked_grid_work(times):
     work = allowance, u, v, u - step, v + step
     for array in work:
         array.flags.writeable = False
-    return work
+    return (times, *work)
 
 
 def detect_backflow(
@@ -576,11 +566,9 @@ def detect_backflow(
     _check_a_open(a)
     if times is None:
         times = log_time_grid()
-    # the report keeps its own read-only copy, so a later edit of the
+    # the report keeps the memo's read-only grid, so a later edit of the
     # caller's grid cannot change it
-    times = np.array(times, dtype=float)
-    times.flags.writeable = False
-    allowance, u, v, u_shifted, v_shifted = _grid_work(times)
+    times, allowance, u, v, u_shifted, v_shifted = _grid_work(np.asarray(times, dtype=float))
 
     mode, p, label = _mode_and_p(config)
     terms = _terms(mode, a, p, u, v)

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 import backflow.control as control
 import backflow.detect as detect
 from backflow.control import (
-    ControlState,
     _decay,
     build_supermap,
     path_config,
@@ -17,8 +16,6 @@ from backflow.control import (
 )
 from backflow.detect import (
     COMPLEX_STEP,
-    GRID_CACHE_MAX_POINTS,
-    GRID_CACHE_SIZE,
     detect_backflow,
     log_time_grid,
 )
@@ -88,23 +85,41 @@ class TestReuse:
 
     def test_caches_stay_within_their_sizes(self):
         for i in range(50):
-            detect_backflow(switch_config(0.5), 0.3, log_time_grid(t_max=5.0 + i, points=50 + i))
-        assert detect._kept_grid_work.cache_info().currsize == GRID_CACHE_SIZE
-        assert detect._log_grid.cache_info().currsize == GRID_CACHE_SIZE
+            last = log_time_grid(t_max=5.0 + i, points=50 + i)
+            detect_backflow(switch_config(0.5), 0.3, last)
+        memos = (detect._kept_grid_work, detect._log_grid)
+        # each memo keeps its last input only, and serves it again
+        assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+        hits = [memo.cache_info().hits for memo in memos]
+        assert log_time_grid(t_max=54.0, points=99) is last
+        detect_backflow(switch_config(0.5), 0.3, np.array(last))
+        assert [memo.cache_info().hits for memo in memos] == [hits[0] + 1, hits[1] + 1]
 
-    def test_scalar_and_large_inputs_are_not_stored(self):
+    def test_scalar_refused_and_large_grid_kept(self):
         _clear_caches()
         with pytest.raises(ValueError, match="1-d grid"):
             detect_backflow("bare", 0.5, 2.0)
-        big = np.linspace(0.01, 12.0, GRID_CACHE_MAX_POINTS + 1)
+        # a grid of any length is kept, and served again by content
+        big = np.linspace(0.01, 12.0, 8193)
         detect_backflow("bare", 0.5, big)
-        assert detect._kept_grid_work.cache_info().currsize == 0
-        # a grid at the bound is kept, and served again by content
-        edge = big[:GRID_CACHE_MAX_POINTS]
-        detect_backflow("bare", 0.5, edge)
-        detect_backflow("bare", 0.5, np.array(edge))
+        detect_backflow("bare", 0.5, np.array(big))
         info = detect._kept_grid_work.cache_info()
-        assert (info.currsize, info.hits) == (1, 1)
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+        # the next distinct grid replaces it
+        detect_backflow("bare", 0.5, big[:-1])
+        detect_backflow("bare", 0.5, big)
+        info = detect._kept_grid_work.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 3)
+
+    @pytest.mark.parametrize("config", ["bare", path_config(0.6), switch_config(0.6)])
+    def test_default_grid_after_an_over_range_grid_is_recomputed_exactly(self, config):
+        # the probe pattern: a query on a longer grid between two default ones
+        _clear_caches()
+        first = detect_backflow(config, 0.3)
+        detect_backflow(config, 0.3, log_time_grid(t_max=400.0))
+        _assert_reports_equal(detect_backflow(config, 0.3), first)
+        info = detect._kept_grid_work.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
 
     def test_kept_grid_work_is_read_only(self):
         grid = np.array(log_time_grid(t_max=20.0, points=97))
@@ -114,6 +129,11 @@ class TestReuse:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        # the report's grid is the memo's, over immutable bytes
+        report = detect_backflow("bare", 0.3, grid)
+        assert report.times is work[0]
+        with pytest.raises(ValueError):
+            report.times.flags.writeable = True
 
     @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
     @settings(max_examples=60, deadline=None)
@@ -126,7 +146,7 @@ class TestReuse:
         # u (1 - 2ih) and v + 2ihu are e^{-2(t + ih)} and -expm1(-2(t + ih))
         # to double precision at h = 1e-30, so both slopes Im D(t + ih) / h agree
         grid = np.sort(np.array(t))
-        shifted = detect._grid_work(grid)[3:]
+        shifted = detect._grid_work(grid)[4:]
         z = -2.0 * (grid + 1j * COMPLEX_STEP)
         slopes = [
             detect._distance(mode, a, p, None, detect._terms(mode, a, p, *pair)).imag / COMPLEX_STEP
@@ -162,12 +182,3 @@ class TestReuse:
             log_time_grid(1e-2, 12.0, 50.0)
         with pytest.raises(ValueError):
             log_time_grid(np.array(np.nan), 12.0)
-
-    def test_control_density_built_once_and_read_only(self):
-        state = ControlState(0.25)
-        omega = state.density()
-        assert state.density() is omega
-        assert not omega.flags.writeable
-        assert np.array_equal(omega, 0.5 * np.array([[1.0, 0.25], [0.25, 1.0]]))
-        # equality and hashing still follow the field alone
-        assert state == ControlState(0.25) and hash(state) == hash(ControlState(0.25))

@@ -367,6 +367,7 @@ class TestIntegrator:
             ([-0.5, 1.0], "non-negative"),
             ([1.0, 0.5], "non-decreasing"),
             ([], "non-empty"),
+            (1e308, "finite step count"),
         ],
     )
     def test_rejects_bad_checkpoints(self, rng, t_final, match):

@@ -7,7 +7,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import backflow.cli as cli
 import backflow.detect as detect
+from backflow.channel import KrausChannel, phi_t_kraus
 from backflow.cli import main
 
 
@@ -261,17 +263,29 @@ class TestValidate:
         for suite in ("cptp", "ode", "closed-form", "derivatives"):
             assert f"{suite}: PASS" in result.output
 
-    def test_injected_defect_fails(self, runner):
-        result = runner.invoke(main, ["validate", "--suite", "cptp", "--inject-defect"])
+    def test_injected_defect_fails(self, runner, monkeypatch):
+        # the lossy channel at t = 1 with its identity operator perturbed
+        def perturbed(t):
+            channel = phi_t_kraus(t)
+            if t != 1.0:
+                return channel
+            ops = channel.ops.copy()
+            ops[2] += 0.05 * np.eye(2)
+            return KrausChannel(ops, label="injected-defect")
+
+        monkeypatch.setattr(cli, "phi_t_kraus", perturbed)
+        result = runner.invoke(main, ["validate", "--suite", "cptp"])
         assert result.exit_code == 4
         assert "cptp: FAIL" in result.output
 
     def test_ode_suite_single_time(self, runner):
-        result = runner.invoke(main, ["validate", "--suite", "ode", "--t", "5"])
-        assert result.exit_code == 0
-        assert "ode: PASS" in result.output
-        residual = float(result.output.split("trace distance")[1].split(")")[0])
-        assert residual < 1e-6
+        # 400 is the largest time accepted
+        for t in ("5", "400"):
+            result = runner.invoke(main, ["validate", "--suite", "ode", "--t", t])
+            assert result.exit_code == 0
+            assert "ode: PASS" in result.output
+            residual = float(result.output.split("trace distance")[1].split(")")[0])
+            assert residual < 1e-6
 
     def test_ode_checkpoints_sorted_and_deduplicated(self, runner):
         repeated = invoke(runner, "validate", "--suite", "ode", "--t", "5", "--t", "0.5", "--t", "5")
@@ -280,7 +294,8 @@ class TestValidate:
         assert repeated.output.splitlines()[0].startswith("ode: PASS")
         assert repeated.output.splitlines()[0] == distinct.output.splitlines()[0]
 
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    # past t = 400 the channel no longer changes; 1e6 would take 10^9 RK4 steps
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e308", "1e6", "400.5"])
     def test_bad_ode_time_is_usage_error(self, runner, value):
         result = runner.invoke(main, ["validate", "--suite", "ode", "--t", value])
         assert result.exit_code == 2

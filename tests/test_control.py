@@ -42,6 +42,10 @@ class TestControlState:
     def test_density_interpolates(self):
         assert np.allclose(ControlState(1.0).density(), 0.5 * np.ones((2, 2)))
         assert np.allclose(ControlState(0.0).density(), I2 / 2)
+        state = ControlState(0.25)
+        assert np.array_equal(state.density(), 0.5 * np.array([[1.0, 0.25], [0.25, 1.0]]))
+        # equality and hashing follow the field alone
+        assert state == ControlState(0.25) and hash(state) == hash(ControlState(0.25))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
