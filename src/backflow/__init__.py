@@ -54,8 +54,6 @@ from .detect import (
     detect_backflow,
     empirical_threshold,
     log_time_grid,
-    max_coherent_dDdt_path,
-    max_coherent_dDdt_switch,
     path_distance,
     probe_pair,
     scan_region,

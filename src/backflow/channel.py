@@ -34,6 +34,9 @@ MAX_ODE_STEP = 1e-2
 # to -1, so capping t here changes no value and keeps -2t finite for every
 # float t.
 DECAYED_TIME = 400.0
+# The RK4 oracle's step budget: DECAYED_TIME at dt = 1e-3, past which the
+# channel no longer changes.
+MAX_RK4_STEPS = 400_000
 # Steps whose RK4 multipliers are computed in one array pass; keeps memory
 # flat at any t_final.
 RK4_BLOCK_STEPS = 1024
@@ -295,6 +298,12 @@ def integrate_canonical(
     # no span exceeds the last checkpoint
     if not np.isfinite(float(checkpoints[-1]) / dt):
         raise ValueError(f"t_final / dt must give a finite step count, got {t_final} / {dt}")
+    spans = np.diff(checkpoints, prepend=0.0)
+    # each span's step count is rounded so that its checkpoint is hit exactly
+    step_counts = np.where(spans > 0.0, np.maximum(1.0, np.round(spans / dt)), 0.0)
+    # summed as floats: a count past 2^63 would wrap as an integer
+    if step_counts.sum() > MAX_RK4_STEPS:
+        raise ValueError(f"t_final / dt asks for more than {MAX_RK4_STEPS} RK4 steps, got {t_final} / {dt}")
     rho = np.array(rho0, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError("integrate_canonical expects qubit states")
@@ -303,10 +312,8 @@ def integrate_canonical(
     product = np.ones(3)  # running RK4 multipliers of (x, y, z)
     states = []
     t_start = 0.0
-    for t_stop in checkpoints:
-        span = t_stop - t_start
-        if span > 0.0:
-            n_steps = max(1, int(round(span / dt)))
+    for t_stop, span, n_steps in zip(checkpoints, spans, step_counts.astype(int)):
+        if n_steps:
             h = span / n_steps
             for first in range(0, n_steps, RK4_BLOCK_STEPS):
                 steps = np.arange(first, min(first + RK4_BLOCK_STEPS, n_steps))

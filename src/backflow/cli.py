@@ -35,8 +35,6 @@ from .detect import (
     central_difference,
     detect_backflow,
     log_time_grid,
-    max_coherent_dDdt_path,
-    max_coherent_dDdt_switch,
     probe_distance,
     probe_pair,
     scan_region,
@@ -401,17 +399,12 @@ def _suite_closed_form(seed: int = 7):
 def _suite_derivatives():
     ts = np.linspace(0.1, 5.0, 25)
     configs = ["bare"] + [_config_for(mode, p) for p in (0.25, 0.5, 0.75, 1.0) for mode in SUPERMAPS]
-    reductions = ((_config_for("path", 1.0), max_coherent_dDdt_path), (_config_for("switch", 1.0), max_coherent_dDdt_switch))
-    worst_fd = worst_red = 0.0
+    worst_fd = 0.0
     for a in (0.2, 0.5, 0.65, 0.9):
         for config in configs:
             fd = central_difference(lambda s: probe_distance(config, a, s), ts)
             worst_fd = max(worst_fd, float(np.abs(fd - analytic_derivative(config, a, ts)).max()))
-        for config, reduced in reductions:
-            general = analytic_derivative(config, a, ts)
-            worst_red = max(worst_red, float((np.abs(general - reduced(a, ts)) / np.abs(general)).max()))
-    ok = worst_fd <= 1e-6 and worst_red <= 1e-10
-    return ok, f"worst FD residual {worst_fd:.3e}, worst p=1 reduction residual {worst_red:.3e}"
+    return worst_fd <= 1e-6, f"worst FD residual {worst_fd:.3e}"
 
 
 @main.command()

@@ -9,27 +9,32 @@ derivative anywhere on t > 0 is the backflow criterion.
 Every closed form reads the mode's row of Bloch multipliers in
 ``control.BLOCH_ROWS``, written in u = e^{-2t} in (0, 1] with
 v = 1 - u = -expm1(-2t), so each stays finite and accurate for all t >= 0.
-Each derivative is a strictly positive prefactor times a bracket, a
-polynomial in u stated once per mode in ``_MODES``, so the sign of dD/dt is
-the sign of the bracket and backflow windows are the stretches between its
-real roots where it is positive.  All formulas are vectorized over numpy
-arrays and analytic in (u, v), so ``detect_backflow`` checks every
-derivative against the complex-step derivative Im D(t + ih) / h, with the
-step entering through u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu:
-exact in double precision at h = 1e-30, where cos 2h = 1 and sin 2h = 2h.
+The row is each mode's only formula.  Each derivative is a strictly
+positive prefactor times a bracket, a polynomial in u whose coefficients
+are derived from the row once, at import, so the sign of dD/dt is the sign
+of the bracket and backflow windows are the stretches between its real
+roots where it is positive; the late-time thresholds come from the same
+coefficients.  All formulas are vectorized over numpy arrays and analytic
+in (u, v), so ``detect_backflow`` checks every derivative against the
+complex-step derivative Im D(t + ih) / h, with the step entering through
+u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu: exact in double precision
+at h = 1e-30, where cos 2h = 1 and sin 2h = 2h.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .control import (
     BLOCH_ROWS,
     CLOSED_FORM_OUTCOME,
+    SUPERMAPS,
     ControlConfig,
     _decay,
     default_amplitudes,
@@ -108,7 +113,8 @@ def _check_p(p: float) -> None:
 # closed forms from the Bloch rows of ``control``: with b = sqrt(1 - a^2) the
 # probes' Bloch difference is 2b (a, 0, -b), so D = b sqrt(S) / Delta for
 # S = a^2 n_x^2 + b^2 n_z^2, and dD/dt = prefactor * bracket with the
-# positive prefactor c b u / (Delta^2 sqrt(S))
+# positive prefactor b u / (Delta^2 sqrt(S)) and the bracket 2 S Delta' - S' Delta,
+# primes in u
 # ---------------------------------------------------------------------------
 
 # While a >= 2^-500 the a^2 term keeps every radicand S a normal number
@@ -151,10 +157,10 @@ def _distance(mode: str, a: float, p: float, t, terms=None):
     return np.sqrt((1.0 - a * a) * r) * s / delta
 
 
-def _prefactor(mode: str, a: float, p: float, terms):
-    """Positive prefactor c b u / (Delta^2 s sqrt(r)) of a mode's dD/dt."""
+def _prefactor(a: float, terms):
+    """Positive prefactor b u / (Delta^2 s sqrt(r)) of a mode's dD/dt."""
     u, s, delta, r = terms
-    return _MODES[mode].c(p) * np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
+    return np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
 
 
 def _checked_distance(mode: str, a: float, p: float, t):
@@ -168,12 +174,6 @@ def bare_distance(a: float, t):
     return _checked_distance("bare", a, 1.0, t)
 
 
-def bare_bracket(a: float):
-    """Bare bracket coefficients in ascending powers of u = e^{-2t}: -a^2 + (3a^2 - 4) u.
-    With primes in u, 2 S Delta' - S' Delta = 4 bracket."""
-    return -a * a, 3.0 * a * a - 4.0
-
-
 def bare_dDdt(a: float, t):
     """Time derivative of the bare-channel probe distance; negative for every
     a in (0, 1) and t > 0, so the bare dynamics never show backflow."""
@@ -183,18 +183,6 @@ def bare_dDdt(a: float, t):
 def path_distance(a: float, p: float, t):
     """Probe distance under the path configuration, b sqrt(S) / Delta."""
     return _checked_distance("path", a, p, t)
-
-
-def path_bracket(a: float, p: float):
-    """Path bracket coefficients in ascending powers of u = e^{-2t}.
-
-    bracket = (p+2)(p - a^2(p+1)) + (a^2 (p+1)(p+6) - (p+2)(p+4)) u
-
-    With primes in u, 2 S Delta' - S' Delta = 16 bracket.  The u^0
-    coefficient sets the large-time sign, hence the backflow condition
-    a^2 < p / (1+p).
-    """
-    return (p + 2.0) * (p - a * a * (p + 1.0)), a * a * (p + 1.0) * (p + 6.0) - (p + 2.0) * (p + 4.0)
 
 
 def analytic_dDdt_path(a: float, p: float, t):
@@ -207,147 +195,93 @@ def switch_distance(a: float, p: float, t):
     return _checked_distance("switch", a, p, t)
 
 
-def switch_bracket(a: float, p: float):
-    """Switch bracket coefficients A1 ... A5, ascending in u = e^{-2t}:
-    bracket = A1 + A2 u + A3 u^2 + A4 u^3 + A5 u^4.
-
-        A1 = 2p^2 - a^2 (3p+2)
-        A2 = -2 (a^2 (p+1)(4p+3) - 4p)
-        A3 = 6 (a^2 (2p^2+2p-1) - 2p(p+2))
-        A4 = 2 a^2 (4p^2+15p+15) - 8 (p(2p+5)+4)
-        A5 = p (a^2 (4p+7) - 6p - 8)
-
-    With primes in u, 2 S Delta' - S' Delta = 8 (p+1) bracket.  A1 sets
-    the large-time sign, hence the backflow condition a^2 < 2p^2 / (3p+2).
-    """
-    a1 = 2.0 * p * p - a * a * (3.0 * p + 2.0)
-    a2 = -2.0 * (a * a * (p + 1.0) * (4.0 * p + 3.0) - 4.0 * p)
-    a3 = 6.0 * (a * a * (2.0 * p * p + 2.0 * p - 1.0) - 2.0 * p * (p + 2.0))
-    a4 = 2.0 * a * a * (4.0 * p * p + 15.0 * p + 15.0) - 8.0 * (p * (2.0 * p + 5.0) + 4.0)
-    a5 = p * (a * a * (4.0 * p + 7.0) - 6.0 * p - 8.0)
-    return a1, a2, a3, a4, a5
-
-
 def analytic_dDdt_switch(a: float, p: float, t):
     """Closed-form dD/dt for the switch configuration."""
     return _checked_derivative("switch", a, p, t)
 
 
-def max_coherent_derivative_parts_path(a: float, t):
-    """p = 1 path derivative in its reduced form.
-
-    prefactor = 16 sqrt(1-a^2) x / ((5x-1)^2 sqrt(8a^2(x^2+2x-3) + (x-5)^2))
-    bracket   = 14a^2 - 15 - 3(2a^2 - 1) x
-
-    Identical to the general-p parts at p = 1.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.exp(2.0 * t)
-    q = 8.0 * a * a * (x * x + 2.0 * x - 3.0) + (x - 5.0) ** 2
-    prefactor = 16.0 * np.sqrt(1.0 - a * a) * x / ((5.0 * x - 1.0) ** 2 * np.sqrt(q))
-    bracket = 14.0 * a * a - 15.0 - 3.0 * (2.0 * a * a - 1.0) * x
-    return prefactor, bracket
-
-
-def max_coherent_dDdt_path(a: float, t):
-    """dD/dt for the path configuration with a pure control (p = 1)."""
-    _check_a_open(a)
-    prefactor, bracket = max_coherent_derivative_parts_path(a, t)
-    return prefactor * bracket
-
-
-def max_coherent_derivative_parts_switch(a: float, t):
-    """p = 1 switch derivative in hyperbolic form.
-
-    prefactor = 32 sqrt(2) sqrt(1-a^2) e^{4t} (cosh 2t + 3)
-                / ((2e^{2t} + 7e^{4t} - 1)^2 sqrt(U))
-    U = 16a^2 - 5 + 12 cosh 2t - 16(1-a^2) sinh 2t
-        - (16a^2 - 25) cosh 4t - 24(1-a^2) sinh 4t
-    bracket   = 8(1-a^2) sinh 2t - (2-a^2)(3 cosh 2t + 1)
-
-    The bracket's quadratic in e^{2t} divides the general-p quartic at p = 1
-    exactly (quotient e^{4t} + 6 e^{2t} + 1 > 0), so both forms carry the
-    same sign everywhere and the same product value.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.exp(2.0 * t)
-    b2 = 1.0 - a * a
-    ch2, sh2 = np.cosh(2.0 * t), np.sinh(2.0 * t)
-    ch4, sh4 = np.cosh(4.0 * t), np.sinh(4.0 * t)
-    u = (
-        16.0 * a * a
-        - 5.0
-        + 12.0 * ch2
-        - 16.0 * b2 * sh2
-        - (16.0 * a * a - 25.0) * ch4
-        - 24.0 * b2 * sh4
-    )
-    prefactor = (
-        32.0
-        * np.sqrt(2.0)
-        * np.sqrt(b2)
-        * x
-        * x
-        * (ch2 + 3.0)
-        / ((2.0 * x + 7.0 * x * x - 1.0) ** 2 * np.sqrt(u))
-    )
-    bracket = 8.0 * b2 * sh2 - (2.0 - a * a) * (3.0 * ch2 + 1.0)
-    return prefactor, bracket
-
-
-def max_coherent_dDdt_switch(a: float, t):
-    """dD/dt for the switch configuration with a pure control (p = 1)."""
-    _check_a_open(a)
-    prefactor, bracket = max_coherent_derivative_parts_switch(a, t)
-    return prefactor * bracket
-
-
 # ---------------------------------------------------------------------------
-# dispatch helpers
+# the bracket, derived from each mode's row: with primes in u,
+# 2 S Delta' - S' Delta = a^2 B_x + b^2 B_z for B_j = 2 n_j (n_j Delta' - n_j' Delta)
 # ---------------------------------------------------------------------------
 
-class _Mode(NamedTuple):
-    c: Callable
-    bracket: Callable
-    threshold: Optional[Callable] = None
+# A polynomial in (p, u) is held as one in z, with p^i u^j -> z^(i + 8j): exact
+# while no product reaches degree 8 in p, so for rows of degree at most 2 in p.
+_P_SPAN = 8
 
 
-# Each configuration's derivative stated once, beside its Bloch row in
-# ``control.BLOCH_ROWS``: the constant c of p with 2 S Delta' - S' Delta =
-# c bracket (primes in u), the bracket coefficients ascending in u of
-# (a, p), and the late-time threshold of p (none for the bare channel).  The
-# bracket entries look the coefficients up as module globals at call time,
-# so a wrapper installed on this module sees every call.
-_MODES = {
-    "bare": _Mode(lambda p: 4.0, lambda a, p: bare_bracket(a)),
-    "path": _Mode(lambda p: 16.0, lambda a, p: path_bracket(a, p), lambda p: np.sqrt(p / (1.0 + p))),
-    "switch": _Mode(lambda p: 8.0 * (p + 1.0), lambda a, p: switch_bracket(a, p),
-                    lambda p: np.sqrt(2.0 * p * p / (3.0 * p + 2.0))),
-}
-MODES = tuple(_MODES)
-CONTROLLED_MODES = tuple(m for m in MODES if _MODES[m].threshold is not None)
+def _by_u(poly: Polynomial) -> np.ndarray:
+    """A (p, u) polynomial's coefficients, one row per power of u, ascending in p."""
+    coef = poly.coef
+    return np.pad(coef, (0, -len(coef) % _P_SPAN)).reshape(-1, _P_SPAN)
 
 
-def derivative_parts(mode: str, a: float, p: float, t, terms=None):
+def _d_du(poly: Polynomial) -> Polynomial:
+    rows = _by_u(poly)
+    return Polynomial((rows[1:] * np.arange(1, len(rows))[:, None]).ravel() if len(rows) > 1 else [0.0])
+
+
+def _in_p(coeffs) -> tuple:
+    """Coefficients ascending in p as floats, without trailing zeros."""
+    return tuple(float(c) for c in np.trim_zeros(coeffs, "b")) or (0.0,)
+
+
+def _bracket_table(row):
+    """The (B_x, B_z) pairs of a Bloch row, one per power of u, ascending;
+    each B_j as its coefficients ascending in p.  The rows have small
+    integer coefficients, so every entry is an exact integer."""
+    p, u = Polynomial([0.0, 1.0]), Polynomial([0.0] * _P_SPAN + [1.0])
+    # an entry free of p and u, such as the bare Delta, becomes a polynomial too
+    delta, n_x, _, n_z = (Polynomial([0.0]) + entry for entry in row(p, u, 1.0 - u))
+    d_delta = _d_du(delta)
+    b_x, b_z = (_by_u((2.0 * n * (n * d_delta - _d_du(n) * delta)).trim()) for n in (n_x, n_z))
+    return tuple((_in_p(x), _in_p(z)) for x, z in itertools.zip_longest(b_x, b_z, fillvalue=()))
+
+
+_BRACKET_TABLES = {mode: _bracket_table(row) for mode, row in BLOCH_ROWS.items()}
+MODES = tuple(BLOCH_ROWS)
+CONTROLLED_MODES = tuple(SUPERMAPS)
+
+
+def _horner(coeffs, x):
+    """A polynomial at x by Horner's rule, coefficients ascending."""
+    value = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        value = value * x + c
+    return value
+
+
+def _bracket_coeffs(mode: str, a, p):
+    """A mode's bracket coefficients at (a, p), ascending in u: a^2 B_x + b^2 B_z,
+    each table evaluated at p.  a and p may be broadcasting arrays."""
+    a2 = a * a
+    b2 = 1.0 - a2
+    return tuple(a2 * _horner(x, p) + b2 * _horner(z, p) for x, z in _BRACKET_TABLES[mode])
+
+
+def derivative_parts(mode: str, a: float, p: float, t, terms=None, coeffs=None):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
-    the bracket is the table's polynomial evaluated at u = e^{-2t}.  ``terms``
-    are the mode's closed-form terms at t, evaluated here when not given."""
+    the bracket is its polynomial evaluated at u = e^{-2t}.  ``terms`` are
+    the mode's closed-form terms at t and ``coeffs`` its bracket at (a, p),
+    each computed here when not given."""
     if terms is None:
         terms = _terms(mode, a, p, *_decay(t))
-    return _prefactor(mode, a, p, terms), _bracket_values(_MODES[mode].bracket(a, p), terms[0])
+    if coeffs is None:
+        coeffs = _bracket_coeffs(mode, a, p)
+    return _prefactor(a, terms), _horner(coeffs, terms[0])
 
 
-def _checked_derivative(mode: str, a: float, p: float, t, terms=None):
+def _checked_derivative(mode: str, a: float, p: float, t):
     _check_a_open(a)
     _check_p(p)
-    prefactor, bracket = derivative_parts(mode, a, p, t, terms)
+    prefactor, bracket = derivative_parts(mode, a, p, t)
     return prefactor * bracket
 
 
-def _controlled(mode: str) -> _Mode:
+def _controlled(mode: str) -> str:
     if mode not in CONTROLLED_MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, CONTROLLED_MODES))}, got {mode!r}")
-    return _MODES[mode]
+    return mode
 
 
 def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
@@ -389,14 +323,6 @@ def _u_range(t_lo: float, t_hi: float) -> Tuple[float, float]:
     return math.exp(-2.0 * t_hi), math.exp(-2.0 * t_lo)
 
 
-def _bracket_values(coeffs, u):
-    """The bracket at u by Horner's rule, coefficients ascending in u."""
-    value = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        value = value * u + c
-    return value
-
-
 def _cubic_roots(d3, d2, d1, d0):
     """Candidates that include every real root of d3 u^3 + d2 u^2 + d1 u + d0.
 
@@ -432,12 +358,14 @@ def _breakpoints(coeffs, u_lo, u_hi):
     critical point of the bracket flagged with whether it lies strictly
     inside.  The bracket is monotone between consecutive inside points, so
     it is positive somewhere in the range iff it is positive at one of them.
-    A linear bracket has no critical point; the quartic's are the roots of
-    its cubic derivative."""
+    A linear bracket has no critical point; up to a quartic, they are the
+    roots of its derivative, padded to a cubic."""
     pairs = [(u_lo, True), (u_hi, True)]
-    if len(coeffs) == 5:
-        _, c1, c2, c3, c4 = coeffs
-        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in _cubic_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1)]
+    if len(coeffs) > 2:
+        slopes = [k * c for k, c in enumerate(coeffs)][:0:-1]
+        # zeros of the coefficients' numpy type divide to inf or NaN, not raise
+        padding = [0.0 * slopes[0]] * (4 - len(slopes))
+        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in _cubic_roots(*padding, *slopes)]
     return pairs
 
 
@@ -449,14 +377,14 @@ def _root(coeffs, lo, hi, f_lo, f_hi):
     positive_lo = f_lo > 0.0
     u = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     for _ in range(200):
-        f = _bracket_values(coeffs, u)
+        f = _horner(coeffs, u)
         if f == 0.0:
             return u
         if (f > 0.0) == positive_lo:
             lo = u
         else:
             hi = u
-        slope = _bracket_values(slopes, u)
+        slope = _horner(slopes, u)
         step = u - f / slope if slope else 0.5 * (lo + hi)
         if abs(step - u) <= 1e-15 * u:
             return step
@@ -472,7 +400,7 @@ def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:
     # as an array, a zero leading coefficient divides to inf or NaN
     candidates = _breakpoints(np.asarray(coeffs, dtype=float), u_lo, u_hi)
     points = sorted(float(u) for u, inside in candidates if inside)
-    values = [_bracket_values(coeffs, u) for u in points]
+    values = [_horner(coeffs, u) for u in points]
     # edges in descending time, since u = e^{-2t} runs backwards
     edges = [t_hi] if values[0] > 0.0 else []
     for i in range(1, len(points)):
@@ -553,8 +481,8 @@ def detect_backflow(
     """Distance and derivative series, and the exact backflow intervals.
 
     The distance comes from the closed form of the configuration, the
-    derivative from the table's prefactor and bracket, and every call
-    verifies the derivative against the complex-step derivative
+    derivative from the generic prefactor and the row's bracket, and every
+    call verifies the derivative against the complex-step derivative
     Im D(t + ih) / h of the same closed form (h = 1e-30, tolerance 1e-10).
     The intervals are where the derivative's bracket is positive in
     [times[0], times[-1]], from its real roots rather than from the samples;
@@ -572,8 +500,10 @@ def detect_backflow(
 
     mode, p, label = _mode_and_p(config)
     terms = _terms(mode, a, p, u, v)
+    coeffs = _bracket_coeffs(mode, a, p)
     dist = _distance(mode, a, p, times, terms)
-    deriv = _checked_derivative(mode, a, p, times, terms)
+    prefactor, bracket = derivative_parts(mode, a, p, times, terms, coeffs)
+    deriv = prefactor * bracket
 
     # min and max carry any NaN, so the series are finite iff their extremes are
     lo, hi, peak = float(dist.min()), float(dist.max()), float(deriv.max())
@@ -593,7 +523,7 @@ def detect_backflow(
             f"analytic derivative disagrees with the complex-step derivative ({fd_residual:.3e})"
         )
 
-    intervals = _windows(_MODES[mode].bracket(a, p), float(times[0]), float(times[-1]))
+    intervals = _windows(coeffs, float(times[0]), float(times[-1]))
     return BackflowReport(
         config=label,
         a=a,
@@ -615,13 +545,18 @@ def detect_backflow(
 def asymptotic_threshold(mode: str, p: float) -> float:
     """Critical probe parameter below which late-time backflow occurs.
 
+    As u = e^{-2t} -> 0 the bracket's sign is that of its u^0 coefficient
+    a^2 B_x + b^2 B_z, positive for a^2 below B_z / (B_z - B_x) at u = 0:
+
     path:   a < sqrt(p / (1 + p))
     switch: a < sqrt(2 p^2 / (3p + 2))
 
     The path threshold dominates the switch threshold for every p in (0, 1].
     """
     _check_p(p)
-    return float(_controlled(mode).threshold(p))
+    x0, z0 = (_horner(b, p) for b in _BRACKET_TABLES[_controlled(mode)][0])
+    # no late-time backflow where the ratio is not positive, -0 included
+    return math.sqrt(max(0.0, z0 / (z0 - x0)))
 
 
 def empirical_threshold(
@@ -641,8 +576,8 @@ def empirical_threshold(
     """
     _check_p(p)
     a_values = np.arange(a_step, 1.0, a_step)
-    coeffs = _controlled(mode).bracket(a_values, p)
-    positive = _bracket_values(coeffs, math.exp(-2.0 * DEFAULT_T_MAX)) > 0.0
+    coeffs = _bracket_coeffs(_controlled(mode), a_values, p)
+    positive = _horner(coeffs, math.exp(-2.0 * DEFAULT_T_MAX)) > 0.0
     if not positive.any():
         return 0.0
     last_true = int(np.nonzero(positive)[0].max())
@@ -690,8 +625,8 @@ def scan_region(
     a, p = a_grid[None, :], p_grid[:, None]
     verdicts = {}
     for m in CONTROLLED_MODES:
-        coeffs = _MODES[m].bracket(a, p)
+        coeffs = _bracket_coeffs(m, a, p)
         verdicts[f"backflow_{m}"] = np.logical_or.reduce(
-            [inside & (_bracket_values(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
+            [inside & (_horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
         )
     return RegionScan(a_grid, p_grid, **verdicts)

@@ -18,3 +18,30 @@ def random_pure(rng, dim=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pure_control_parts(mode, a, t, m=np):
+    """The paper's p = 1 prefactor and bracket of dD/dt, whose product is the
+    derivative: the path form in x = e^{2t}, the switch form hyperbolic.
+    ``m`` is numpy for numbers, or sympy for symbols.
+
+    path:   prefactor = 16 sqrt(1-a^2) x / ((5x-1)^2 sqrt(8a^2(x^2+2x-3) + (x-5)^2))
+            bracket   = 14a^2 - 15 - 3(2a^2 - 1) x
+    switch: prefactor = 32 sqrt(2) sqrt(1-a^2) e^{4t} (cosh 2t + 3)
+                        / ((2e^{2t} + 7e^{4t} - 1)^2 sqrt(U))
+            U = 16a^2 - 5 + 12 cosh 2t - 16(1-a^2) sinh 2t
+                - (16a^2 - 25) cosh 4t - 24(1-a^2) sinh 4t
+            bracket   = 8(1-a^2) sinh 2t - (2-a^2)(3 cosh 2t + 1)
+
+    In double precision both overflow at large t, from about t = 71 for the
+    switch and t = 118 for the path; the package's forms in u = e^{-2t} do
+    not.
+    """
+    x, b2 = m.exp(2 * t), 1 - a**2
+    if mode == "path":
+        q = 8 * a**2 * (x**2 + 2 * x - 3) + (x - 5) ** 2
+        return 16 * m.sqrt(b2) * x / ((5 * x - 1) ** 2 * m.sqrt(q)), 14 * a**2 - 15 - 3 * (2 * a**2 - 1) * x
+    ch2, sh2, ch4, sh4 = m.cosh(2 * t), m.sinh(2 * t), m.cosh(4 * t), m.sinh(4 * t)
+    big_u = 16 * a**2 - 5 + 12 * ch2 - 16 * b2 * sh2 - (16 * a**2 - 25) * ch4 - 24 * b2 * sh4
+    prefactor = 32 * m.sqrt(2) * m.sqrt(b2) * x**2 * (ch2 + 3) / ((2 * x + 7 * x**2 - 1) ** 2 * m.sqrt(big_u))
+    return prefactor, 8 * b2 * sh2 - (2 - a**2) * (3 * ch2 + 1)

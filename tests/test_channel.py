@@ -368,11 +368,27 @@ class TestIntegrator:
             ([1.0, 0.5], "non-decreasing"),
             ([], "non-empty"),
             (1e308, "finite step count"),
+            (401.0, "more than 400000 RK4 steps"),
+            (1e300, "more than 400000 RK4 steps"),
         ],
     )
     def test_rejects_bad_checkpoints(self, rng, t_final, match):
         with pytest.raises(ValueError, match=match):
             integrate_canonical(eternal_nm_generator(), random_density(rng), t_final)
+
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [
+            # 4e11 steps: refused before any is taken
+            (400.0, 1e-9),
+            # 500 + 399,500 + 1 steps, as each span rounds to its own count;
+            # the last checkpoint alone rounds to 400,000
+            ([0.5, 400.0, 400.0005], 1e-3),
+        ],
+    )
+    def test_rejects_bad_checkpoints_past_the_step_budget(self, rng, t_final, dt):
+        with pytest.raises(ValueError, match="more than 400000 RK4 steps"):
+            integrate_canonical(eternal_nm_generator(), random_density(rng), t_final, dt=dt)
 
 
 class TestChoi:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -313,6 +314,46 @@ class TestByteStability:
         args = ["evolve", "--mode", "switch", "--p", "0.7", "--t-max", "3", "--points", "20"]
         assert invoke(runner, *args).output == invoke(runner, *args).output
 
+    # stdout sha256 recorded before the brackets were derived from the Bloch
+    # rows; the scan verdicts must not move by a byte
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ([], "f6ec6938c658bb1ffe125044083bda1f2a5475856c9b98a17cb98881b3448c94"),
+            (["--format", "json"], "63a5d0ad7db3cf90dccdfdc251e0a07b2d5b84a6e24caf2db3a6fcf6834e8411"),
+            (
+                ["--t-max", "400", "--a-points", "300", "--p-points", "300"],
+                "b7b8aa7d02c415afa11f093d8be1dec0cd9963eaaaf0d06bd0e6bf3d9c6b2599",
+            ),
+        ],
+        ids=["csv", "json", "t-max-400-300x300"],
+    )
+    def test_scan_bytes_are_pinned(self, runner, args, digest):
+        result = invoke(runner, "scan", *args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+    # thresholds recorded at the same point: p = 0 and p = 1 exactly, others
+    # to one unit in the 15th significant digit
+    @pytest.mark.parametrize(
+        "mode, p, printed",
+        [
+            ("path", "0", "0"),
+            ("path", "0.5", "0.577350269189626"),
+            ("path", "1", "0.707106781186548"),
+            ("switch", "0", "0"),
+            ("switch", "0.5", "0.377964473009227"),
+            ("switch", "1", "0.632455532033676"),
+        ],
+    )
+    def test_threshold_output_is_pinned(self, runner, mode, p, printed):
+        result = invoke(runner, "threshold", "--mode", mode, "--p", p)
+        assert result.exit_code == 0
+        if p in ("0", "1"):
+            assert result.output == printed + "\n"
+        else:
+            assert abs(float(result.output) - float(printed)) <= 1e-15
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -394,11 +435,9 @@ class TestExitCodes:
         assert f"{option} must be finite" in result.output
 
     def test_failed_derivative_check_exits_4(self, runner, monkeypatch):
-        # a switch prefactor off by 0.1% fails detect_backflow's complex-step check
+        # a prefactor off by 0.1% fails detect_backflow's complex-step check
         original = detect._prefactor
-        monkeypatch.setattr(
-            detect, "_prefactor", lambda mode, *args: (1.001 if mode == "switch" else 1.0) * original(mode, *args)
-        )
+        monkeypatch.setattr(detect, "_prefactor", lambda *args: 1.001 * original(*args))
         result = runner.invoke(main, ["detect", "--mode", "switch", "--a", "0.3"])
         assert result.exit_code == 4
         assert "complex-step" in result.output

@@ -21,16 +21,10 @@ from backflow.detect import (
     detect_backflow,
     empirical_threshold,
     log_time_grid,
-    max_coherent_derivative_parts_path,
-    max_coherent_derivative_parts_switch,
-    max_coherent_dDdt_path,
-    max_coherent_dDdt_switch,
-    path_bracket,
     path_distance,
     probe_distance,
     probe_pair,
     scan_region,
-    switch_bracket,
     switch_distance,
 )
 from backflow.control import (
@@ -42,6 +36,7 @@ from backflow.control import (
     switch_config,
 )
 from backflow.qmat import trace_distance
+from conftest import pure_control_parts
 
 FD_H = 1e-4
 
@@ -111,19 +106,19 @@ class TestPathDerivative:
         assert analytic_dDdt_path(0.9, 1.0, 2.0) < 0.0
 
     def test_pure_control_bracket_identity(self):
-        # the general bracket at p = 1, times x = e^{2t}, collapses to the
-        # reduced form's 14a^2 - 15 - 3(2a^2-1)x
+        # the general bracket at p = 1, times x = e^{2t}, collapses to 16 times
+        # the paper's 14a^2 - 15 - 3(2a^2-1)x
         for a in (0.2, 0.5, 0.65, 0.9):
             for t in (0.1, 0.8, 2.0, 4.0):
                 _, bracket = derivative_parts("path", a, 1.0, t)
-                _, reduced = max_coherent_derivative_parts_path(a, t)
-                assert np.exp(2.0 * t) * bracket == pytest.approx(reduced, rel=1e-10)
+                _, reduced = pure_control_parts("path", a, t)
+                assert np.exp(2.0 * t) * bracket == pytest.approx(16.0 * reduced, rel=1e-10)
 
     def test_matches_pure_control_formula(self):
         ts = np.linspace(0.1, 5.0, 23)
         for a in (0.3, 0.65, 0.9):
             general = analytic_dDdt_path(a, 1.0, ts)
-            reduced = max_coherent_dDdt_path(a, ts)
+            reduced = np.prod(pure_control_parts("path", a, ts), axis=0)
             assert np.abs((general - reduced) / general).max() <= 1e-10
 
     def test_against_finite_difference(self):
@@ -163,19 +158,19 @@ class TestSwitchDerivative:
         ts = np.linspace(0.1, 5.0, 23)
         for a in (0.3, 0.65, 0.9):
             general = analytic_dDdt_switch(a, 1.0, ts)
-            reduced = max_coherent_dDdt_switch(a, ts)
+            reduced = np.prod(pure_control_parts("switch", a, ts), axis=0)
             assert np.abs((general - reduced) / general).max() <= 1e-10
 
     def test_pure_control_quartic_factors_through_quadratic(self):
-        # at p = 1 the quartic bracket, times x^4 = e^{8t}, equals the
-        # hyperbolic-form quadratic times (x^2 + 6x + 1), which is positive,
-        # so the two brackets agree in sign everywhere
+        # at p = 1 the quartic bracket, times x^4 = e^{8t}, equals 16 times the
+        # paper's hyperbolic quadratic times 2x (x^2 + 6x + 1), which is
+        # positive, so the two brackets agree in sign everywhere
         ts = np.linspace(0.05, 6.0, 60)
         x = np.exp(2.0 * ts)
         for a in (0.2, 0.5, 0.63, 0.65, 0.9):
             quartic = x**4 * derivative_parts("switch", a, 1.0, ts)[1]
-            _, quadratic = max_coherent_derivative_parts_switch(a, ts)
-            factored = quadratic * 2.0 * x * (x * x + 6.0 * x + 1.0)
+            _, quadratic = pure_control_parts("switch", a, ts)
+            factored = 16.0 * quadratic * 2.0 * x * (x * x + 6.0 * x + 1.0)
             away_from_roots = np.abs(quartic) > 1e-9
             rel = np.abs((quartic - factored)[away_from_roots] / quartic[away_from_roots])
             assert rel.max() < 1e-10
@@ -200,8 +195,8 @@ class TestSignCarriedByBracket:
             lambda a, t: derivative_parts("bare", a, 1.0, t),
             lambda a, t: derivative_parts("path", a, 0.6, t),
             lambda a, t: derivative_parts("switch", a, 0.6, t),
-            lambda a, t: max_coherent_derivative_parts_path(a, t),
-            lambda a, t: max_coherent_derivative_parts_switch(a, t),
+            lambda a, t: pure_control_parts("path", a, t),
+            lambda a, t: pure_control_parts("switch", a, t),
         ],
         ids=["bare", "path", "switch", "path-pure", "switch-pure"],
     )
@@ -330,15 +325,14 @@ class TestComplexStepCheck:
         # |dD/dt| exceeds 1, as it does early on at a = 0.3
         config = "bare" if mode == "bare" else _CONFIGS[mode](0.5)
         assert detect_backflow(config, 0.3).fd_residual <= 1e-12
+        # the one generic prefactor, or the bracket derived from the row
+        name = {"prefactor": "_prefactor", "bracket": "_bracket_coeffs"}[part]
+        original = getattr(detect, name)
         if part == "prefactor":
-            # the one generic prefactor, perturbed for this mode only
-            original = detect._prefactor
-            patched = lambda m, *args: (scale if m == mode else 1.0) * original(m, *args)
-            monkeypatch.setattr(detect, "_prefactor", patched)
+            patched = lambda *args: scale * original(*args)
         else:
-            original = getattr(detect, f"{mode}_bracket")
-            patched = lambda *args: tuple(scale * c for c in original(*args))
-            monkeypatch.setattr(detect, f"{mode}_bracket", patched)
+            patched = lambda m, *args: tuple((scale if m == mode else 1.0) * c for c in original(m, *args))
+        monkeypatch.setattr(detect, name, patched)
         with pytest.raises(RuntimeError, match="complex-step"):
             detect_backflow(config, 0.3)
 
@@ -348,9 +342,9 @@ class TestComplexStepCheck:
         # bracket error is an absolute error below 1e-6; FD_CHECK_TOL must see it
         config = "bare" if mode == "bare" else _CONFIGS[mode](1.0)
         assert np.abs(detect_backflow(config, 0.9).derivative).max() < 1.0
-        original = getattr(detect, f"{mode}_bracket")
+        original = detect._bracket_coeffs
         monkeypatch.setattr(
-            detect, f"{mode}_bracket", lambda *args: tuple((1.0 + 1e-6) * c for c in original(*args))
+            detect, "_bracket_coeffs", lambda m, *args: tuple((1.0 + 1e-6) * c for c in original(m, *args))
         )
         with pytest.raises(RuntimeError, match="complex-step"):
             detect_backflow(config, 0.9)
@@ -432,8 +426,8 @@ class TestProbeDistanceTimes:
 class TestModeTable:
     def test_formulas_called_through_module_globals(self, monkeypatch):
         # wrappers installed on the module (as a tracer does) must see every
-        # call the mode table makes; the generic terms and prefactor are
-        # counted per mode, from their first argument
+        # call; the generic terms and the derived bracket are counted per
+        # mode, from their first argument
         calls = {}
 
         def count(name, original, key=lambda args: None):
@@ -445,32 +439,31 @@ class TestModeTable:
 
             monkeypatch.setattr(detect, name, counted)
 
-        for name in ("path_bracket", "switch_bracket"):
-            count(name, getattr(detect, name))
-        for name in ("_terms", "_prefactor"):
+        for name in ("_terms", "_bracket_coeffs"):
             count(name, getattr(detect, name), key=lambda args: args[0])
+        count("_prefactor", detect._prefactor)
         scan_region(np.array([0.5]), np.array([1.0]))
-        assert calls == {"path_bracket": 1, "switch_bracket": 1}
+        assert calls == {"path:_bracket_coeffs": 1, "switch:_bracket_coeffs": 1}
         analytic_derivative(path_config(1.0), 0.5, 1.0)
         analytic_derivative(switch_config(1.0), 0.5, 1.0)
-        # each derivative is the generic prefactor of the table's terms times
-        # the table's bracket
+        # each derivative is the generic prefactor of the row's terms times
+        # the bracket derived from the row
         derivative_calls = {
-            "path_bracket": 2,
-            "switch_bracket": 2,
+            "path:_bracket_coeffs": 2,
+            "switch:_bracket_coeffs": 2,
             "path:_terms": 1,
             "switch:_terms": 1,
-            "path:_prefactor": 1,
-            "switch:_prefactor": 1,
+            "_prefactor": 2,
         }
         assert calls == derivative_calls
         empirical_threshold("path", 1.0)
         empirical_threshold("switch", 1.0)
-        assert calls == {**derivative_calls, "path_bracket": 3, "switch_bracket": 3}
+        assert calls == {**derivative_calls, "path:_bracket_coeffs": 3, "switch:_bracket_coeffs": 3}
         # detect_backflow computes the terms once for its grid, shared by the
-        # distance and the derivative, and once for the complex-step grid
+        # distance and the derivative, and once for the complex-step grid;
+        # the bracket once, shared by the derivative and the windows
         detect_backflow(path_config(1.0), 0.5)
-        assert calls["path:_terms"] == 3 and calls["path:_prefactor"] == 2
+        assert calls["path:_terms"] == 3 and calls["_prefactor"] == 3 and calls["path:_bracket_coeffs"] == 4
 
 class TestThresholds:
     def test_pure_control_values(self):
@@ -576,8 +569,8 @@ def _intervals_above(times, values, eps):
 _CONFIGS = {"path": path_config, "switch": switch_config}
 
 
-def _bracket(mode, a, p, t):
-    """The table bracket of a mode sampled at times t."""
+def _bracket_at(mode, a, p, t):
+    """The bracket of a mode sampled at times t."""
     return derivative_parts(mode, a, p, t)[1]
 
 
@@ -633,12 +626,12 @@ class TestExactWindows:
             # or peaks in (0, eps]; the fine grid finds it either way
             for i, j in zip(*np.nonzero(exact & ~sampled)):
                 assert deriv[i, j].max() <= BACKFLOW_EPS
-                assert np.any(_bracket(mode, self.A_GRID[j], self.P_GRID[i], fine) > 0.0)
+                assert np.any(_bracket_at(mode, self.A_GRID[j], self.P_GRID[i], fine) > 0.0)
 
     def _degenerate_cells(self):
-        # A5 = 0 at p = 0 drops the switch quartic's u^4 term (and nearly so
-        # for tiny p); A1 = 0 at a^2 = 2p^2/(3p+2) puts a root of the x-form
-        # at x = infinity
+        # the u^4 coefficient vanishes at p = 0, dropping the switch quartic's
+        # top term (and nearly so for tiny p); the u^0 coefficient vanishes at
+        # a^2 = 2p^2/(3p+2), which puts a root of the x-form at x = infinity
         cells = [(a, p) for a in self.A_GRID[::4] for p in (0.0, 1e-300, 1e-12, 1e-8, 1e-4)]
         return cells + [(float(np.sqrt(2.0 * p * p / (3.0 * p + 2.0))), float(p)) for p in np.linspace(0.05, 1.0, 20)]
 
@@ -646,14 +639,14 @@ class TestExactWindows:
     def test_degenerate_lines_match_np_roots(self, t_max):
         for a, p in self._degenerate_cells():
             scan = scan_region(np.array([a]), np.array([p]), t_max=t_max)
-            for mode, coefficients in (("path", path_bracket), ("switch", switch_bracket)):
-                expected = _reference_verdict(coefficients(a, p), DEFAULT_T_MIN, t_max)
+            for mode in _CONFIGS:
+                expected = _reference_verdict(detect._bracket_coeffs(mode, a, p), DEFAULT_T_MIN, t_max)
                 assert bool(getattr(scan, f"backflow_{mode}")[0, 0]) == expected, (mode, a, p)
 
     def test_degenerate_lines_keep_every_critical_point(self):
         u_lo, u_hi = np.exp(-2.0 * DEFAULT_T_MAX), np.exp(-2.0 * DEFAULT_T_MIN)
         for a, p in self._degenerate_cells():
-            coeffs = switch_bracket(a, p)
+            coeffs = detect._bracket_coeffs("switch", a, p)
             crit = np.roots(np.polyder(np.array(coeffs[::-1])))
             crit = crit[np.abs(crit.imag) <= 1e-9].real
             found = np.array([float(u) for u, inside in detect._breakpoints(np.float64(coeffs), u_lo, u_hi) if inside])
@@ -672,12 +665,28 @@ class TestExactWindows:
         nonempty = 0
         for a, p in self._degenerate_cells():
             windows = detect_backflow(switch_config(p), a, times).backflow_intervals
-            expected = _reference_windows(switch_bracket(a, p), times[0], times[-1])
+            expected = _reference_windows(detect._bracket_coeffs("switch", a, p), times[0], times[-1])
             assert len(windows) == len(expected), (a, p)
             if windows:
                 assert np.allclose(windows, expected, rtol=1e-9, atol=0.0)
                 nonempty += 1
         assert nonempty >= 5
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(0.1, -0.7, 1.0), (-0.0899, 0.6, -1.0), (-0.018, 0.27, -1.0, 1.0), (0.018, -0.27, 1.0, -1.0)],
+        ids=["quadratic-dip", "quadratic-hump", "cubic", "cubic-negated"],
+    )
+    def test_windows_of_any_degree_up_to_four(self, coeffs):
+        # a derived bracket need not be linear or quartic: below degree 4 its
+        # derivative is padded to a cubic, whose lost top terms the candidate
+        # roots of _cubic_roots survive; each bracket here is positive at both
+        # ends of the range, or negative at both, and changes sign inside
+        times = log_time_grid()
+        windows = detect._windows(coeffs, times[0], times[-1])
+        expected = _reference_windows(coeffs, times[0], times[-1])
+        assert len(windows) == len(expected) >= 1
+        assert np.allclose(windows, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("t_max", [4.0, 12.0])
     def test_detect_intervals_are_exact(self, t_max):
@@ -690,7 +699,7 @@ class TestExactWindows:
                     report = detect_backflow(config(p), a, times)
                     windows = report.backflow_intervals
                     assert report.verdict == bool(windows)
-                    bracket = lambda t: _bracket(mode, a, p, np.asarray(t))
+                    bracket = lambda t: _bracket_at(mode, a, p, np.asarray(t))
                     edges = [t for w in windows for t in w]
                     assert edges == sorted(edges)
                     assert all(t_lo <= t <= t_hi for t in edges)

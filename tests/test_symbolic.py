@@ -7,18 +7,25 @@ below derive those rows from the Kraus supermaps, post-selected on |+>, and
 from the closed-form weights; show that the outcome probability does not
 depend on the input; and show that the probe distance D = b sqrt(S) / Delta,
 S = a^2 n_x^2 + b^2 n_z^2 with b = sqrt(1 - a^2), has the derivative
--2u dD/du = c b u / (Delta^2 sqrt(S)) times the table bracket of ``detect``.
-Rows and brackets enter as the package computes them, called on symbols;
-the weights are stated here and pinned to the package's numbers at sample
-points.
+-2u dD/du = b u / (Delta^2 sqrt(S)) times the bracket that ``detect``
+derives from the row.  That bracket is c times the hand-written bracket
+stated here, which is kept only as this oracle, and it reduces at p = 1 to
+the paper's forms in ``conftest``.  Rows and brackets enter as the package
+computes them, called on symbols; the weights are stated here and pinned to
+the package's numbers at sample points.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
 from backflow import control, detect  # noqa: E402
+from conftest import pure_control_parts  # noqa: E402
 
 a, p, u, x = sp.symbols("a p u x", positive=True)
 v = 1 - u
@@ -71,8 +78,57 @@ def table_row(mode):
 
 def table_bracket(mode):
     """The package's bracket for a mode, as an exact polynomial in u."""
-    coeffs = detect._MODES[mode].bracket(a, p)
-    return _exact(sum(c * u**k for k, c in enumerate(coeffs)))
+    return _exact(sum(c * u**k for k, c in enumerate(detect._bracket_coeffs(mode, a, p))))
+
+
+def bare_bracket(a):
+    """Bare bracket coefficients in ascending powers of u = e^{-2t}: -a^2 + (3a^2 - 4) u.
+    With primes in u, 2 S Delta' - S' Delta = 4 bracket."""
+    return -a * a, 3 * a * a - 4
+
+
+def path_bracket(a, p):
+    """Path bracket coefficients in ascending powers of u = e^{-2t}.
+
+    bracket = (p+2)(p - a^2(p+1)) + (a^2 (p+1)(p+6) - (p+2)(p+4)) u
+
+    With primes in u, 2 S Delta' - S' Delta = 16 bracket.  The u^0
+    coefficient sets the large-time sign, hence the backflow condition
+    a^2 < p / (1+p).
+    """
+    return (p + 2) * (p - a * a * (p + 1)), a * a * (p + 1) * (p + 6) - (p + 2) * (p + 4)
+
+
+def switch_bracket(a, p):
+    """Switch bracket coefficients A1 ... A5, ascending in u = e^{-2t}:
+    bracket = A1 + A2 u + A3 u^2 + A4 u^3 + A5 u^4.
+
+        A1 = 2p^2 - a^2 (3p+2)
+        A2 = -2 (a^2 (p+1)(4p+3) - 4p)
+        A3 = 6 (a^2 (2p^2+2p-1) - 2p(p+2))
+        A4 = 2 a^2 (4p^2+15p+15) - 8 (p(2p+5)+4)
+        A5 = p (a^2 (4p+7) - 6p - 8)
+
+    With primes in u, 2 S Delta' - S' Delta = 8 (p+1) bracket.  A1 sets
+    the large-time sign, hence the backflow condition a^2 < 2p^2 / (3p+2).
+    """
+    a2 = a * a
+    return (
+        2 * p * p - a2 * (3 * p + 2),
+        -2 * (a2 * (p + 1) * (4 * p + 3) - 4 * p),
+        6 * (a2 * (2 * p * p + 2 * p - 1) - 2 * p * (p + 2)),
+        2 * a2 * (4 * p * p + 15 * p + 15) - 8 * (p * (2 * p + 5) + 4),
+        p * (a2 * (4 * p + 7) - 6 * p - 8),
+    )
+
+
+# each mode's hand-written bracket of (a, p) and the positive constant c(p)
+# with 2 S Delta' - S' Delta = c bracket; both take symbols, floats or fractions
+HAND_BRACKETS = {
+    "bare": (lambda a, p: bare_bracket(a), lambda p: 4),
+    "path": (path_bracket, lambda p: 16),
+    "switch": (switch_bracket, lambda p: 8 * (p + 1)),
+}
 
 
 def radicand(mode):
@@ -177,18 +233,39 @@ def test_entry_map_is_the_bloch_form():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_derivative_is_prefactor_times_table_bracket(mode):
-    # with primes in u, N = 2 S Delta' - S' Delta is c times the bracket ...
+    # with primes in u, the table bracket is N = 2 S Delta' - S' Delta ...
     delta, s = radicand(mode)
-    c = _exact(detect._MODES[mode].c(p))
     numerator = 2 * s * sp.diff(delta, u) - sp.diff(s, u) * delta
-    assert _is_zero(numerator - c * table_bracket(mode))
-    # ... so -2u dD/du (which is dD/dt) is the prefactor c b u / (Delta^2
+    assert _is_zero(numerator - table_bracket(mode))
+    # ... so -2u dD/du (which is dD/dt) is the prefactor b u / (Delta^2
     # sqrt(S)) times the bracket; b = sqrt(1 - a^2) does not depend on u, so
     # a free symbol stands for it, and sqrt(S) Delta^2 / (b u) clears every root
     b = sp.Symbol("b", positive=True)
-    prefactor = c * b * u / (delta**2 * sp.sqrt(s))
+    prefactor = b * u / (delta**2 * sp.sqrt(s))
     residual = -2 * u * sp.diff(b * sp.sqrt(s) / delta, u) - prefactor * table_bracket(mode)
     assert _is_zero(residual * sp.sqrt(s) * delta**2 / (b * u))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_table_bracket_is_c_times_the_hand_bracket(mode):
+    hand, c = HAND_BRACKETS[mode]
+    assert _is_zero(table_bracket(mode) - c(p) * sum(h * u**k for k, h in enumerate(hand(a, p))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    a_=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    p_=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_float_bracket_is_c_times_the_hand_bracket(mode, a_, p_):
+    # against the exact rational value of c times the hand bracket: that
+    # bracket evaluated in floats carries up to about 1.4e-15 of the largest
+    # coefficient in rounding itself
+    hand, c = HAND_BRACKETS[mode]
+    exact = [c(Fraction(p_)) * h for h in hand(Fraction(a_), Fraction(p_))]
+    error = max(abs(Fraction(got) - want) for got, want in zip(detect._bracket_coeffs(mode, a_, p_), exact, strict=True))
+    assert error <= Fraction(1e-15) * max(map(abs, exact))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -203,16 +280,36 @@ def test_u_form_weights_equal_x_form_weights(in_u, in_x):
         assert _is_zero(w_u.subs(u, 1 / x) - w_x)
 
 
+def _pure_control_in_x(mode):
+    """The paper's p = 1 prefactor and bracket as functions of x = e^{2t}."""
+    t = sp.Symbol("t", positive=True)
+    return [e.rewrite(sp.exp).subs(t, sp.log(x) / 2) for e in pure_control_parts(mode, a, t, sp)]
+
+
+# at p = 1 the table bracket is the paper's bracket times this positive factor
+PURE_CONTROL_FACTOR = {"path": 16 / x, "switch": 32 * (x**2 + 6 * x + 1) / x**3}
+
+
 def test_pure_control_brackets_reduce():
-    # at p = 1: x times the path bracket is 14a^2 - 15 - 3(2a^2 - 1)x, and
-    # x^4 times the switch quartic is the hyperbolic quadratic
-    # 8(1-a^2) sinh 2t - (2-a^2)(3 cosh 2t + 1) times 2x(x^2 + 6x + 1)
-    path = table_bracket("path").subs({p: 1, u: 1 / x}) * x
-    assert _is_zero(path - (14 * a**2 - 15 - 3 * (2 * a**2 - 1) * x))
-    sinh2, cosh2 = (x - 1 / x) / 2, (x + 1 / x) / 2
-    quadratic = 8 * (1 - a**2) * sinh2 - (2 - a**2) * (3 * cosh2 + 1)
-    switch = table_bracket("switch").subs({p: 1, u: 1 / x}) * x**4
-    assert _is_zero(switch - quadratic * 2 * x * (x**2 + 6 * x + 1))
+    # at p = 1, x times the path bracket is 16 (14a^2 - 15 - 3(2a^2 - 1)x),
+    # and x^3 times the switch quartic is 32 (x^2 + 6x + 1) times the
+    # hyperbolic quadratic 8(1-a^2) sinh 2t - (2-a^2)(3 cosh 2t + 1); the
+    # factors are positive, so each pair of brackets has one sign
+    for mode, factor in PURE_CONTROL_FACTOR.items():
+        _, bracket = _pure_control_in_x(mode)
+        assert _is_zero(table_bracket(mode).subs({p: 1, u: 1 / x}) - factor * bracket)
+        assert all(c > 0 for c in sp.Poly(sp.numer(factor), x).coeffs() + sp.Poly(sp.denom(factor), x).coeffs())
+
+
+@pytest.mark.parametrize("mode", ["path", "switch"])
+def test_pure_control_prefactors_reduce(mode):
+    # the paper's prefactor is the general one at p = 1 times the bracket
+    # factor, so the products agree; both prefactors are positive, so
+    # comparing squares clears the roots
+    prefactor, _ = _pure_control_in_x(mode)
+    delta, s = (e.subs({p: 1, u: 1 / x}) for e in radicand(mode))
+    general = (1 - a**2) * u**2 / (delta**4 * s)
+    assert _is_zero(prefactor**2 - (PURE_CONTROL_FACTOR[mode] ** 2 * general).subs(u, 1 / x))
 
 
 def _numeric(expr):
@@ -224,7 +321,7 @@ def test_package_forms_are_the_proven_ones(mode):
     delta, s = radicand(mode)
     b = sp.sqrt(1 - a**2)
     distance = _numeric(b * sp.sqrt(s) / delta)
-    prefactor = _numeric(_exact(detect._MODES[mode].c(p)) * b * u / (delta**2 * sp.sqrt(s)))
+    prefactor = _numeric(b * u / (delta**2 * sp.sqrt(s)))
     for a_, p_, t_ in SAMPLES:
         u_ = np.exp(-2.0 * t_)
         assert detect._distance(mode, a_, p_, t_) == pytest.approx(distance(a_, p_, u_), rel=1e-13)
@@ -265,8 +362,11 @@ def test_thresholds_follow_from_the_late_time_coefficient(mode, expected):
     c = sp.factor(coeff0 / (root - a**2))
     assert not c.has(a)
     assert sp.minimum(c, p, sp.Interval(0, 1)) > 0
+    # the package's ratio B_z / (B_z - B_x) of the u^0 table entries is that root
+    b_x, b_z = (_exact(detect._horner(b, p)) for b in detect._BRACKET_TABLES[mode][0])
+    assert _is_zero(b_z / (b_z - b_x) - expected)
     for p_ in (0.0, 0.1, 0.5, 1.0):
-        assert detect._MODES[mode].threshold(p_) ** 2 == pytest.approx(float(root.subs(p, p_)), rel=1e-15, abs=0.0)
+        assert detect.asymptotic_threshold(mode, p_) ** 2 == pytest.approx(float(root.subs(p, p_)), rel=1e-15, abs=0.0)
 
 
 def test_path_threshold_dominates_switch():
