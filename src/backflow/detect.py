@@ -26,6 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -57,7 +58,7 @@ ConfigLike = Union[str, ControlConfig]
 def probe_pair(a: float):
     """The distinguishability probes |0><0| and |psi_a><psi_a|."""
     _check_a(a)
-    b = np.sqrt(1.0 - a * a)
+    b = math.sqrt(1.0 - a * a)
     return pure_state(KET_0), pure_state(np.array([a, b]))
 
 
@@ -323,49 +324,84 @@ def _u_range(t_lo: float, t_hi: float) -> Tuple[float, float]:
     return math.exp(-2.0 * t_hi), math.exp(-2.0 * t_lo)
 
 
-def _cubic_roots(d3, d2, d1, d0):
-    """Candidates that include every real root of d3 u^3 + d2 u^2 + d1 u + d0.
+def _cubic_candidates(d3, d2, d1, d0, ops):
+    """Candidates that include every real root of d3 u^3 + d2 u^2 + d1 u + d0,
+    with the functions of ``ops``.
 
-    Vectorized and branch-free: the three trigonometric-form values (all
-    roots when three are real), Cardano's value (the root when one is real)
-    and the two roots of d2 u^2 + d1 u + d0 (the roots as d3 -> 0, where
-    the cubic forms lose their precision).  A formula that does not apply
-    gives NaN or a spurious value; callers only ever use a candidate as one
-    more point at which to evaluate.
+    Branch-free: the three trigonometric-form values (all roots when three
+    are real), Cardano's value (the root when one is real) and the two
+    roots of d2 u^2 + d1 u + d0 (the roots as d3 -> 0, where the cubic
+    forms lose their precision).  A formula that does not apply gives NaN
+    or a spurious value; callers only ever use a candidate as one more point
+    at which to evaluate.
     """
+    shift = ops.divide(d2, 3.0 * d3)
+    c, d = ops.divide(d1, d3), ops.divide(d0, d3)
+    pp = c - 3.0 * shift * shift
+    qq = shift * (2.0 * shift * shift - c) + d
+    disc = 0.25 * qq * qq + pp * pp * pp / 27.0
+    s = ops.cbrt(-0.5 * qq - ops.copysign(ops.sqrt(disc), qq))
+    m = 2.0 * ops.sqrt(-pp / 3.0)
+    phi = ops.arccos(ops.clip(ops.divide(3.0 * qq, pp * m))) / 3.0
+    q = -0.5 * (d1 + ops.copysign(ops.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
+    return (
+        m * ops.cos(phi) - shift,
+        m * ops.cos(phi - 2.0 * np.pi / 3.0) - shift,
+        m * ops.cos(phi + 2.0 * np.pi / 3.0) - shift,
+        s - ops.divide(pp, 3.0 * s) - shift,
+        ops.divide(q, d2),
+        ops.divide(d0, q),
+    )
+
+
+def _float_divide(x: float, y: float) -> float:
+    """x / y on Python floats, with numpy's inf or NaN where Python raises."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        return math.nan if x == 0.0 or math.isnan(x) else math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+# The functions of _cubic_candidates on numpy arrays, and on the Python floats
+# of one cell.  These give numpy's inf and NaN where Python raises, and keep
+# numpy's cbrt, arccos and cos, so both give the same candidates bit for bit.
+_ARRAY_OPS = SimpleNamespace(
+    divide=np.divide, sqrt=np.sqrt, copysign=np.copysign, cbrt=np.cbrt, arccos=np.arccos, cos=np.cos,
+    clip=lambda x: np.minimum(np.maximum(x, -1.0), 1.0),
+)
+_FLOAT_OPS = SimpleNamespace(
+    divide=_float_divide, sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan, copysign=math.copysign,
+    cbrt=lambda x: float(np.cbrt(x)), arccos=lambda x: float(np.arccos(x)), cos=lambda x: float(np.cos(x)),
+    # x first, so a NaN passes through max and min as through numpy's
+    clip=lambda x: min(max(x, -1.0), 1.0),
+)
+
+
+def _cubic_roots(d3, d2, d1, d0):
+    """The cubic's candidate roots, vectorized over numpy arrays."""
     with np.errstate(all="ignore"):
-        shift = d2 / (3.0 * d3)
-        c, d = d1 / d3, d0 / d3
-        pp = c - 3.0 * shift * shift
-        qq = shift * (2.0 * shift * shift - c) + d
-        disc = 0.25 * qq * qq + pp * pp * pp / 27.0
-        s = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(disc), qq))
-        m = 2.0 * np.sqrt(-pp / 3.0)
-        phi = np.arccos(np.minimum(np.maximum(3.0 * qq / (pp * m), -1.0), 1.0)) / 3.0
-        q = -0.5 * (d1 + np.copysign(np.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
-        return (
-            m * np.cos(phi) - shift,
-            m * np.cos(phi - 2.0 * np.pi / 3.0) - shift,
-            m * np.cos(phi + 2.0 * np.pi / 3.0) - shift,
-            s - pp / (3.0 * s) - shift,
-            q / d2,
-            d0 / q,
-        )
+        return _cubic_candidates(d3, d2, d1, d0, _ARRAY_OPS)
 
 
-def _breakpoints(coeffs, u_lo, u_hi):
+def _float_cubic_roots(d3, d2, d1, d0):
+    """The cubic's candidate roots for one cell, on Python floats: equal to
+    _cubic_roots on 0-d inputs bit for bit, without numpy's per-call cost."""
+    return _cubic_candidates(d3, d2, d1, d0, _FLOAT_OPS)
+
+
+def _breakpoints(coeffs, u_lo, u_hi, roots=_cubic_roots):
     """(point, inside) pairs: both ends of [u_lo, u_hi], and every candidate
     critical point of the bracket flagged with whether it lies strictly
     inside.  The bracket is monotone between consecutive inside points, so
     it is positive somewhere in the range iff it is positive at one of them.
     A linear bracket has no critical point; up to a quartic, they are the
-    roots of its derivative, padded to a cubic."""
+    roots of its derivative, padded to a cubic, from ``roots``."""
     pairs = [(u_lo, True), (u_hi, True)]
     if len(coeffs) > 2:
         slopes = [k * c for k, c in enumerate(coeffs)][:0:-1]
-        # zeros of the coefficients' numpy type divide to inf or NaN, not raise
+        # the zero padding divides to inf or NaN, not raise
         padding = [0.0 * slopes[0]] * (4 - len(slopes))
-        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in _cubic_roots(*padding, *slopes)]
+        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in roots(*padding, *slopes)]
     return pairs
 
 
@@ -397,8 +433,7 @@ def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:
     order, with exact roots as inner endpoints: one root per monotone piece
     whose ends differ in sign."""
     u_lo, u_hi = _u_range(t_lo, t_hi)
-    # as an array, a zero leading coefficient divides to inf or NaN
-    candidates = _breakpoints(np.asarray(coeffs, dtype=float), u_lo, u_hi)
+    candidates = _breakpoints([float(c) for c in coeffs], u_lo, u_hi, _float_cubic_roots)
     points = sorted(float(u) for u, inside in candidates if inside)
     values = [_horner(coeffs, u) for u in points]
     # edges in descending time, since u = e^{-2t} runs backwards
@@ -440,8 +475,8 @@ class BackflowReport:
 
 def _grid_work(times):
     """The checked work of a detection grid, a 1-d float64 array: the grid
-    itself, the Lipschitz allowance of each step, the decay pair u, v and
-    the complex-step pair u - 2ihu, v + 2ihu, all read-only.  Kept for the
+    itself, the Lipschitz allowance of each step and the complex-step pair
+    u - 2ihu, v + 2ihu of the decay pair u, v, all read-only.  Kept for the
     last grid, by its bytes, at any length; the grid returned is rebuilt
     from those bytes, so it cannot be made writeable."""
     if times.ndim != 1 or len(times) < 2:
@@ -466,7 +501,7 @@ def _kept_grid_work(key: bytes):
     allowance = LIPSCHITZ_BOUND * np.minimum(steps, 1.0) + 1e-12
     u, v = _decay(times)
     step = (2j * COMPLEX_STEP) * u
-    work = allowance, u, v, u - step, v + step
+    work = allowance, u - step, v + step
     for array in work:
         array.flags.writeable = False
     return (times, *work)
@@ -496,10 +531,13 @@ def detect_backflow(
         times = log_time_grid()
     # the report keeps the memo's read-only grid, so a later edit of the
     # caller's grid cannot change it
-    times, allowance, u, v, u_shifted, v_shifted = _grid_work(np.asarray(times, dtype=float))
+    times, allowance, u_shifted, v_shifted = _grid_work(np.asarray(times, dtype=float))
 
     mode, p, label = _mode_and_p(config)
-    terms = _terms(mode, a, p, u, v)
+    # one pass at t + ih: the step adds terms of order h^2 to each real part,
+    # far below half an ulp, so the real parts are the terms at t bit for bit
+    shifted = _terms(mode, a, p, u_shifted, v_shifted)
+    terms = tuple(term.real for term in shifted)
     coeffs = _bracket_coeffs(mode, a, p)
     dist = _distance(mode, a, p, times, terms)
     prefactor, bracket = derivative_parts(mode, a, p, times, terms, coeffs)
@@ -516,7 +554,7 @@ def detect_backflow(
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to
     # rounding at any h, including across the kinks of D at small a
-    slope = _distance(mode, a, p, None, _terms(mode, a, p, u_shifted, v_shifted)).imag / COMPLEX_STEP
+    slope = _distance(mode, a, p, None, shifted).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
         raise RuntimeError(
@@ -572,9 +610,13 @@ def empirical_threshold(
     negative.  Evaluating the sign at one late time isolates the sustained
     (late-time) window; the switch configuration additionally shows a
     transient positive window at intermediate times for small p, which this
-    measurement deliberately excludes.
+    measurement deliberately excludes.  Raises ValueError unless
+    0 < a_step < 1.
     """
     _check_p(p)
+    # NaN fails the test too; a step outside (0, 1) scans no a below 1
+    if not 0.0 < a_step < 1.0:
+        raise ValueError(f"a_step must be in (0, 1), got {a_step}")
     a_values = np.arange(a_step, 1.0, a_step)
     coeffs = _bracket_coeffs(_controlled(mode), a_values, p)
     positive = _horner(coeffs, math.exp(-2.0 * DEFAULT_T_MAX)) > 0.0

@@ -7,6 +7,9 @@ control_index``.  That single convention is relied on everywhere else in the
 package.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -40,7 +43,8 @@ def pure_state(amplitudes) -> np.ndarray:
     norm = _norm(psi)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {norm}")
-    return np.outer(psi, psi.conj())
+    # np.outer's column-times-row product, bit for bit, without its ravels
+    return psi[:, None] * psi.conj()[None, :]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -63,8 +67,33 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity, max |M - M^dagger|."""
+    """Max-entry deviation from Hermiticity, max |M - M^dagger|; NaN when an
+    entry of M - M^dagger is NaN.  A 2x2 takes the qubit closed form."""
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        return _qubit_residual(a, b, c, d)
     return float(np.abs(m - dagger(m)).max())
+
+
+# A 2x2 matrix [[a, b], [c, d]] is read as Python complex numbers: for a
+# Hermitian one, the eigenvalues are (a + d)/2 -+ hypot((a - d)/2, |c|),
+# with no LAPACK call.
+
+def _qubit_residual(a: complex, b: complex, c: complex, d: complex) -> float:
+    """max |M - M^dagger| from the entries numpy would form: the diagonal
+    ones carry a NaN or inf real part as NaN, and entry (1, 0) has the size
+    of entry (0, 1)."""
+    res = [math.hypot(x.real - y.real, x.imag + y.imag) for x, y in ((a, a), (b, c), (d, d))]
+    # a NaN entry makes numpy's max NaN; the sum of these non-negative values carries it
+    return math.nan if math.isnan(sum(res)) else max(res)
+
+
+def _qubit_eigvalsh(a: complex, c: complex, d: complex):
+    """Ascending eigenvalues of a Hermitian 2x2 matrix from its lower
+    triangle, as ``np.linalg.eigvalsh`` reads it: the real diagonal a, d and
+    the entry c below it."""
+    mean, radius = 0.5 * (a.real + d.real), math.hypot(0.5 * (a.real - d.real), c.real, c.imag)
+    return mean - radius, mean + radius
 
 
 def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -89,13 +118,17 @@ def check_density_operator(rho: np.ndarray) -> None:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density operator must be a square matrix")
-    res = hermiticity_residual(rho)
+    # the ascending spectrum is taken only once the matrix is known Hermitian
+    if rho.shape == (2, 2):
+        (a, b), (c, d) = rho.tolist()
+        res, tr, spectrum = _qubit_residual(a, b, c, d), a + d, lambda: _qubit_eigvalsh(a, c, d)
+    else:
+        res, tr, spectrum = hermiticity_residual(rho), rho.trace(), lambda: np.linalg.eigvalsh(rho)
     if not res <= HERMITICITY_TOL:
         raise ValueError(f"density operator not Hermitian (residual {res:.3e})")
-    tr = rho.trace()
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density operator trace is {tr}, expected 1")
-    lam_min = float(np.linalg.eigvalsh(rho).min())
+    lam_min = float(spectrum()[0])
     if not lam_min >= -PSD_TOL:
         raise ValueError(f"density operator has negative eigenvalue {lam_min:.3e}")
 
@@ -114,8 +147,12 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     res = hermiticity_residual(diff)
     if not res <= 1e-10:
         raise ValueError(f"difference is not Hermitian (residual {res:.3e})")
-    evals = np.linalg.eigvalsh(0.5 * (diff + dagger(diff)))
-    return float(0.5 * np.abs(evals).sum())
+    if diff.shape != (2, 2):
+        return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + dagger(diff)))).sum())
+    # the Hermitian part (diff + diff^dagger) / 2 keeps the real diagonal
+    (a, b), (c, d) = diff.tolist()
+    low, high = _qubit_eigvalsh(a, 0.5 * (c + b.conjugate()), d)
+    return 0.5 * (abs(low) + abs(high))
 
 
 def project_control(joint: np.ndarray, control_vec: np.ndarray):
@@ -139,11 +176,12 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray):
         raise ValueError("control_vec must be normalized")
     # indices (s1, c1, s2, c2): contract c2 with v, then c1 with v*
     block = v.conj() @ (joint.reshape(2, 2, 2, 2) @ v)
-    prob = float(block.trace().real)
+    entries = block.ravel().tolist()
+    prob = (entries[0] + entries[3]).real
     if not prob >= POSTSELECT_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection impossible: outcome probability {prob:.3e}"
         )
-    if not np.isfinite(block).all():
+    if not all(map(cmath.isfinite, entries)):
         raise ValueError("projected control block is not finite")
     return block, prob

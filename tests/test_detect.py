@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import backflow.detect as detect
 from backflow.channel import apply, phi_t_kraus
@@ -29,6 +32,7 @@ from backflow.detect import (
 )
 from backflow.control import (
     AmplitudeVectors,
+    _decay,
     analytic_state_path,
     analytic_state_switch,
     controlled_output,
@@ -459,11 +463,11 @@ class TestModeTable:
         empirical_threshold("path", 1.0)
         empirical_threshold("switch", 1.0)
         assert calls == {**derivative_calls, "path:_bracket_coeffs": 3, "switch:_bracket_coeffs": 3}
-        # detect_backflow computes the terms once for its grid, shared by the
-        # distance and the derivative, and once for the complex-step grid;
-        # the bracket once, shared by the derivative and the windows
+        # detect_backflow computes the terms once, at t + ih: their real parts
+        # serve the distance and the derivative, their imaginary parts the
+        # complex step; the bracket once, shared by the derivative and the windows
         detect_backflow(path_config(1.0), 0.5)
-        assert calls["path:_terms"] == 3 and calls["_prefactor"] == 3 and calls["path:_bracket_coeffs"] == 4
+        assert calls["path:_terms"] == 2 and calls["_prefactor"] == 3 and calls["path:_bracket_coeffs"] == 4
 
 class TestThresholds:
     def test_pure_control_values(self):
@@ -497,6 +501,13 @@ class TestThresholds:
         for threshold in (asymptotic_threshold, empirical_threshold):
             with pytest.raises(ValueError, match="mode must be 'path' or 'switch'"):
                 threshold("bare", 0.5)
+
+    @pytest.mark.parametrize("a_step", [-0.1, 2.0, 0.0, float("nan"), 1.0])
+    def test_empirical_step_outside_unit_interval(self, a_step):
+        # at p = 0.5 the threshold is 0.577: no step outside (0, 1) may
+        # report "no late-time backflow" (0.0) or fail inside numpy
+        with pytest.raises(ValueError, match="a_step must be in"):
+            empirical_threshold("path", 0.5, a_step=a_step)
 
 
 class TestScanRegion:
@@ -718,6 +729,92 @@ class TestExactWindows:
                     for s0, s1 in _intervals_above(times, report.derivative, report.eps):
                         assert any(t0 <= s0 and s1 <= t1 for t0, t1 in windows)
         assert seen > 20
+
+
+def _two_pass_series(mode, a, p, times):
+    """Distance, derivative and complex-step residual from a pass at t and a
+    second one at t + ih, as detect_backflow formed them before it read both
+    from the pass at t + ih."""
+    u, v = _decay(times)
+    terms = detect._terms(mode, a, p, u, v)
+    dist = detect._distance(mode, a, p, None, terms)
+    prefactor, bracket = derivative_parts(mode, a, p, None, terms)
+    deriv = prefactor * bracket
+    step = (2j * detect.COMPLEX_STEP) * u
+    shifted = detect._terms(mode, a, p, u - step, v + step)
+    slope = detect._distance(mode, a, p, None, shifted).imag / detect.COMPLEX_STEP
+    return dist, deriv, float(np.abs(slope - deriv).max())
+
+
+def _same_float(x, y):
+    """Equal bit for bit, the sign of zero included; any NaN equals any NaN."""
+    x, y = float(x), float(y)
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+# finite cubic coefficients: signed zeros, subnormals, huge and ordinary values
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestOnePassAndScalarWindows:
+    """detect_backflow reads its series from one pass at t + ih, and its
+    windows from the cubic candidates on Python floats; both must equal
+    what they replace bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["bare", "path", "switch"]),
+        a=st.one_of(st.floats(1e-200, 0.999), st.floats(-200.0, -0.001).map(lambda x: 10.0 ** x)),
+        p=st.one_of(st.sampled_from([0.0, 1e-300, 1.0]), st.floats(0.0, 1.0)),
+        t_max=st.sampled_from([4.0, 12.0, 50.0, 400.0]),
+        points=st.integers(2, 600),
+    )
+    def test_series_equal_the_two_pass_reference(self, mode, a, p, t_max, points):
+        times = log_time_grid(DEFAULT_T_MIN, t_max, points)
+        dist, deriv, fd_residual = _two_pass_series(mode, a, p, times)
+        config = "bare" if mode == "bare" else _CONFIGS[mode](p)
+        try:
+            report = detect_backflow(config, a, times)
+        except RuntimeError as exc:
+            # the same series fail one of the same checks
+            allowance = detect.LIPSCHITZ_BOUND * np.minimum(np.diff(times), 1.0) + 1e-12
+            assert (
+                not (np.isfinite(dist).all() and np.isfinite(deriv).all())
+                or dist.min() < -1e-12
+                or dist.max() > 1.0 + 1e-12
+                or (np.abs(np.diff(dist)) > allowance).any()
+                or not fd_residual <= detect.FD_CHECK_TOL
+            ), exc
+            return
+        assert np.array_equal(report.distance, dist)
+        assert np.array_equal(report.derivative, deriv)
+        assert report.fd_residual == fd_residual
+
+    @settings(max_examples=400, deadline=None)
+    @given(d3=_COEFFICIENTS, d2=_COEFFICIENTS, d1=_COEFFICIENTS, d0=_COEFFICIENTS)
+    def test_float_candidates_equal_0d_candidates(self, d3, d2, d1, d0):
+        want = detect._cubic_roots(*map(np.float64, (d3, d2, d1, d0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = detect._float_cubic_roots(d3, d2, d1, d0)
+        assert all(isinstance(r, float) for r in got)
+        assert all(map(_same_float, got, want)), (got, want)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("padding", [1, 2, 3])
+    def test_float_candidates_divide_by_zero_as_numpy(self, padding, zero):
+        # a zero leading coefficient, as the padding and the switch quartic
+        # at p = 0 give, divides to inf or NaN, so the candidate is not inside
+        slopes = [zero] * padding + [2.0, -3.0, 1.0, -0.1][padding:]
+        want = detect._cubic_roots(*map(np.float64, slopes))
+        got = detect._float_cubic_roots(*slopes)
+        assert all(map(_same_float, got, want)) and not all(map(math.isfinite, got))
 
 
 class TestCentralDifference:

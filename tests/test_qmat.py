@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,12 @@ class TestPureState:
         for amplitudes in ([1.0, 1.0], [np.nan, 0.0]):
             with pytest.raises(ValueError, match="not normalized"):
                 pure_state(amplitudes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
+    def test_equals_outer_bit_for_bit(self, seed, dim):
+        psi = random_unit(np.random.default_rng(seed), dim)
+        assert pure_state(psi).tobytes() == np.outer(psi, psi.conj()).tobytes()
 
 
 class TestKron:
@@ -333,3 +341,114 @@ class TestMatmulKernels:
         with pytest.raises(ValueError, match="not finite") as info:
             project_control(joint, random_unit(rng))
         assert not isinstance(info.value, PostSelectionImpossibleError)
+
+
+def reference_residual(m):
+    return float(np.abs(m - m.conj().T).max())
+
+
+def reference_check_density(rho):
+    """check_density_operator through np.linalg.eigvalsh at every size (reference)."""
+    rho = np.asarray(rho, dtype=complex)
+    res = reference_residual(rho)
+    if not res <= 1e-12:
+        raise ValueError(f"density operator not Hermitian (residual {res:.3e})")
+    tr = rho.trace()
+    if not abs(tr - 1.0) <= 1e-12:
+        raise ValueError(f"density operator trace is {tr}, expected 1")
+    lam_min = float(np.linalg.eigvalsh(rho).min())
+    if not lam_min >= -1e-10:
+        raise ValueError(f"density operator has negative eigenvalue {lam_min:.3e}")
+
+
+def reference_trace_distance(rho1, rho2):
+    """trace_distance through np.linalg.eigvalsh at every size (reference)."""
+    diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
+    res = reference_residual(diff)
+    if not res <= 1e-10:
+        raise ValueError(f"difference is not Hermitian (residual {res:.3e})")
+    return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+
+
+def outcome(fn, *args):
+    """("ok", value), or the exception class and the words its message opens with."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), re.match(r"[A-Za-z ]*", str(exc)).group()
+
+
+def hermitian_density(rng, dim, low=None):
+    """A random density matrix, exactly Hermitian; with ``low``, its
+    smallest eigenvalue is ``low`` in a random eigenbasis."""
+    if low is None:
+        rho = random_density(rng, dim)
+    else:
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        weights = np.full(dim, (1.0 - low) / (dim - 1))
+        weights[0] = low
+        rho = (u * weights) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def near(scale):
+    """scale (1 + delta) with 1e-3 <= |delta| <= 0.5: near a tolerance, but
+    many rounding errors away from it."""
+    return st.tuples(st.floats(1e-3, 0.5), st.sampled_from([-1.0, 1.0])).map(lambda d: scale * (1.0 + d[1] * d[0]))
+
+
+# (entry, real or imaginary part) where a perturbation goes
+PLACES = st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from([1.0, 1j]))
+
+
+class TestQubitClosedForms:
+    """check_density_operator and trace_distance take the eigenvalues of a
+    2x2 in closed form; they must decide as the eigvalsh reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=st.sampled_from([2, 2, 2, 4]),
+        kind=st.sampled_from(["plain", "hermiticity", "trace", "negative"]),
+        size=st.one_of(near(1e-12), near(1e-10)),
+        place=PLACES,
+    )
+    def test_density_check_matches_eigvalsh(self, seed, dim, kind, size, place):
+        rng = np.random.default_rng(seed)
+        rho = hermitian_density(rng, dim, low=-abs(size) if kind == "negative" else None)
+        if kind == "hermiticity":
+            i, j, unit = place
+            rho[i, j] += size * unit
+        elif kind == "trace":
+            rho *= 1.0 + size
+        assert outcome(check_density_operator, rho) == outcome(reference_check_density, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, dim=st.sampled_from([2, 2, 2, 4]), size=st.one_of(st.just(0.0), near(1e-12), near(1e-10)), place=PLACES)
+    def test_trace_distance_matches_eigvalsh(self, seed, dim, size, place):
+        rng = np.random.default_rng(seed)
+        rho1, rho2 = hermitian_density(rng, dim), hermitian_density(rng, dim)
+        i, j, unit = place
+        rho1[i, j] += size * unit
+        got, want = outcome(trace_distance, rho1, rho2), outcome(reference_trace_distance, rho1, rho2)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert abs(got[1] - want[1]) <= 1e-15
+        else:
+            assert got == want
+
+    NON_FINITE = [(i, j, unit, bad) for i in range(2) for j in range(2) for unit in (1.0, 1j) for bad in (np.nan, np.inf, -np.inf)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("i, j, unit, bad", NON_FINITE)
+    def test_non_finite_entries_match_eigvalsh(self, i, j, unit, bad):
+        rng = np.random.default_rng(8 * i + 4 * j + 2 * (unit == 1j))
+        rho1, rho2 = hermitian_density(rng, 2), hermitian_density(rng, 2)
+        if unit == 1.0:
+            rho1[i, j] = complex(bad, rho1[i, j].imag)
+        else:
+            rho1[i, j] = complex(rho1[i, j].real, bad)
+        want = outcome(reference_check_density, rho1)
+        assert want[0] is ValueError
+        assert outcome(check_density_operator, rho1) == want
+        assert outcome(trace_distance, rho1, rho2) == outcome(reference_trace_distance, rho1, rho2)
