@@ -45,19 +45,15 @@ from .detect import (
     BACKFLOW_EPS,
     BackflowReport,
     RegionScan,
-    analytic_dDdt_path,
-    analytic_dDdt_switch,
+    analytic_derivative,
     asymptotic_threshold,
-    bare_dDdt,
-    bare_distance,
     central_difference,
     detect_backflow,
     empirical_threshold,
     log_time_grid,
-    path_distance,
+    probe_distance,
     probe_pair,
     scan_region,
-    switch_distance,
 )
 from .qmat import (
     PostSelectionImpossibleError,

@@ -110,6 +110,11 @@ def _check_p(p: float) -> None:
         raise ValueError(f"control parameter p must be in [0, 1], got {p}")
 
 
+def _check_t(t) -> None:
+    if not (np.asarray(t) >= 0.0).all():
+        raise ValueError(f"times must be non-negative, got {t}")
+
+
 # ---------------------------------------------------------------------------
 # closed forms from the Bloch rows of ``control``: with b = sqrt(1 - a^2) the
 # probes' Bloch difference is 2b (a, 0, -b), so D = b sqrt(S) / Delta for
@@ -152,9 +157,9 @@ def _terms(mode: str, a: float, p: float, u, v):
     return u, s, delta, (a / s * n_x) ** 2 + (1.0 - a * a) * (n_z / s) ** 2
 
 
-def _distance(mode: str, a: float, p: float, t, terms=None):
-    """D = b s sqrt(r) / Delta, from the mode's terms at t when given."""
-    _, s, delta, r = _terms(mode, a, p, *_decay(t)) if terms is None else terms
+def _distance(a: float, terms):
+    """D = b s sqrt(r) / Delta, from a mode's terms."""
+    _, s, delta, r = terms
     return np.sqrt((1.0 - a * a) * r) * s / delta
 
 
@@ -162,43 +167,6 @@ def _prefactor(a: float, terms):
     """Positive prefactor b u / (Delta^2 s sqrt(r)) of a mode's dD/dt."""
     u, s, delta, r = terms
     return np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
-
-
-def _checked_distance(mode: str, a: float, p: float, t):
-    _check_a(a)
-    _check_p(p)
-    return _distance(mode, a, p, t)
-
-
-def bare_distance(a: float, t):
-    """D(t) = (1/2) sqrt((1-a^2) R) for R = a^2 (1 + 2u) + (4 - 3a^2) u^2."""
-    return _checked_distance("bare", a, 1.0, t)
-
-
-def bare_dDdt(a: float, t):
-    """Time derivative of the bare-channel probe distance; negative for every
-    a in (0, 1) and t > 0, so the bare dynamics never show backflow."""
-    return _checked_derivative("bare", a, 1.0, t)
-
-
-def path_distance(a: float, p: float, t):
-    """Probe distance under the path configuration, b sqrt(S) / Delta."""
-    return _checked_distance("path", a, p, t)
-
-
-def analytic_dDdt_path(a: float, p: float, t):
-    """Closed-form dD/dt for the path configuration."""
-    return _checked_derivative("path", a, p, t)
-
-
-def switch_distance(a: float, p: float, t):
-    """Probe distance under the switch configuration, b sqrt(S) / Delta."""
-    return _checked_distance("switch", a, p, t)
-
-
-def analytic_dDdt_switch(a: float, p: float, t):
-    """Closed-form dD/dt for the switch configuration."""
-    return _checked_derivative("switch", a, p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +228,11 @@ def _bracket_coeffs(mode: str, a, p):
     return tuple(a2 * _horner(x, p) + b2 * _horner(z, p) for x, z in _BRACKET_TABLES[mode])
 
 
-def derivative_parts(mode: str, a: float, p: float, t, terms=None, coeffs=None):
+def derivative_parts(mode: str, a: float, p: float, t):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
-    the bracket is its polynomial evaluated at u = e^{-2t}.  ``terms`` are
-    the mode's closed-form terms at t and ``coeffs`` its bracket at (a, p),
-    each computed here when not given."""
-    if terms is None:
-        terms = _terms(mode, a, p, *_decay(t))
-    if coeffs is None:
-        coeffs = _bracket_coeffs(mode, a, p)
-    return _prefactor(a, terms), _horner(coeffs, terms[0])
-
-
-def _checked_derivative(mode: str, a: float, p: float, t):
-    _check_a_open(a)
-    _check_p(p)
-    prefactor, bracket = derivative_parts(mode, a, p, t)
-    return prefactor * bracket
+    the bracket is its polynomial evaluated at u = e^{-2t}."""
+    terms = _terms(mode, a, p, *_decay(t))
+    return _prefactor(a, terms), _horner(_bracket_coeffs(mode, a, p), terms[0])
 
 
 def _controlled(mode: str) -> str:
@@ -302,17 +258,25 @@ def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
 
 
 def probe_distance(config: ConfigLike, a: float, t):
-    """Probe-pair trace distance for a configuration ('bare' or ControlConfig) at t >= 0."""
+    """Probe-pair trace distance D(t) for a configuration ('bare' or
+    ControlConfig), for a in (0, 1] and t >= 0."""
     mode, p, _ = _mode_and_p(config)
-    if not (np.asarray(t) >= 0.0).all():
-        raise ValueError(f"times must be non-negative, got {t}")
-    return _checked_distance(mode, a, p, t)
+    _check_t(t)
+    _check_a(a)
+    # a ControlConfig does not type-check its control, so p is checked here
+    _check_p(p)
+    return _distance(a, _terms(mode, a, p, *_decay(t)))
 
 
 def analytic_derivative(config: ConfigLike, a: float, t):
-    """Analytic dD/dt for a configuration ('bare' or ControlConfig)."""
+    """Analytic dD/dt for a configuration ('bare' or ControlConfig), for
+    a in (0, 1) and t >= 0."""
     mode, p, _ = _mode_and_p(config)
-    return _checked_derivative(mode, a, p, t)
+    _check_a_open(a)
+    _check_p(p)
+    _check_t(t)
+    prefactor, bracket = derivative_parts(mode, a, p, t)
+    return prefactor * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +485,10 @@ def detect_backflow(
     Im D(t + ih) / h of the same closed form (h = 1e-30, tolerance 1e-10).
     The intervals are where the derivative's bracket is positive in
     [times[0], times[-1]], from its real roots rather than from the samples;
-    ``eps`` only sets the ``marginal`` band.  The grid must be finite,
-    strictly increasing and start at t > 0.  Raises ValueError for invalid
-    input and RuntimeError when a series is not finite, leaves [0, 1],
-    jumps, or fails the complex-step check.
+    ``eps`` only sets the ``marginal`` band and must be finite and >= 0.
+    The grid must be finite, strictly increasing and start at t > 0.
+    Raises ValueError for invalid input and RuntimeError when a series is
+    not finite, leaves [0, 1], jumps, or fails the complex-step check.
     """
     _check_a_open(a)
     if times is None:
@@ -534,14 +498,15 @@ def detect_backflow(
     times, allowance, u_shifted, v_shifted = _grid_work(np.asarray(times, dtype=float))
 
     mode, p, label = _mode_and_p(config)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     # one pass at t + ih: the step adds terms of order h^2 to each real part,
     # far below half an ulp, so the real parts are the terms at t bit for bit
     shifted = _terms(mode, a, p, u_shifted, v_shifted)
     terms = tuple(term.real for term in shifted)
     coeffs = _bracket_coeffs(mode, a, p)
-    dist = _distance(mode, a, p, times, terms)
-    prefactor, bracket = derivative_parts(mode, a, p, times, terms, coeffs)
-    deriv = prefactor * bracket
+    dist = _distance(a, terms)
+    deriv = _prefactor(a, terms) * _horner(coeffs, terms[0])
 
     # min and max carry any NaN, so the series are finite iff their extremes are
     lo, hi, peak = float(dist.min()), float(dist.max()), float(deriv.max())
@@ -554,7 +519,7 @@ def detect_backflow(
 
     # complex step: Im D(t + ih) / h subtracts nothing, so it stays exact to
     # rounding at any h, including across the kinks of D at small a
-    slope = _distance(mode, a, p, None, shifted).imag / COMPLEX_STEP
+    slope = _distance(a, shifted).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
         raise RuntimeError(
@@ -607,7 +572,10 @@ def empirical_threshold(
     Scans a in steps of ``a_step`` and returns the midpoint between the last
     probe parameter whose derivative (through the sign of its bracket) is
     still positive at DEFAULT_T_MAX and the first one where it has turned
-    negative.  Evaluating the sign at one late time isolates the sustained
+    negative.  When no scanned a is positive, the edge lies below the first
+    one, a_step, if the a -> 0 limit of the bracket is positive there:
+    the midpoint a_step / 2 is returned, else 0.0 (no late-time backflow).
+    Evaluating the sign at one late time isolates the sustained
     (late-time) window; the switch configuration additionally shows a
     transient positive window at intermediate times for small p, which this
     measurement deliberately excludes.  Raises ValueError unless
@@ -618,10 +586,11 @@ def empirical_threshold(
     if not 0.0 < a_step < 1.0:
         raise ValueError(f"a_step must be in (0, 1), got {a_step}")
     a_values = np.arange(a_step, 1.0, a_step)
+    u = math.exp(-2.0 * DEFAULT_T_MAX)
     coeffs = _bracket_coeffs(_controlled(mode), a_values, p)
-    positive = _horner(coeffs, math.exp(-2.0 * DEFAULT_T_MAX)) > 0.0
+    positive = _horner(coeffs, u) > 0.0
     if not positive.any():
-        return 0.0
+        return float(0.5 * a_step) if _horner(_bracket_coeffs(mode, 0.0, p), u) > 0.0 else 0.0
     last_true = int(np.nonzero(positive)[0].max())
     if last_true + 1 >= len(a_values):
         return float(a_values[-1])

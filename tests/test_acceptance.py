@@ -26,17 +26,13 @@ from backflow.control import (
     switch_kraus,
 )
 from backflow.detect import (
-    analytic_dDdt_path,
-    analytic_dDdt_switch,
+    analytic_derivative,
     asymptotic_threshold,
-    bare_dDdt,
-    bare_distance,
     detect_backflow,
     empirical_threshold,
     log_time_grid,
-    path_distance,
+    probe_distance,
     scan_region,
-    switch_distance,
 )
 from backflow.qmat import kron, project_control, trace_distance
 from backflow.control import outcome_vector
@@ -55,7 +51,7 @@ def test_criterion_1_bare_channel_never_gains_distinguishability():
     times = log_time_grid(1e-2, 12.0)
     worst = -np.inf
     for a in a_values:
-        worst = max(worst, float(bare_dDdt(a, times).max()))
+        worst = max(worst, float(analytic_derivative("bare", a, times).max()))
     elapsed = time.perf_counter() - start
     ok = worst < 0.0 and elapsed < 1.0
     report(1, "bare-channel derivative negative everywhere", ok,
@@ -168,18 +164,15 @@ def test_criterion_7_derivative_consistency():
     h = 1e-4
     worst_fd = 0.0
     times = np.linspace(0.05, 6.0, 60)
+    configs = ["bare"] + [make(p) for p in (0.0, 0.25, 0.5, 0.75, 1.0) for make in (path_config, switch_config)]
     for a in np.arange(0.1, 1.0, 0.1):
-        fd = (bare_distance(a, times + h) - bare_distance(a, times - h)) / (2 * h)
-        worst_fd = max(worst_fd, float(np.abs(fd - bare_dDdt(a, times)).max()))
-        for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-            fd = (path_distance(a, p, times + h) - path_distance(a, p, times - h)) / (2 * h)
-            worst_fd = max(worst_fd, float(np.abs(fd - analytic_dDdt_path(a, p, times)).max()))
-            fd = (switch_distance(a, p, times + h) - switch_distance(a, p, times - h)) / (2 * h)
-            worst_fd = max(worst_fd, float(np.abs(fd - analytic_dDdt_switch(a, p, times)).max()))
+        for config in configs:
+            fd = (probe_distance(config, a, times + h) - probe_distance(config, a, times - h)) / (2 * h)
+            worst_fd = max(worst_fd, float(np.abs(fd - analytic_derivative(config, a, times)).max()))
     worst_reduction = 0.0
     for a in np.arange(0.1, 1.0, 0.1):
-        for mode, general in (("path", analytic_dDdt_path), ("switch", analytic_dDdt_switch)):
-            derivative = general(a, 1.0, times)
+        for mode, make in (("path", path_config), ("switch", switch_config)):
+            derivative = analytic_derivative(make(1.0), a, times)
             reduced = np.prod(pure_control_parts(mode, a, times), axis=0)
             worst_reduction = max(worst_reduction, float(np.abs((derivative - reduced) / derivative).max()))
     ok = worst_fd <= 1e-6 and worst_reduction <= 1e-10
@@ -212,10 +205,10 @@ def test_criterion_9_small_time_negativity():
     p_values = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst = -np.inf
     for a in a_values:
-        worst = max(worst, float(bare_dDdt(a, times).max()))
+        worst = max(worst, float(analytic_derivative("bare", a, times).max()))
         for p in p_values:
-            worst = max(worst, float(analytic_dDdt_path(a, p, times).max()))
-            worst = max(worst, float(analytic_dDdt_switch(a, p, times).max()))
+            worst = max(worst, float(analytic_derivative(path_config(p), a, times).max()))
+            worst = max(worst, float(analytic_derivative(switch_config(p), a, times).max()))
     ok = worst < 0.0
     report(9, "no configuration shows backflow for t in (0, 0.05]", ok,
            f"max derivative {worst:.3e}")

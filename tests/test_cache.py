@@ -149,7 +149,7 @@ class TestReuse:
         shifted = detect._grid_work(grid)[-2:]
         z = -2.0 * (grid + 1j * COMPLEX_STEP)
         slopes = [
-            detect._distance(mode, a, p, None, detect._terms(mode, a, p, *pair)).imag / COMPLEX_STEP
+            detect._distance(a, detect._terms(mode, a, p, *pair)).imag / COMPLEX_STEP
             for pair in (shifted, (np.exp(z), -np.expm1(z)))
         ]
         assert np.all(np.abs(slopes[0] - slopes[1]) <= 1e-15 * np.maximum(1.0, np.abs(slopes[1])))

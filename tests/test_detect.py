@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,29 +14,25 @@ from backflow.detect import (
     DEFAULT_T_MAX,
     DEFAULT_T_MIN,
     FD_STEP,
-    analytic_dDdt_path,
     analytic_derivative,
-    analytic_dDdt_switch,
     asymptotic_threshold,
-    bare_dDdt,
-    bare_distance,
     central_difference,
     derivative_parts,
     detect_backflow,
     empirical_threshold,
     log_time_grid,
-    path_distance,
     probe_distance,
     probe_pair,
     scan_region,
-    switch_distance,
 )
 from backflow.control import (
     AmplitudeVectors,
+    ControlConfig,
     _decay,
     analytic_state_path,
     analytic_state_switch,
     controlled_output,
+    default_amplitudes,
     path_config,
     switch_config,
 )
@@ -52,23 +49,23 @@ def central_diff(fn, t, h=FD_H):
 class TestBareChannel:
     def test_distance_at_zero(self):
         for a in (0.2, 0.65, 0.9):
-            assert bare_distance(a, 0.0) == pytest.approx(np.sqrt(1 - a * a), abs=1e-14)
+            assert probe_distance("bare", a, 0.0) == pytest.approx(np.sqrt(1 - a * a), abs=1e-14)
 
     def test_identical_probes(self):
         ts = np.linspace(0.0, 5.0, 11)
-        assert np.abs(bare_distance(1.0, ts)).max() == 0.0
+        assert np.abs(probe_distance("bare", 1.0, ts)).max() == 0.0
 
     def test_matches_kraus_evolution(self):
         a, t = 0.65, 1.0
         rho1, rho2 = probe_pair(a)
         channel = phi_t_kraus(t)
         direct = trace_distance(apply(channel, rho1), apply(channel, rho2))
-        assert bare_distance(a, t) == pytest.approx(direct, abs=1e-10)
+        assert probe_distance("bare", a, t) == pytest.approx(direct, abs=1e-10)
 
     def test_derivative_negative_everywhere(self):
         ts = log_time_grid(1e-2, 12.0, 241)
         for a in np.arange(0.1, 1.0, 0.05):
-            assert np.all(bare_dDdt(a, ts) < 0.0)
+            assert np.all(analytic_derivative("bare", a, ts) < 0.0)
 
     def test_derivative_vanishes_for_identical_probes(self):
         prefactor, _ = derivative_parts("bare", 1.0 - 1e-15, 1.0, 1.0)
@@ -76,8 +73,8 @@ class TestBareChannel:
 
     def test_derivative_against_finite_difference(self):
         a = 0.3
-        got = bare_dDdt(a, 1.0)
-        fd = central_diff(lambda t: bare_distance(a, t), 1.0)
+        got = analytic_derivative("bare", a, 1.0)
+        fd = central_diff(lambda t: probe_distance("bare", a, t), 1.0)
         assert got == pytest.approx(fd, abs=1e-6)
 
 
@@ -89,25 +86,25 @@ class TestControlledDistances:
                 d_path = trace_distance(
                     analytic_state_path(rho1, t, p), analytic_state_path(rho2, t, p)
                 )
-                assert path_distance(0.65, p, t) == pytest.approx(d_path, abs=1e-12)
+                assert probe_distance(path_config(p), 0.65, t) == pytest.approx(d_path, abs=1e-12)
                 d_switch = trace_distance(
                     analytic_state_switch(rho1, t, p), analytic_state_switch(rho2, t, p)
                 )
-                assert switch_distance(0.65, p, t) == pytest.approx(d_switch, abs=1e-12)
+                assert probe_distance(switch_config(p), 0.65, t) == pytest.approx(d_switch, abs=1e-12)
 
     def test_distance_at_zero_time(self):
         for a in (0.3, 0.65):
             b = np.sqrt(1 - a * a)
-            assert path_distance(a, 0.7, 0.0) == pytest.approx(b, abs=1e-12)
-            assert switch_distance(a, 0.7, 0.0) == pytest.approx(b, abs=1e-12)
+            assert probe_distance(path_config(0.7), a, 0.0) == pytest.approx(b, abs=1e-12)
+            assert probe_distance(switch_config(0.7), a, 0.0) == pytest.approx(b, abs=1e-12)
 
 
 class TestPathDerivative:
     def test_backflow_sign_below_threshold(self):
-        assert analytic_dDdt_path(0.65, 1.0, 2.0) > 0.0
+        assert analytic_derivative(path_config(1.0), 0.65, 2.0) > 0.0
 
     def test_no_backflow_above_threshold(self):
-        assert analytic_dDdt_path(0.9, 1.0, 2.0) < 0.0
+        assert analytic_derivative(path_config(1.0), 0.9, 2.0) < 0.0
 
     def test_pure_control_bracket_identity(self):
         # the general bracket at p = 1, times x = e^{2t}, collapses to 16 times
@@ -121,7 +118,7 @@ class TestPathDerivative:
     def test_matches_pure_control_formula(self):
         ts = np.linspace(0.1, 5.0, 23)
         for a in (0.3, 0.65, 0.9):
-            general = analytic_dDdt_path(a, 1.0, ts)
+            general = analytic_derivative(path_config(1.0), a, ts)
             reduced = np.prod(pure_control_parts("path", a, ts), axis=0)
             assert np.abs((general - reduced) / general).max() <= 1e-10
 
@@ -129,8 +126,8 @@ class TestPathDerivative:
         ts = np.linspace(0.05, 6.0, 40)
         for a in (0.2, 0.5, 0.65, 0.9):
             for p in (0.1, 0.5, 1.0):
-                fd = central_diff(lambda t: path_distance(a, p, t), ts)
-                assert np.abs(fd - analytic_dDdt_path(a, p, ts)).max() <= 1e-6
+                fd = central_diff(lambda t: probe_distance(path_config(p), a, t), ts)
+                assert np.abs(fd - analytic_derivative(path_config(p), a, ts)).max() <= 1e-6
 
     def test_prefactor_positive_and_sign_carried_by_bracket(self):
         ts = np.linspace(0.05, 8.0, 30)
@@ -143,25 +140,25 @@ class TestPathDerivative:
 
 class TestSwitchDerivative:
     def test_no_backflow_above_threshold(self):
-        assert analytic_dDdt_switch(0.65, 1.0, 3.0) < 0.0
+        assert analytic_derivative(switch_config(1.0), 0.65, 3.0) < 0.0
 
     def test_backflow_below_threshold(self):
-        assert analytic_dDdt_switch(0.5, 1.0, 3.0) > 0.0
+        assert analytic_derivative(switch_config(1.0), 0.5, 3.0) > 0.0
 
     def test_small_time_always_negative(self):
-        assert analytic_dDdt_switch(0.99, 1.0, 0.01) < 0.0
+        assert analytic_derivative(switch_config(1.0), 0.99, 0.01) < 0.0
 
     def test_against_finite_difference(self):
         ts = np.linspace(0.05, 6.0, 40)
         for a in (0.2, 0.5, 0.65, 0.9):
             for p in (0.1, 0.5, 1.0):
-                fd = central_diff(lambda t: switch_distance(a, p, t), ts)
-                assert np.abs(fd - analytic_dDdt_switch(a, p, ts)).max() <= 1e-6
+                fd = central_diff(lambda t: probe_distance(switch_config(p), a, t), ts)
+                assert np.abs(fd - analytic_derivative(switch_config(p), a, ts)).max() <= 1e-6
 
     def test_matches_pure_control_formula(self):
         ts = np.linspace(0.1, 5.0, 23)
         for a in (0.3, 0.65, 0.9):
-            general = analytic_dDdt_switch(a, 1.0, ts)
+            general = analytic_derivative(switch_config(1.0), a, ts)
             reduced = np.prod(pure_control_parts("switch", a, ts), axis=0)
             assert np.abs((general - reduced) / general).max() <= 1e-10
 
@@ -220,10 +217,10 @@ class TestSmallTimeRegime:
         a_values = np.arange(0.05, 1.0, 0.05)
         p_values = (0.0, 0.3, 0.7, 1.0)
         for a in a_values:
-            assert np.all(bare_dDdt(a, ts) < 0.0)
+            assert np.all(analytic_derivative("bare", a, ts) < 0.0)
             for p in p_values:
-                assert np.all(analytic_dDdt_path(a, p, ts) < 0.0)
-                assert np.all(analytic_dDdt_switch(a, p, ts) < 0.0)
+                assert np.all(analytic_derivative(path_config(p), a, ts) < 0.0)
+                assert np.all(analytic_derivative(switch_config(p), a, ts) < 0.0)
 
 
 class TestDetectBackflow:
@@ -260,7 +257,7 @@ class TestDetectBackflow:
             grid = log_time_grid(t_max=t_max)
             for a in (1e-200, 0.3, 0.65, 0.9):
                 for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
-                    config = "bare" if mode == "bare" else _CONFIGS[mode](p)
+                    config = _config(mode, p)
                     report = detect_backflow(config, a, grid)
                     assert np.array_equal(report.distance, probe_distance(config, a, grid)), (a, p)
                     assert np.array_equal(report.derivative, analytic_derivative(config, a, grid)), (a, p)
@@ -306,12 +303,25 @@ class TestDetectBackflow:
         amps = AmplitudeVectors(alpha=(1.0, 0.0, 0.0), beta=(0.0, 0.0, 1.0))
         config = path_config(1.0, amplitudes=amps)
         out1, out2 = (controlled_output(config, rho, 2.0)[0] for rho in probe_pair(0.65))
-        assert abs(trace_distance(out1, out2) - float(path_distance(0.65, 1.0, 2.0))) > 1e-2
+        assert abs(trace_distance(out1, out2) - float(probe_distance(path_config(1.0), 0.65, 2.0))) > 1e-2
         for call in (detect_backflow, probe_distance):
             with pytest.raises(ValueError, match="default path amplitudes"):
                 call(config, 0.65, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="default path amplitudes"):
             analytic_derivative(config, 0.65, 2.0)
+
+    def test_doors_check_p_of_an_untyped_control(self):
+        # ControlConfig does not type-check its control, so both doors check p
+        config = ControlConfig("path", SimpleNamespace(p=5.0), default_amplitudes())
+        for call in (probe_distance, analytic_derivative):
+            with pytest.raises(ValueError, match="control parameter p"):
+                call(config, 0.5, 1.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
+    def test_rejects_eps_not_finite_and_nonnegative(self, eps):
+        for config in ("bare", path_config(1.0)):
+            with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+                detect_backflow(config, 0.5, eps=eps)
 
 
 class TestComplexStepCheck:
@@ -327,7 +337,7 @@ class TestComplexStepCheck:
     def test_perturbed_formula_raises(self, monkeypatch, mode, part, scale):
         # the tolerance is absolute, so a 1e-6 relative error shows where
         # |dD/dt| exceeds 1, as it does early on at a = 0.3
-        config = "bare" if mode == "bare" else _CONFIGS[mode](0.5)
+        config = _config(mode, 0.5)
         assert detect_backflow(config, 0.3).fd_residual <= 1e-12
         # the one generic prefactor, or the bracket derived from the row
         name = {"prefactor": "_prefactor", "bracket": "_bracket_coeffs"}[part]
@@ -344,7 +354,7 @@ class TestComplexStepCheck:
     def test_bracket_error_raises_where_the_derivative_is_small(self, monkeypatch, mode):
         # at a = 0.9, p = 1 every |dD/dt| stays below 1, so a 1e-6 relative
         # bracket error is an absolute error below 1e-6; FD_CHECK_TOL must see it
-        config = "bare" if mode == "bare" else _CONFIGS[mode](1.0)
+        config = _config(mode, 1.0)
         assert np.abs(detect_backflow(config, 0.9).derivative).max() < 1.0
         original = detect._bracket_coeffs
         monkeypatch.setattr(
@@ -399,9 +409,9 @@ class TestLargeTimeReference:
             for p in (1.0,) if mode == "bare" else (0.0, 0.5, 1.0):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    dist = detect._distance(mode, a, p, self.TIMES)
+                    dist = probe_distance(_config(mode, p), a, self.TIMES)
                     prefactor, bracket = derivative_parts(mode, a, p, self.TIMES)
-                    deriv = detect._checked_derivative(mode, a, p, self.TIMES)
+                    deriv = analytic_derivative(_config(mode, p), a, self.TIMES)
                 assert np.all(np.isfinite(prefactor)) and np.all(np.isfinite(bracket))
                 # the x-form weights cancel down to terms of size e^{-2t}, which
                 # at a = 1e-200 must resolve far below a: 50 digits do not
@@ -415,16 +425,17 @@ class TestLargeTimeReference:
     def test_late_time_limits(self):
         limits = {"bare": np.sqrt(3.0) / 8.0, "path": 0.3, "switch": 3.0 / 14.0}
         for mode, limit in limits.items():
-            assert detect._distance(mode, 0.5, 1.0, 700.0) == pytest.approx(limit, rel=1e-15)
-            assert detect._checked_derivative(mode, 0.5, 1.0, 700.0) == 0.0
+            assert probe_distance(_config(mode, 1.0), 0.5, 700.0) == pytest.approx(limit, rel=1e-15)
+            assert analytic_derivative(_config(mode, 1.0), 0.5, 700.0) == 0.0
 
 
 class TestProbeDistanceTimes:
     @pytest.mark.parametrize("t", [-1.0, np.nan, np.array([-2.0, -0.5, 1.0])])
     def test_rejects_negative_and_nan_times(self, t):
-        for config in ("bare", path_config(1.0), switch_config(0.5)):
-            with pytest.raises(ValueError, match="non-negative"):
-                probe_distance(config, 0.5, t)
+        for call in (probe_distance, analytic_derivative):
+            for config in ("bare", path_config(1.0), switch_config(0.5)):
+                with pytest.raises(ValueError, match="non-negative"):
+                    call(config, 0.5, t)
 
 
 class TestModeTable:
@@ -509,6 +520,17 @@ class TestThresholds:
         with pytest.raises(ValueError, match="a_step must be in"):
             empirical_threshold("path", 0.5, a_step=a_step)
 
+    @pytest.mark.parametrize(
+        "mode, p, a_step, want",
+        [("path", 0.5, 0.6, 0.3), ("path", 1.0, 0.9, 0.45), ("switch", 1.0, 0.7, 0.35), ("switch", 0.0, 0.6, 0.0)],
+    )
+    def test_empirical_step_coarser_than_the_threshold(self, mode, p, a_step, want):
+        # no scanned a is positive; the a -> 0 limit of the bracket tells an
+        # edge below the first sample (a_step / 2) from none at all (0.0)
+        emp = empirical_threshold(mode, p, a_step=a_step)
+        assert emp == want
+        assert abs(emp - asymptotic_threshold(mode, p)) <= a_step / 2
+
 
 class TestScanRegion:
     def test_spot_cells(self):
@@ -578,6 +600,11 @@ def _intervals_above(times, values, eps):
 
 
 _CONFIGS = {"path": path_config, "switch": switch_config}
+
+
+def _config(mode, p):
+    """The configuration of a mode at control parameter p; bare has none."""
+    return "bare" if mode == "bare" else _CONFIGS[mode](p)
 
 
 def _bracket_at(mode, a, p, t):
@@ -736,13 +763,12 @@ def _two_pass_series(mode, a, p, times):
     second one at t + ih, as detect_backflow formed them before it read both
     from the pass at t + ih."""
     u, v = _decay(times)
-    terms = detect._terms(mode, a, p, u, v)
-    dist = detect._distance(mode, a, p, None, terms)
-    prefactor, bracket = derivative_parts(mode, a, p, None, terms)
+    dist = detect._distance(a, detect._terms(mode, a, p, u, v))
+    prefactor, bracket = derivative_parts(mode, a, p, times)
     deriv = prefactor * bracket
     step = (2j * detect.COMPLEX_STEP) * u
     shifted = detect._terms(mode, a, p, u - step, v + step)
-    slope = detect._distance(mode, a, p, None, shifted).imag / detect.COMPLEX_STEP
+    slope = detect._distance(a, shifted).imag / detect.COMPLEX_STEP
     return dist, deriv, float(np.abs(slope - deriv).max())
 
 
@@ -778,7 +804,7 @@ class TestOnePassAndScalarWindows:
     def test_series_equal_the_two_pass_reference(self, mode, a, p, t_max, points):
         times = log_time_grid(DEFAULT_T_MIN, t_max, points)
         dist, deriv, fd_residual = _two_pass_series(mode, a, p, times)
-        config = "bare" if mode == "bare" else _CONFIGS[mode](p)
+        config = _config(mode, p)
         try:
             report = detect_backflow(config, a, times)
         except RuntimeError as exc:
@@ -829,9 +855,9 @@ class TestCentralDifference:
         # at the default step the stencil resolves the analytic rate far
         # inside the detection tolerance; a finer step reaches 1e-9
         ts = np.array([0.5, 2.0])
-        rate = lambda h: central_difference(lambda s: bare_distance(0.4, s), ts, h=h)
-        assert np.abs(rate(FD_STEP) - bare_dDdt(0.4, ts)).max() < 1e-8
-        assert np.abs(rate(1e-5) - bare_dDdt(0.4, ts)).max() < 1e-9
+        rate = lambda h: central_difference(lambda s: probe_distance("bare", 0.4, s), ts, h=h)
+        assert np.abs(rate(FD_STEP) - analytic_derivative("bare", 0.4, ts)).max() < 1e-8
+        assert np.abs(rate(1e-5) - analytic_derivative("bare", 0.4, ts)).max() < 1e-9
 
 
 class TestGrid:

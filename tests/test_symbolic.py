@@ -324,7 +324,7 @@ def test_package_forms_are_the_proven_ones(mode):
     prefactor = _numeric(b * u / (delta**2 * sp.sqrt(s)))
     for a_, p_, t_ in SAMPLES:
         u_ = np.exp(-2.0 * t_)
-        assert detect._distance(mode, a_, p_, t_) == pytest.approx(distance(a_, p_, u_), rel=1e-13)
+        assert detect._distance(a_, detect._terms(mode, a_, p_, *control._decay(t_))) == pytest.approx(distance(a_, p_, u_), rel=1e-13)
         got = detect.derivative_parts(mode, a_, p_, t_)[0]
         assert got == pytest.approx(prefactor(a_, p_, u_), rel=1e-13, abs=1e-300)
 
