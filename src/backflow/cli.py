@@ -8,6 +8,7 @@ or a library consistency check).
 """
 
 import json
+import random
 
 import click
 import numpy as np
@@ -44,6 +45,7 @@ from .qmat import KET_0, PostSelectionImpossibleError, check_density_operator, p
 EXIT_BACKFLOW = 1
 EXIT_POSTSELECT = 3
 EXIT_CHECK_FAILED = 4
+VALIDATE_SEED = 7
 
 
 def _fmt(value: float) -> str:
@@ -319,16 +321,15 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
     p_grid = np.linspace(p_min, p_max, p_points)
     result = scan_region(a_grid, p_grid, t_max=t_max)
     if fmt_name == "csv":
-        a_text = [_fmt(a) for a in a_grid]
+        a_text = [f"{_fmt(a)}," for a in a_grid]
         flag = ("false", "true")
-        lines = ["a,p,path_backflow,switch_backflow"]
+        parts = ["a,p,path_backflow,switch_backflow\n"]
         for p, path_row, switch_row in zip(p_grid, result.backflow_path.tolist(), result.backflow_switch.tolist()):
             p_text = _fmt(p)
-            lines.extend(
-                f"{a},{p_text},{flag[path_v]},{flag[switch_v]}"
-                for a, path_v, switch_v in zip(a_text, path_row, switch_row)
-            )
-        _emit(_csv(lines), out)
+            # the four "<p>,<flag>,<flag>" line ends of this p, indexed by 2 path + switch
+            ends = [f"{p_text},{flag[path_v]},{flag[switch_v]}\n" for path_v in (0, 1) for switch_v in (0, 1)]
+            parts.extend(a + ends[2 * path_v + switch_v] for a, path_v, switch_v in zip(a_text, path_row, switch_row))
+        _emit("".join(parts), out)
     else:
         payload = {
             "command": "scan",
@@ -357,19 +358,20 @@ def _suite_cptp():
 
 
 def _random_states(seed: int):
-    """Three random full-rank qubit states from Ginibre factors."""
-    rng = np.random.default_rng(seed)
+    """Three random full-rank qubit states from Ginibre factors: 2x2 matrices
+    of standard complex normal entries, drawn by ``random.Random(seed)``."""
+    rng = random.Random(seed)
     states = []
     for _ in range(3):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        g = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)]).reshape(2, 2)
         rho = g @ g.conj().T
         states.append(rho / np.trace(rho).real)
     return states
 
 
-def _suite_ode(t_values, seed: int = 7):
+def _suite_ode(t_values, random_states):
     gen = eternal_nm_generator()
-    states = [pure_state(KET_0), pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0)), *_random_states(seed)]
+    states = [pure_state(KET_0), pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0)), *random_states]
     # Sorted and de-duplicated, so one RK4 pass carries the whole stack
     # through every checkpoint instead of restarting from t = 0 for each.
     times = sorted(set(t_values))
@@ -383,8 +385,7 @@ def _suite_ode(t_values, seed: int = 7):
     return worst <= 1e-6, f"worst Kraus-vs-RK4 trace distance {worst:.3e}"
 
 
-def _suite_closed_form(seed: int = 7):
-    states = _random_states(seed)
+def _suite_closed_form(states):
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 3.0):
         for p in (0.0, 0.5, 1.0):
@@ -413,10 +414,12 @@ def _suite_derivatives():
 @click.pass_context
 def validate(ctx, suite, t_values):
     """Run the internal consistency suites; exit 4 on any failure."""
+    # one draw of the random states, shared by the ode and closed-form suites
+    states = _random_states(VALIDATE_SEED)
     suites = {
         "cptp": _suite_cptp,
-        "ode": lambda: _suite_ode(list(t_values) if t_values else [0.5, 1.0, 2.0, 5.0]),
-        "closed-form": _suite_closed_form,
+        "ode": lambda: _suite_ode(list(t_values) if t_values else [0.5, 1.0, 2.0, 5.0], states),
+        "closed-form": lambda: _suite_closed_form(states),
         "derivatives": _suite_derivatives,
     }
     all_ok = True

@@ -22,7 +22,6 @@ at h = 1e-30, where cos 2h = 1 and sin 2h = 2h.
 """
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from types import SimpleNamespace
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .control import (
     BLOCH_ROWS,
@@ -174,37 +172,56 @@ def _prefactor(a: float, terms):
 # 2 S Delta' - S' Delta = a^2 B_x + b^2 B_z for B_j = 2 n_j (n_j Delta' - n_j' Delta)
 # ---------------------------------------------------------------------------
 
-# A polynomial in (p, u) is held as one in z, with p^i u^j -> z^(i + 8j): exact
-# while no product reaches degree 8 in p, so for rows of degree at most 2 in p.
-_P_SPAN = 8
+class _PolyPU(dict):
+    """A polynomial in (p, u) as {(i, j): coefficient of p^i u^j}, with the
+    +, -, * a Bloch row uses and d/du.  The rows have small integer
+    coefficients, so every product and sum here is exact."""
 
+    @staticmethod
+    def of(x) -> "_PolyPU":
+        """x itself, or a number as a constant polynomial."""
+        return x if isinstance(x, _PolyPU) else _PolyPU({(0, 0): float(x)})
 
-def _by_u(poly: Polynomial) -> np.ndarray:
-    """A (p, u) polynomial's coefficients, one row per power of u, ascending in p."""
-    coef = poly.coef
-    return np.pad(coef, (0, -len(coef) % _P_SPAN)).reshape(-1, _P_SPAN)
+    def __add__(self, other):
+        out = _PolyPU(self)
+        for key, c in _PolyPU.of(other).items():
+            out[key] = out.get(key, 0.0) + c
+        return out
 
+    def __sub__(self, other):
+        return self + -1.0 * other
 
-def _d_du(poly: Polynomial) -> Polynomial:
-    rows = _by_u(poly)
-    return Polynomial((rows[1:] * np.arange(1, len(rows))[:, None]).ravel() if len(rows) > 1 else [0.0])
+    def __rsub__(self, other):
+        return -1.0 * self + other
 
+    def __mul__(self, other):
+        out = _PolyPU()
+        for (i, j), c in self.items():
+            for (k, l), d in _PolyPU.of(other).items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0.0) + c * d
+        return out
 
-def _in_p(coeffs) -> tuple:
-    """Coefficients ascending in p as floats, without trailing zeros."""
-    return tuple(float(c) for c in np.trim_zeros(coeffs, "b")) or (0.0,)
+    __radd__, __rmul__ = __add__, __mul__
+
+    def d_du(self) -> "_PolyPU":
+        return _PolyPU({(i, j - 1): j * c for (i, j), c in self.items() if j})
+
+    def in_p(self, j: int) -> tuple:
+        """The coefficient of u^j, ascending in p, without trailing zeros."""
+        coeffs = {i: c for (i, jj), c in self.items() if jj == j and c}
+        return tuple(coeffs.get(i, 0.0) for i in range(max(coeffs, default=-1) + 1)) or (0.0,)
 
 
 def _bracket_table(row):
     """The (B_x, B_z) pairs of a Bloch row, one per power of u, ascending;
-    each B_j as its coefficients ascending in p.  The rows have small
-    integer coefficients, so every entry is an exact integer."""
-    p, u = Polynomial([0.0, 1.0]), Polynomial([0.0] * _P_SPAN + [1.0])
+    each B_j as its coefficients ascending in p."""
+    p, u = _PolyPU({(1, 0): 1.0}), _PolyPU({(0, 1): 1.0})
     # an entry free of p and u, such as the bare Delta, becomes a polynomial too
-    delta, n_x, _, n_z = (Polynomial([0.0]) + entry for entry in row(p, u, 1.0 - u))
-    d_delta = _d_du(delta)
-    b_x, b_z = (_by_u((2.0 * n * (n * d_delta - _d_du(n) * delta)).trim()) for n in (n_x, n_z))
-    return tuple((_in_p(x), _in_p(z)) for x, z in itertools.zip_longest(b_x, b_z, fillvalue=()))
+    delta, n_x, _, n_z = (_PolyPU.of(entry) for entry in row(p, u, 1.0 - u))
+    d_delta = delta.d_du()
+    b_x, b_z = (2.0 * n * (n * d_delta - n.d_du() * delta) for n in (n_x, n_z))
+    u_degree = max((j for b in (b_x, b_z) for (_, j), c in b.items() if c), default=0)
+    return tuple((b_x.in_p(j), b_z.in_p(j)) for j in range(u_degree + 1))
 
 
 _BRACKET_TABLES = {mode: _bracket_table(row) for mode, row in BLOCH_ROWS.items()}
@@ -228,7 +245,7 @@ def _bracket_coeffs(mode: str, a, p):
     return tuple(a2 * _horner(x, p) + b2 * _horner(z, p) for x, z in _BRACKET_TABLES[mode])
 
 
-def derivative_parts(mode: str, a: float, p: float, t):
+def _derivative_parts(mode: str, a: float, p: float, t):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
     the bracket is its polynomial evaluated at u = e^{-2t}."""
     terms = _terms(mode, a, p, *_decay(t))
@@ -275,7 +292,7 @@ def analytic_derivative(config: ConfigLike, a: float, t):
     _check_a_open(a)
     _check_p(p)
     _check_t(t)
-    prefactor, bracket = derivative_parts(mode, a, p, t)
+    prefactor, bracket = _derivative_parts(mode, a, p, t)
     return prefactor * bracket
 
 

@@ -17,7 +17,6 @@ from backflow.detect import (
     analytic_derivative,
     asymptotic_threshold,
     central_difference,
-    derivative_parts,
     detect_backflow,
     empirical_threshold,
     log_time_grid,
@@ -68,7 +67,7 @@ class TestBareChannel:
             assert np.all(analytic_derivative("bare", a, ts) < 0.0)
 
     def test_derivative_vanishes_for_identical_probes(self):
-        prefactor, _ = derivative_parts("bare", 1.0 - 1e-15, 1.0, 1.0)
+        prefactor, _ = detect._derivative_parts("bare", 1.0 - 1e-15, 1.0, 1.0)
         assert prefactor == pytest.approx(0.0, abs=1e-7)
 
     def test_derivative_against_finite_difference(self):
@@ -111,7 +110,7 @@ class TestPathDerivative:
         # the paper's 14a^2 - 15 - 3(2a^2-1)x
         for a in (0.2, 0.5, 0.65, 0.9):
             for t in (0.1, 0.8, 2.0, 4.0):
-                _, bracket = derivative_parts("path", a, 1.0, t)
+                _, bracket = detect._derivative_parts("path", a, 1.0, t)
                 _, reduced = pure_control_parts("path", a, t)
                 assert np.exp(2.0 * t) * bracket == pytest.approx(16.0 * reduced, rel=1e-10)
 
@@ -133,7 +132,7 @@ class TestPathDerivative:
         ts = np.linspace(0.05, 8.0, 30)
         for a in (0.2, 0.65, 0.95):
             for p in (0.2, 0.7, 1.0):
-                prefactor, bracket = derivative_parts("path", a, p, ts)
+                prefactor, bracket = detect._derivative_parts("path", a, p, ts)
                 assert np.all(prefactor > 0.0)
                 assert np.all(np.sign(prefactor * bracket) == np.sign(bracket))
 
@@ -169,7 +168,7 @@ class TestSwitchDerivative:
         ts = np.linspace(0.05, 6.0, 60)
         x = np.exp(2.0 * ts)
         for a in (0.2, 0.5, 0.63, 0.65, 0.9):
-            quartic = x**4 * derivative_parts("switch", a, 1.0, ts)[1]
+            quartic = x**4 * detect._derivative_parts("switch", a, 1.0, ts)[1]
             _, quadratic = pure_control_parts("switch", a, ts)
             factored = 16.0 * quadratic * 2.0 * x * (x * x + 6.0 * x + 1.0)
             away_from_roots = np.abs(quartic) > 1e-9
@@ -183,7 +182,7 @@ class TestSwitchDerivative:
         ts = np.linspace(0.05, 8.0, 30)
         for a in (0.2, 0.65, 0.95):
             for p in (0.2, 0.7, 1.0):
-                prefactor, _ = derivative_parts("switch", a, p, ts)
+                prefactor, _ = detect._derivative_parts("switch", a, p, ts)
                 assert np.all(prefactor > 0.0)
 
 
@@ -193,9 +192,9 @@ class TestSignCarriedByBracket:
     @pytest.mark.parametrize(
         "parts",
         [
-            lambda a, t: derivative_parts("bare", a, 1.0, t),
-            lambda a, t: derivative_parts("path", a, 0.6, t),
-            lambda a, t: derivative_parts("switch", a, 0.6, t),
+            lambda a, t: detect._derivative_parts("bare", a, 1.0, t),
+            lambda a, t: detect._derivative_parts("path", a, 0.6, t),
+            lambda a, t: detect._derivative_parts("switch", a, 0.6, t),
             lambda a, t: pure_control_parts("path", a, t),
             lambda a, t: pure_control_parts("switch", a, t),
         ],
@@ -410,7 +409,7 @@ class TestLargeTimeReference:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     dist = probe_distance(_config(mode, p), a, self.TIMES)
-                    prefactor, bracket = derivative_parts(mode, a, p, self.TIMES)
+                    prefactor, bracket = detect._derivative_parts(mode, a, p, self.TIMES)
                     deriv = analytic_derivative(_config(mode, p), a, self.TIMES)
                 assert np.all(np.isfinite(prefactor)) and np.all(np.isfinite(bracket))
                 # the x-form weights cancel down to terms of size e^{-2t}, which
@@ -609,7 +608,7 @@ def _config(mode, p):
 
 def _bracket_at(mode, a, p, t):
     """The bracket of a mode sampled at times t."""
-    return derivative_parts(mode, a, p, t)[1]
+    return detect._derivative_parts(mode, a, p, t)[1]
 
 
 def _reference_verdict(coeffs, t_lo, t_hi):
@@ -654,7 +653,7 @@ class TestExactWindows:
         assert not np.any(scan.backflow_switch & ~scan.backflow_path)
         for mode in _CONFIGS:
             exact = getattr(scan, f"backflow_{mode}")
-            pre, br = derivative_parts(mode, self.A_GRID[None, :, None], self.P_GRID[:, None, None], times)
+            pre, br = detect._derivative_parts(mode, self.A_GRID[None, :, None], self.P_GRID[:, None, None], times)
             deriv = pre * br
             sampled = np.array([[bool(_intervals_above(times, d, BACKFLOW_EPS)) for d in row] for row in deriv])
             assert not np.any(sampled & ~exact)
@@ -764,7 +763,7 @@ def _two_pass_series(mode, a, p, times):
     from the pass at t + ih."""
     u, v = _decay(times)
     dist = detect._distance(a, detect._terms(mode, a, p, u, v))
-    prefactor, bracket = derivative_parts(mode, a, p, times)
+    prefactor, bracket = detect._derivative_parts(mode, a, p, times)
     deriv = prefactor * bracket
     step = (2j * detect.COMPLEX_STEP) * u
     shifted = detect._terms(mode, a, p, u - step, v + step)

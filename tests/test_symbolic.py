@@ -15,6 +15,7 @@ computes them, called on symbols; the weights are stated here and pinned to
 the package's numbers at sample points.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,61 @@ def test_table_bracket_is_c_times_the_hand_bracket(mode):
     assert _is_zero(table_bracket(mode) - c(p) * sum(h * u**k for k, h in enumerate(hand(a, p))))
 
 
+def z_packed_bracket_table(row):
+    """The (B_x, B_z) table of a Bloch row by numpy Polynomials, kept as an
+    oracle for ``detect._bracket_table``: a polynomial in (p, u) is held as
+    one in z, with p^i u^j -> z^(i + 8j), exact while no product reaches
+    degree 8 in p."""
+    from numpy.polynomial import Polynomial
+
+    span = 8
+
+    def by_u(poly):
+        coef = poly.coef
+        return np.pad(coef, (0, -len(coef) % span)).reshape(-1, span)
+
+    def d_du(poly):
+        rows = by_u(poly)
+        return Polynomial((rows[1:] * np.arange(1, len(rows))[:, None]).ravel() if len(rows) > 1 else [0.0])
+
+    def in_p(coeffs):
+        return tuple(float(c) for c in np.trim_zeros(coeffs, "b")) or (0.0,)
+
+    p_, u_ = Polynomial([0.0, 1.0]), Polynomial([0.0] * span + [1.0])
+    delta, n_x, _, n_z = (Polynomial([0.0]) + entry for entry in row(p_, u_, 1.0 - u_))
+    d_delta = d_du(delta)
+    b_x, b_z = (by_u((2.0 * n * (n * d_delta - d_du(n) * delta)).trim()) for n in (n_x, n_z))
+    return tuple((in_p(bx), in_p(bz)) for bx, bz in itertools.zip_longest(b_x, b_z, fillvalue=()))
+
+
+def row_with_p_squared(p, u, v):
+    """A Bloch-row shape with p^2 terms, which no mode has yet."""
+    return 4.0 + p * p * v, 2.0 * (1.0 + u) + p * v, 2.0, 4.0 * u * u - p * p * (1.0 + u) * v
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bracket_tables_equal_the_z_packed_derivation(mode):
+    assert detect._BRACKET_TABLES[mode] == z_packed_bracket_table(control.BLOCH_ROWS[mode])
+
+
+def test_exact_polynomial_product_and_d_du():
+    poly = detect._PolyPU
+    p_, u_ = poly({(1, 0): 1.0}), poly({(0, 1): 1.0})
+    # (1 + p u)(1 - p u) = 1 - p^2 u^2, whose p u terms cancel to zero entries
+    product = (1.0 + p_ * u_) * (1.0 - p_ * u_)
+    assert {key: c for key, c in product.items() if c} == {(0, 0): 1.0, (2, 2): -1.0}
+    assert {key: c for key, c in product.d_du().items() if c} == {(2, 1): -2.0}
+    assert (product.in_p(2), product.in_p(1), product.in_p(0)) == ((0.0, 0.0, -1.0), (0.0,), (1.0,))
+    # the n_z entry of row_with_p_squared: 4u^2 - p^2 (1 + u)(1 - u) = 4u^2 - p^2 + p^2 u^2
+    n_z = row_with_p_squared(p_, u_, 1.0 - u_)[3]
+    assert {key: c for key, c in n_z.items() if c} == {(0, 2): 4.0, (2, 0): -1.0, (2, 2): 1.0}
+    assert {key: c for key, c in n_z.d_du().items() if c} == {(0, 1): 8.0, (2, 1): 2.0}
+    assert detect._bracket_table(row_with_p_squared) == z_packed_bracket_table(row_with_p_squared)
+    # a number is a constant polynomial; a constant's derivative is zero
+    assert (2.0 - u_) * 3.0 == {(0, 0): 6.0, (0, 1): -3.0}
+    assert poly.of(2.0).d_du() == {} and poly.of(2.0).in_p(0) == (2.0,)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     mode=st.sampled_from(MODES),
@@ -325,7 +381,7 @@ def test_package_forms_are_the_proven_ones(mode):
     for a_, p_, t_ in SAMPLES:
         u_ = np.exp(-2.0 * t_)
         assert detect._distance(a_, detect._terms(mode, a_, p_, *control._decay(t_))) == pytest.approx(distance(a_, p_, u_), rel=1e-13)
-        got = detect.derivative_parts(mode, a_, p_, t_)[0]
+        got = detect._derivative_parts(mode, a_, p_, t_)[0]
         assert got == pytest.approx(prefactor(a_, p_, u_), rel=1e-13, abs=1e-300)
 
 
