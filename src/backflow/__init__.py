@@ -18,7 +18,6 @@ from .channel import (
     KrausChannel,
     PhiCoefficients,
     apply,
-    canonical_rhs,
     choi_matrix,
     completeness_residual,
     eternal_nm_generator,
@@ -31,9 +30,8 @@ from .control import (
     AmplitudeVectors,
     ControlConfig,
     ControlState,
-    analytic_state_path,
-    analytic_state_switch,
     build_supermap,
+    closed_form_output,
     controlled_output,
     default_amplitudes,
     path_config,
@@ -49,7 +47,6 @@ from .detect import (
     asymptotic_threshold,
     central_difference,
     detect_backflow,
-    empirical_threshold,
     log_time_grid,
     probe_distance,
     probe_pair,
@@ -59,7 +56,6 @@ from .qmat import (
     PostSelectionImpossibleError,
     check_density_operator,
     dagger,
-    eig_hermitian,
     kron,
     project_control,
     pure_state,

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_operator, dagger
+from .qmat import I2, check_density_operator, dagger
 
 COMPLETENESS_TOL = 1e-12
 CHOI_PSD_TOL = 1e-10
@@ -196,25 +196,10 @@ def eternal_nm_generator() -> CanonicalGenerator:
     )
 
 
-def canonical_rhs(gen: CanonicalGenerator, t: float, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side sum_i (g_i(t)/2)(sigma_i rho sigma_i - rho).
-
-    The generator is purely dissipative, so there is no -i[H, rho] term.
-    Accepts stacked states over leading axes; the output is traceless and
-    Hermitian for Hermitian input.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    g1, g2, g3 = gen.rates(t)
-    out = 0.5 * g1 * (SIGMA_X @ rho @ SIGMA_X - rho)
-    out = out + 0.5 * g2 * (SIGMA_Y @ rho @ SIGMA_Y - rho)
-    return out + 0.5 * g3 * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-
-
 def _bloch_decay_rates(gen: CanonicalGenerator, t: np.ndarray) -> np.ndarray:
     """Decay rates (g2 + g3, g1 + g3, g1 + g2) of the Bloch components
-    (x, y, z) at times t, stacked on a new leading axis: under
-    ``canonical_rhs`` each sigma_j is an eigenvector, dsigma_j/dt =
-    -rate_j(t) sigma_j."""
+    (x, y, z) at times t, stacked on a new leading axis: under the canonical
+    equation each sigma_j is an eigenvector, dsigma_j/dt = -rate_j(t) sigma_j."""
     g1, g2, g3, _ = np.broadcast_arrays(*gen.rates(t), t)
     return np.stack([g2 + g3, g1 + g3, g1 + g2])
 

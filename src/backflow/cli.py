@@ -23,7 +23,7 @@ from .channel import (
     phi_t_kraus,
     validate_cptp,
 )
-from .control import OUTCOMES, SUPERMAPS, controlled_output, default_amplitudes
+from .control import OUTCOMES, SUPERMAPS, closed_form_output, controlled_output, default_amplitudes
 from .detect import (
     BACKFLOW_EPS,
     CONTROLLED_MODES,
@@ -96,8 +96,13 @@ def _initial_state(a, input_text) -> np.ndarray:
 
 
 def _config_for(mode: str, p: float, outcome: str = "plus"):
-    """The supermap mode's default configuration, or the bare mode's name."""
-    return SUPERMAPS[mode].config(p, outcome) if mode in SUPERMAPS else mode
+    """The supermap mode's default configuration, or the bare mode's name;
+    the bare mode has no control to measure, so it takes no other outcome."""
+    if mode in SUPERMAPS:
+        return SUPERMAPS[mode].config(p, outcome)
+    if outcome != "plus":
+        raise click.UsageError(f"--outcome {outcome} needs a control; {mode} mode has none")
+    return mode
 
 
 def _finite_nonnegative(ctx, param, value):
@@ -389,11 +394,11 @@ def _suite_closed_form(states):
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 3.0):
         for p in (0.0, 0.5, 1.0):
-            configs = [(_config_for(mode, p), supermap.closed_form) for mode, supermap in SUPERMAPS.items()]
+            configs = [_config_for(mode, p) for mode in SUPERMAPS]
             for rho in states:
-                for config, closed_form in configs:
+                for config in configs:
                     out, _ = controlled_output(config, rho, t)
-                    worst = max(worst, float(np.abs(out - closed_form(rho, t, p)).max()))
+                    worst = max(worst, float(np.abs(out - closed_form_output(config, rho, t)).max()))
     return worst <= 1e-10, f"worst closed-form vs supermap deviation {worst:.3e}"
 
 

@@ -15,12 +15,15 @@ omega = p |+><+| + (1 - p) I/2 and is finally measured in the |+->-basis;
 conditioning on one outcome and renormalizing yields the output state.
 
 For both configurations applied to two copies of the lossy channel with the
-default amplitudes, the plus-outcome output admits closed forms, implemented
-here alongside the direct supermap route so that each can check the other.
+default amplitudes, the plus-outcome output admits closed forms, as does the
+bare channel.  ``closed_form_output`` gives them from one row of Bloch
+multipliers per configuration, alongside the direct supermap route so that
+each can check the other; ``_mode_and_p`` says which configurations they
+cover, for every closed-form door.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +95,8 @@ class ControlConfig:
     postselect_outcome: str = "plus"
 
     def __post_init__(self):
+        if not isinstance(self.control, ControlState):
+            raise TypeError(f"control must be a ControlState, got {type(self.control).__name__}")
         if self.mode not in SUPERMAPS:
             raise ValueError(f"mode must be one of {list(SUPERMAPS)}, got {self.mode!r}")
         takes_amplitudes = SUPERMAPS[self.mode].takes_amplitudes
@@ -123,11 +128,7 @@ def path_config(
 OUTCOMES = {"plus": KET_PLUS, "minus": KET_MINUS}
 CLOSED_FORM_OUTCOME = "plus"
 
-
-def outcome_vector(outcome: str) -> np.ndarray:
-    if outcome not in OUTCOMES:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    return OUTCOMES[outcome]
+ConfigLike = Union[str, ControlConfig]
 
 
 def _on_control_diagonal(block0: np.ndarray, block1: np.ndarray) -> np.ndarray:
@@ -211,7 +212,7 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     joint_channel = build_supermap(config, t)
     joint_state = kron(rho0, config.control.density())
     evolved = apply(joint_channel, joint_state)
-    block, prob = project_control(evolved, outcome_vector(config.postselect_outcome))
+    block, prob = project_control(evolved, OUTCOMES[config.postselect_outcome])
     return block / prob, prob
 
 
@@ -245,25 +246,40 @@ BLOCH_ROWS = {
 }
 
 
-def _closed_form_input(rho0: np.ndarray, t: float, p: float):
-    """Entries s11, s12, s21, s22 of a qubit input, after checking p and t."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
+    """Row key, control parameter and report label of a configuration with a
+    closed form: a row without a supermap, by name, or a ControlConfig with
+    the plus outcome and, for path, the default amplitudes."""
+    if isinstance(config, str):
+        if config not in BLOCH_ROWS or config in SUPERMAPS:
+            raise ValueError(f"string config must be 'bare', got {config!r}")
+        return config, 1.0, config
+    if not isinstance(config, ControlConfig):
+        raise TypeError("config must be 'bare' or a ControlConfig")
+    if config.postselect_outcome != CLOSED_FORM_OUTCOME:
+        raise ValueError(f"the closed forms cover the {CLOSED_FORM_OUTCOME} outcome only")
+    # the path closed forms hold for the default amplitudes only
+    if config.amplitudes not in (None, default_amplitudes()):
+        raise ValueError("the closed forms cover the default path amplitudes only")
+    return config.mode, config.control.p, f"{config.mode}(p={config.control.p:g})"
+
+
+def closed_form_output(config: ConfigLike, rho0: np.ndarray, t: float) -> np.ndarray:
+    """Output state at time t >= 0 of a configuration ('bare' or
+    ControlConfig) from its Bloch row; equals ``controlled_output`` for a
+    supermap and the Kraus channel for 'bare'.  The row's entry map takes
+    any 2x2 input sigma, with l+- = (l_x +- l_y) / 2:
+
+        [ tr/2 + l_z (s11 - s22)/2    l+ s12 + l- s21 ]
+        [ l+ s21 + l- s12             tr/2 - l_z (s11 - s22)/2 ]
+    """
+    mode, p, _ = _mode_and_p(config)
     if not t >= 0:
         raise ValueError(f"time must be non-negative, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError("closed-form outputs expect a qubit state")
-    return rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
-
-
-def _closed_form_output(mode: str, rho0: np.ndarray, t: float, p: float) -> np.ndarray:
-    """A row's output for any 2x2 input sigma, with l+- = (l_x +- l_y) / 2:
-
-        [ tr/2 + l_z (s11 - s22)/2    l+ s12 + l- s21 ]
-        [ l+ s21 + l- s12             tr/2 - l_z (s11 - s22)/2 ]
-    """
-    s11, s12, s21, s22 = _closed_form_input(rho0, t, p)
+    s11, s12, s21, s22 = rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
     delta, n_x, n_y, n_z = BLOCH_ROWS[mode](p, *_decay(t))
     half_trace, half_z = 0.5 * (s11 + s22), 0.5 * n_z / delta * (s11 - s22)
     plus, minus = 0.5 * (n_x + n_y) / delta, 0.5 * (n_x - n_y) / delta
@@ -273,34 +289,16 @@ def _closed_form_output(mode: str, rho0: np.ndarray, t: float, p: float) -> np.n
     )
 
 
-def analytic_state_path(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
-    """Closed-form plus-outcome path output; equals the supermap route.
-    Its Bloch multipliers are (A + pB, A - pB, A - (2+p)B) with the weights
-    A = 2(1+u)/Delta, B = (1-u)/Delta and Delta = 4 + p(1-u)."""
-    return _closed_form_output("path", rho0, t, p)
-
-
-def analytic_state_switch(rho0: np.ndarray, t: float, p: float) -> np.ndarray:
-    """Closed-form plus-outcome switch output; equals the supermap route.
-    Its Bloch multipliers are (C, C, A - B) with the switch weights A, B, C
-    over Delta = 4 + 3p + pu(2-u)."""
-    return _closed_form_output("switch", rho0, t, p)
-
-
 class _Supermap(NamedTuple):
     kraus: Callable  # (phi, amplitudes) -> joint Kraus set over two copies of phi
     takes_amplitudes: bool
-    closed_form: Callable  # (rho0, t, p) -> output state for CLOSED_FORM_OUTCOME
     config: Callable  # (p, outcome) -> ControlConfig, default amplitudes
 
-# Each supermap stated once.  The entries look the builders and closed forms
-# up as module globals at call time, so a wrapper installed on this module
-# sees every call.
+# Each supermap stated once.  The entries look the builders up as module
+# globals at call time, so a wrapper installed on this module sees every call.
 SUPERMAPS = {
     "path": _Supermap(lambda phi, amps: path_kraus(phi, phi, amps), True,
-                      lambda rho0, t, p: analytic_state_path(rho0, t, p),
                       lambda p, outcome: path_config(p, outcome=outcome)),
     "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), False,
-                        lambda rho0, t, p: analytic_state_switch(rho0, t, p),
                         lambda p, outcome: switch_config(p, outcome=outcome)),
 }

@@ -26,18 +26,11 @@ import math
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .control import (
-    BLOCH_ROWS,
-    CLOSED_FORM_OUTCOME,
-    SUPERMAPS,
-    ControlConfig,
-    _decay,
-    default_amplitudes,
-)
+from .control import BLOCH_ROWS, SUPERMAPS, ConfigLike, _decay, _mode_and_p
 from .qmat import KET_0, pure_state
 
 BACKFLOW_EPS = 1e-9
@@ -49,8 +42,6 @@ FD_STEP = 1e-4
 COMPLEX_STEP = 1e-30
 FD_CHECK_TOL = 1e-10
 LIPSCHITZ_BOUND = 6.0
-
-ConfigLike = Union[str, ControlConfig]
 
 
 def probe_pair(a: float):
@@ -258,30 +249,12 @@ def _controlled(mode: str) -> str:
     return mode
 
 
-def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
-    """Table key, control parameter and report label of a configuration."""
-    if isinstance(config, str):
-        if config not in MODES or config in CONTROLLED_MODES:
-            raise ValueError(f"string config must be 'bare', got {config!r}")
-        return config, 1.0, config
-    if not isinstance(config, ControlConfig):
-        raise TypeError("config must be 'bare' or a ControlConfig")
-    if config.postselect_outcome != CLOSED_FORM_OUTCOME:
-        raise ValueError(f"closed-form detection covers the {CLOSED_FORM_OUTCOME} outcome only")
-    # the path closed forms hold for the default amplitudes only
-    if config.amplitudes not in (None, default_amplitudes()):
-        raise ValueError("closed-form detection covers the default path amplitudes only")
-    return config.mode, config.control.p, f"{config.mode}(p={config.control.p:g})"
-
-
 def probe_distance(config: ConfigLike, a: float, t):
     """Probe-pair trace distance D(t) for a configuration ('bare' or
     ControlConfig), for a in (0, 1] and t >= 0."""
     mode, p, _ = _mode_and_p(config)
     _check_t(t)
     _check_a(a)
-    # a ControlConfig does not type-check its control, so p is checked here
-    _check_p(p)
     return _distance(a, _terms(mode, a, p, *_decay(t)))
 
 
@@ -290,7 +263,6 @@ def analytic_derivative(config: ConfigLike, a: float, t):
     a in (0, 1) and t >= 0."""
     mode, p, _ = _mode_and_p(config)
     _check_a_open(a)
-    _check_p(p)
     _check_t(t)
     prefactor, bracket = _derivative_parts(mode, a, p, t)
     return prefactor * bracket
@@ -577,41 +549,6 @@ def asymptotic_threshold(mode: str, p: float) -> float:
     x0, z0 = (_horner(b, p) for b in _BRACKET_TABLES[_controlled(mode)][0])
     # no late-time backflow where the ratio is not positive, -0 included
     return math.sqrt(max(0.0, z0 / (z0 - x0)))
-
-
-def empirical_threshold(
-    mode: str,
-    p: float,
-    a_step: float = 5e-4,
-) -> float:
-    """Measured large-time edge of the backflow region at fixed p.
-
-    Scans a in steps of ``a_step`` and returns the midpoint between the last
-    probe parameter whose derivative (through the sign of its bracket) is
-    still positive at DEFAULT_T_MAX and the first one where it has turned
-    negative.  When no scanned a is positive, the edge lies below the first
-    one, a_step, if the a -> 0 limit of the bracket is positive there:
-    the midpoint a_step / 2 is returned, else 0.0 (no late-time backflow).
-    Evaluating the sign at one late time isolates the sustained
-    (late-time) window; the switch configuration additionally shows a
-    transient positive window at intermediate times for small p, which this
-    measurement deliberately excludes.  Raises ValueError unless
-    0 < a_step < 1.
-    """
-    _check_p(p)
-    # NaN fails the test too; a step outside (0, 1) scans no a below 1
-    if not 0.0 < a_step < 1.0:
-        raise ValueError(f"a_step must be in (0, 1), got {a_step}")
-    a_values = np.arange(a_step, 1.0, a_step)
-    u = math.exp(-2.0 * DEFAULT_T_MAX)
-    coeffs = _bracket_coeffs(_controlled(mode), a_values, p)
-    positive = _horner(coeffs, u) > 0.0
-    if not positive.any():
-        return float(0.5 * a_step) if _horner(_bracket_coeffs(mode, 0.0, p), u) > 0.0 else 0.0
-    last_true = int(np.nonzero(positive)[0].max())
-    if last_true + 1 >= len(a_values):
-        return float(a_values[-1])
-    return float(0.5 * (a_values[last_true] + a_values[last_true + 1]))
 
 
 @dataclass(frozen=True)

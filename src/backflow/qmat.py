@@ -96,21 +96,6 @@ def _qubit_eigvalsh(a: complex, c: complex, d: complex):
     return mean - radius, mean + radius
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending.
-
-    Raises ValueError if the input deviates from Hermiticity by more than
-    ``tol`` in any entry.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("eig_hermitian expects a square matrix")
-    res = hermiticity_residual(m)
-    if not res <= tol:
-        raise ValueError(f"matrix is not Hermitian (residual {res:.3e} > {tol:.1e})")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
 def check_density_operator(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace and positive semidefiniteness to the
     module tolerances; raises ValueError naming the first violated invariant.

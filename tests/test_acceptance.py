@@ -16,9 +16,9 @@ from backflow.channel import (
     validate_cptp,
 )
 from backflow.control import (
-    analytic_state_path,
-    analytic_state_switch,
+    OUTCOMES,
     build_supermap,
+    closed_form_output,
     default_amplitudes,
     path_config,
     path_kraus,
@@ -29,14 +29,13 @@ from backflow.detect import (
     analytic_derivative,
     asymptotic_threshold,
     detect_backflow,
-    empirical_threshold,
     log_time_grid,
     probe_distance,
     scan_region,
 )
 from backflow.qmat import kron, project_control, trace_distance
-from backflow.control import outcome_vector
 from conftest import pure_control_parts, random_density
+from test_detect import empirical_threshold
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -134,18 +133,16 @@ def test_criterion_6_closed_forms_match_supermap(rng):
     p_values = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst = 0.0
     for p in p_values:
-        configs = (path_config(p), switch_config(p))
-        closed_forms = (analytic_state_path, analytic_state_switch)
-        for config, closed_form in zip(configs, closed_forms):
+        for config in (path_config(p), switch_config(p)):
             for t in t_values:
                 supermap = build_supermap(config, t)
                 omega = config.control.density()
-                plus = outcome_vector("plus")
+                plus = OUTCOMES["plus"]
                 for rho in states:
                     evolved = apply(supermap, kron(rho, omega))
                     block, prob = project_control(evolved, plus)
                     direct = block / prob
-                    worst = max(worst, float(np.abs(direct - closed_form(rho, t, p)).max()))
+                    worst = max(worst, float(np.abs(direct - closed_form_output(config, rho, t)).max()))
     ok = worst <= 1e-10
     report(6, "closed-form outputs equal supermap post-selection to 1e-10 "
               "(resolves the path-weight denominator to (4+p)e^{2t}-p)", ok,

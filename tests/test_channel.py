@@ -6,7 +6,6 @@ from backflow.channel import (
     KrausChannel,
     _bloch_decay_rates,
     apply,
-    canonical_rhs,
     choi_matrix,
     completeness_residual,
     eternal_nm_generator,
@@ -31,6 +30,21 @@ from backflow.qmat import (
 from conftest import random_density
 
 LN2_HALF = 0.5 * np.log(2.0)
+
+
+def canonical_rhs(gen, t, rho):
+    """Right-hand side sum_i (g_i(t)/2)(sigma_i rho sigma_i - rho) of the
+    canonical equation (reference for the RK4 oracle).
+
+    The generator is purely dissipative, so there is no -i[H, rho] term.
+    Accepts stacked states over leading axes; the output is traceless and
+    Hermitian for Hermitian input.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    g1, g2, g3 = gen.rates(t)
+    out = 0.5 * g1 * (SIGMA_X @ rho @ SIGMA_X - rho)
+    out = out + 0.5 * g2 * (SIGMA_Y @ rho @ SIGMA_Y - rho)
+    return out + 0.5 * g3 * (SIGMA_Z @ rho @ SIGMA_Z - rho)
 
 
 def choi_from_action(action, dim=2):

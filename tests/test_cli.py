@@ -397,6 +397,8 @@ class TestExitCodes:
             (["evolve", "--mode", "bare", "--t", "1e308"], 0),
             (["evolve", "--mode", "switch", "--t", "1e308"], 0),
             (["detect", "--mode", "path", "--a", "0.3", "--t-max", "1e308", "--points", "5"], 1),
+            # the bare channel has no control, so no outcome but the default to post-select
+            (["evolve", "--mode", "bare", "--outcome", "minus", "--t", "1", "--format", "json"], 2),
         ],
         ids=[
             "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
@@ -407,7 +409,7 @@ class TestExitCodes:
             "evolve-bare-p", "evolve-bare-p-negative", "evolve-path-p-nan", "distance-switch-p",
             "detect-switch-p-negative", "distance-t-max-inf", "evolve-t-max-inf",
             "distance-bare-t-1e308", "distance-path-t-1e308", "evolve-bare-t-1e308",
-            "evolve-switch-t-1e308", "detect-path-t-max-1e308",
+            "evolve-switch-t-1e308", "detect-path-t-max-1e308", "evolve-bare-minus",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

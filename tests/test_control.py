@@ -11,11 +11,9 @@ from backflow.control import (
     AmplitudeVectors,
     ControlConfig,
     ControlState,
-    analytic_state_path,
-    analytic_state_switch,
+    closed_form_output,
     controlled_output,
     default_amplitudes,
-    outcome_vector,
     path_config,
     path_kraus,
     switch_config,
@@ -29,6 +27,7 @@ from backflow.qmat import (
     SIGMA_Z,
     PostSelectionImpossibleError,
     kron,
+    project_control,
     pure_state,
     trace_distance,
 )
@@ -216,11 +215,11 @@ class TestControlledOutput:
 class TestClosedForms:
     def test_path_is_identity_at_t_zero(self, rng):
         rho = random_density(rng)
-        assert np.allclose(analytic_state_path(rho, 0.0, 1.0), rho, atol=1e-14)
+        assert np.allclose(closed_form_output(path_config(1.0), rho, 0.0), rho, atol=1e-14)
 
     def test_switch_is_identity_at_t_zero(self, rng):
         rho = random_density(rng)
-        assert np.allclose(analytic_state_switch(rho, 0.0, 1.0), rho, atol=1e-14)
+        assert np.allclose(closed_form_output(switch_config(1.0), rho, 0.0), rho, atol=1e-14)
 
     @staticmethod
     def multipliers(mode, t, p):
@@ -246,28 +245,28 @@ class TestClosedForms:
     def test_unit_trace_identities(self, rng):
         # the entry map keeps the trace of any 2x2 input: its diagonal is
         # tr/2 +- l_z (s11 - s22)/2, which sums back to tr up to rounding
-        for closed_form in (analytic_state_path, analytic_state_switch):
+        for make_config in (path_config, switch_config):
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
                 for t in (0.0, 0.3, 1.0, 6.0, 400.0):
                     sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                    out = closed_form(sigma, t, p)
+                    out = closed_form_output(make_config(p), sigma, t)
                     assert abs(np.trace(out) - np.trace(sigma)) <= 4e-16 * np.abs(sigma).max()
 
     def test_path_matches_supermap(self, rng):
         rho = pure_state(KET_0)
         out, _ = controlled_output(path_config(0.5), rho, 1.0)
-        assert np.abs(out - analytic_state_path(rho, 1.0, 0.5)).max() <= 1e-10
+        assert np.abs(out - closed_form_output(path_config(0.5), rho, 1.0)).max() <= 1e-10
         rho = random_density(rng)
         out, _ = controlled_output(path_config(0.25), rho, 2.5)
-        assert np.abs(out - analytic_state_path(rho, 2.5, 0.25)).max() <= 1e-10
+        assert np.abs(out - closed_form_output(path_config(0.25), rho, 2.5)).max() <= 1e-10
 
     def test_switch_matches_supermap(self, rng):
         plus = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
         out, _ = controlled_output(switch_config(0.3), plus, 1.5)
-        assert np.abs(out - analytic_state_switch(plus, 1.5, 0.3)).max() <= 1e-10
+        assert np.abs(out - closed_form_output(switch_config(0.3), plus, 1.5)).max() <= 1e-10
         rho = random_density(rng)
         out, _ = controlled_output(switch_config(0.75), rho, 0.7)
-        assert np.abs(out - analytic_state_switch(rho, 0.7, 0.75)).max() <= 1e-10
+        assert np.abs(out - closed_form_output(switch_config(0.75), rho, 0.7)).max() <= 1e-10
 
     def test_path_second_weight_shares_the_first_denominator(self):
         # the second path weight must use the same denominator (4+p)x - p as
@@ -290,20 +289,29 @@ class TestClosedForms:
         rho = random_density(rng)
         for t in (0.2, 1.0, 4.0):
             for p in (0.0, 0.6, 1.0):
-                assert np.trace(analytic_state_path(rho, t, p)).real == pytest.approx(1.0, abs=1e-12)
-                assert np.trace(analytic_state_switch(rho, t, p)).real == pytest.approx(1.0, abs=1e-12)
+                for config in ("bare", path_config(p), switch_config(p)):
+                    assert np.trace(closed_form_output(config, rho, t)).real == pytest.approx(1.0, abs=1e-12)
 
     def test_parameter_validation(self, rng):
         rho = random_density(rng)
         with pytest.raises(ValueError):
-            analytic_state_path(rho, 1.0, 1.5)
+            closed_form_output(path_config(1.5), rho, 1.0)
         with pytest.raises(ValueError):
-            analytic_state_switch(rho, -1.0, 0.5)
-        for closed_form in (analytic_state_path, analytic_state_switch):
-            with pytest.raises(ValueError, match="time"):
-                closed_form(rho, np.nan, 0.5)
-            with pytest.raises(ValueError, match="qubit"):
-                closed_form(np.eye(4) / 4, 1.0, 0.5)
+            closed_form_output(switch_config(0.5), rho, -1.0)
+        for config in ("bare", path_config(0.5), switch_config(0.5)):
+            with pytest.raises(ValueError, match="time must be non-negative"):
+                closed_form_output(config, rho, np.nan)
+            with pytest.raises(ValueError, match="closed-form outputs expect a qubit state"):
+                closed_form_output(config, np.eye(4) / 4, 1.0)
+        with pytest.raises(ValueError, match="string config must be 'bare'"):
+            closed_form_output("path", rho, 1.0)
+        with pytest.raises(TypeError, match="config must be 'bare' or a ControlConfig"):
+            closed_form_output(None, rho, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 3.0, 50.0, 1e308])
+    def test_bare_equals_the_kraus_channel(self, rng, t):
+        rho = random_density(rng)
+        assert np.abs(closed_form_output("bare", rho, t) - apply(phi_t_kraus(t), rho)).max() <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -314,9 +322,9 @@ class TestClosedForms:
     )
     def test_closed_form_equals_supermap(self, mode, seed, p, t):
         rho = random_density(np.random.default_rng(seed))
-        supermap = SUPERMAPS[mode]
-        out, _ = controlled_output(supermap.config(p, "plus"), rho, t)
-        assert np.abs(out - supermap.closed_form(rho, t, p)).max() <= 1e-10
+        config = SUPERMAPS[mode].config(p, "plus")
+        out, _ = controlled_output(config, rho, t)
+        assert np.abs(out - closed_form_output(config, rho, t)).max() <= 1e-10
 
 
 class TestCptpAndContractivity:
@@ -342,11 +350,15 @@ class TestCptpAndContractivity:
 
 
 class TestSupermapTable:
-    def test_every_outcome_has_a_ket(self):
+    def test_every_outcome_has_a_ket(self, rng):
+        # controlled_output projects the control on the configured outcome's ket
+        rho = random_density(rng)
         for outcome, ket in OUTCOMES.items():
-            assert outcome_vector(outcome) is ket
-        with pytest.raises(ValueError, match="unknown outcome"):
-            outcome_vector("zero")
+            config = path_config(0.5, outcome=outcome)
+            joint = apply(control.build_supermap(config, 1.0), kron(rho, config.control.density()))
+            block, want = project_control(joint, ket)
+            out, prob = controlled_output(config, rho, 1.0)
+            assert prob == want and np.array_equal(out, block / want)
         with pytest.raises(ValueError, match="postselect_outcome"):
             switch_config(1.0, outcome="zero")
 
@@ -358,7 +370,7 @@ class TestSupermapTable:
         # wrappers installed on the module (as a tracer does) must see every
         # call the supermap table makes
         calls = {}
-        for name in ("path_kraus", "switch_kraus", "analytic_state_path", "analytic_state_switch"):
+        for name in ("path_kraus", "switch_kraus"):
             original = getattr(control, name)
 
             def counted(*args, _name=name, _original=original):
@@ -370,6 +382,3 @@ class TestSupermapTable:
         controlled_output(path_config(0.5), rho, 1.0)
         controlled_output(switch_config(0.5), rho, 1.0)
         assert calls == {"path_kraus": 1, "switch_kraus": 1}
-        for supermap in SUPERMAPS.values():
-            supermap.closed_form(rho, 1.0, 0.5)
-        assert calls == {"path_kraus": 1, "switch_kraus": 1, "analytic_state_path": 1, "analytic_state_switch": 1}

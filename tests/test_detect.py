@@ -18,7 +18,6 @@ from backflow.detect import (
     asymptotic_threshold,
     central_difference,
     detect_backflow,
-    empirical_threshold,
     log_time_grid,
     probe_distance,
     probe_pair,
@@ -28,8 +27,7 @@ from backflow.control import (
     AmplitudeVectors,
     ControlConfig,
     _decay,
-    analytic_state_path,
-    analytic_state_switch,
+    closed_form_output,
     controlled_output,
     default_amplitudes,
     path_config,
@@ -43,6 +41,38 @@ FD_H = 1e-4
 
 def central_diff(fn, t, h=FD_H):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
+
+
+def empirical_threshold(mode, p, a_step=5e-4):
+    """Measured large-time edge of the backflow region at fixed p: the
+    sampled cross-check of ``asymptotic_threshold``.
+
+    Scans a in steps of ``a_step`` and returns the midpoint between the last
+    probe parameter whose derivative (through the sign of its bracket) is
+    still positive at DEFAULT_T_MAX and the first one where it has turned
+    negative.  When no scanned a is positive, the edge lies below the first
+    one, a_step, if the a -> 0 limit of the bracket is positive there:
+    the midpoint a_step / 2 is returned, else 0.0 (no late-time backflow).
+    Evaluating the sign at one late time isolates the sustained
+    (late-time) window; the switch configuration additionally shows a
+    transient positive window at intermediate times for small p, which this
+    measurement deliberately excludes.  Raises ValueError unless
+    0 < a_step < 1.
+    """
+    detect._check_p(p)
+    # NaN fails the test too; a step outside (0, 1) scans no a below 1
+    if not 0.0 < a_step < 1.0:
+        raise ValueError(f"a_step must be in (0, 1), got {a_step}")
+    a_values = np.arange(a_step, 1.0, a_step)
+    u = math.exp(-2.0 * DEFAULT_T_MAX)
+    coeffs = detect._bracket_coeffs(detect._controlled(mode), a_values, p)
+    positive = detect._horner(coeffs, u) > 0.0
+    if not positive.any():
+        return float(0.5 * a_step) if detect._horner(detect._bracket_coeffs(mode, 0.0, p), u) > 0.0 else 0.0
+    last_true = int(np.nonzero(positive)[0].max())
+    if last_true + 1 >= len(a_values):
+        return float(a_values[-1])
+    return float(0.5 * (a_values[last_true] + a_values[last_true + 1]))
 
 
 class TestBareChannel:
@@ -83,11 +113,11 @@ class TestControlledDistances:
         for t in (0.3, 1.0, 2.5):
             for p in (0.4, 1.0):
                 d_path = trace_distance(
-                    analytic_state_path(rho1, t, p), analytic_state_path(rho2, t, p)
+                    closed_form_output(path_config(p), rho1, t), closed_form_output(path_config(p), rho2, t)
                 )
                 assert probe_distance(path_config(p), 0.65, t) == pytest.approx(d_path, abs=1e-12)
                 d_switch = trace_distance(
-                    analytic_state_switch(rho1, t, p), analytic_state_switch(rho2, t, p)
+                    closed_form_output(switch_config(p), rho1, t), closed_form_output(switch_config(p), rho2, t)
                 )
                 assert probe_distance(switch_config(p), 0.65, t) == pytest.approx(d_switch, abs=1e-12)
 
@@ -289,8 +319,11 @@ class TestDetectBackflow:
                 detect_backflow(config, 0.3, times)
 
     def test_rejects_minus_outcome(self):
+        config = path_config(1.0, outcome="minus")
         with pytest.raises(ValueError, match="plus outcome"):
-            detect_backflow(path_config(1.0, outcome="minus"), 0.5)
+            detect_backflow(config, 0.5)
+        with pytest.raises(ValueError, match="plus outcome"):
+            closed_form_output(config, probe_pair(0.5)[1], 1.0)
 
     def test_rejects_edge_a(self):
         with pytest.raises(ValueError):
@@ -308,13 +341,14 @@ class TestDetectBackflow:
                 call(config, 0.65, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="default path amplitudes"):
             analytic_derivative(config, 0.65, 2.0)
+        with pytest.raises(ValueError, match="default path amplitudes"):
+            closed_form_output(config, probe_pair(0.65)[1], 2.0)
 
     def test_doors_check_p_of_an_untyped_control(self):
-        # ControlConfig does not type-check its control, so both doors check p
-        config = ControlConfig("path", SimpleNamespace(p=5.0), default_amplitudes())
-        for call in (probe_distance, analytic_derivative):
-            with pytest.raises(ValueError, match="control parameter p"):
-                call(config, 0.5, 1.0)
+        # ControlConfig refuses a control that is not a ControlState, so every
+        # config the doors see carries a p already checked to lie in [0, 1]
+        with pytest.raises(TypeError, match="control must be a ControlState"):
+            ControlConfig("path", SimpleNamespace(p=5.0), default_amplitudes())
 
     @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
     def test_rejects_eps_not_finite_and_nonnegative(self, eps):
@@ -470,14 +504,11 @@ class TestModeTable:
             "_prefactor": 2,
         }
         assert calls == derivative_calls
-        empirical_threshold("path", 1.0)
-        empirical_threshold("switch", 1.0)
-        assert calls == {**derivative_calls, "path:_bracket_coeffs": 3, "switch:_bracket_coeffs": 3}
         # detect_backflow computes the terms once, at t + ih: their real parts
         # serve the distance and the derivative, their imaginary parts the
         # complex step; the bracket once, shared by the derivative and the windows
         detect_backflow(path_config(1.0), 0.5)
-        assert calls["path:_terms"] == 2 and calls["_prefactor"] == 3 and calls["path:_bracket_coeffs"] == 4
+        assert calls["path:_terms"] == 2 and calls["_prefactor"] == 3 and calls["path:_bracket_coeffs"] == 3
 
 class TestThresholds:
     def test_pure_control_values(self):

@@ -11,10 +11,9 @@ from backflow.qmat import (
     KET_MINUS,
     KET_PLUS,
     I2,
-    SIGMA_Z,
     PostSelectionImpossibleError,
     check_density_operator,
-    eig_hermitian,
+    hermiticity_residual,
     kron,
     project_control,
     pure_state,
@@ -74,6 +73,15 @@ class TestTraceDistance:
         # NaN fails every comparison, so it must fail the check too
         with pytest.raises(ValueError, match="not Hermitian"):
             trace_distance(np.full((2, 2), np.nan), np.eye(2) / 2)
+        # an upper-triangular difference, and a NaN on the diagonal alone
+        zero = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), zero)
+        for dim in (2, 3):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                trace_distance(np.diag([np.nan] + [0.0] * (dim - 1)), np.zeros((dim, dim)))
+        assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)) == 1.0
+        assert np.isnan(hermiticity_residual(np.diag([np.nan, 0.0]).astype(complex)))
 
     def test_symmetry_and_triangle(self, rng):
         for _ in range(20):
@@ -116,41 +124,6 @@ class TestTraceDistance:
             before = trace_distance(r1, r2)
             after = trace_distance(apply(outer, apply(inner, r1)), apply(outer, apply(inner, r2)))
             assert after <= before + 1e-10
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        assert np.allclose(eig_hermitian(I2), [1.0, 1.0])
-
-    def test_sigma_z(self):
-        assert np.allclose(eig_hermitian(SIGMA_Z), [1.0, -1.0])
-
-    def test_symmetric_2x2_closed_form(self):
-        m = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-        lam_hi, lam_lo = two_by_two_eigvals(m)
-        assert lam_hi == pytest.approx(0.5 + np.sqrt(0.125))
-        got = eig_hermitian(m)
-        assert got[0] == pytest.approx(lam_hi, abs=1e-14)
-        assert got[1] == pytest.approx(lam_lo, abs=1e-14)
-
-    def test_descending_order(self, rng):
-        for _ in range(10):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = g + g.conj().T
-            vals = eig_hermitian(m)
-            assert np.all(np.diff(vals) <= 0)
-
-    def test_sum_equals_trace(self, rng):
-        for _ in range(10):
-            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            m = g + g.conj().T
-            assert eig_hermitian(m).sum() == pytest.approx(np.trace(m).real, abs=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eig_hermitian(np.diag([np.nan, 0.0]))
 
 
 class TestPureState:

@@ -394,10 +394,10 @@ def test_package_weights_are_the_proven_ones():
         u_ = np.exp(-2.0 * t_)
         w_a, w_b = (w(a_, p_, u_) for w in path_weights)
         want = [[s11 * w_a + (2 + p_) * s22 * w_b, s12 * w_a + p_ * s21 * w_b], [p_ * s12 * w_b + s21 * w_a, (2 + p_) * s11 * w_b + s22 * w_a]]
-        assert np.abs(control.analytic_state_path(sigma, t_, p_) - want).max() <= 1e-15
+        assert np.abs(control.closed_form_output(control.path_config(p_), sigma, t_) - want).max() <= 1e-15
         w_a, w_b, w_c = (w(a_, p_, u_) for w in switch_weights)
         want = [[s11 * w_a + s22 * w_b, s12 * w_c], [s21 * w_c, s11 * w_b + s22 * w_a]]
-        assert np.abs(control.analytic_state_switch(sigma, t_, p_) - want).max() <= 1e-15
+        assert np.abs(control.closed_form_output(control.switch_config(p_), sigma, t_) - want).max() <= 1e-15
 
 
 def squared_threshold(mode):
