@@ -303,7 +303,7 @@ def detect(ctx, mode, a, p, t_min, t_max, points, eps, fmt_name, out):
 @click.option("--p", type=float, required=True)
 def threshold(mode, p):
     """Critical probe parameter for late-time backflow."""
-    click.echo(_fmt(asymptotic_threshold(mode, p)))
+    click.echo(_fmt(asymptotic_threshold(_config_for(mode, p))))
 
 
 @main.command()

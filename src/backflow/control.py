@@ -97,6 +97,8 @@ class ControlConfig:
     def __post_init__(self):
         if not isinstance(self.control, ControlState):
             raise TypeError(f"control must be a ControlState, got {type(self.control).__name__}")
+        if not isinstance(self.amplitudes, (AmplitudeVectors, type(None))):
+            raise TypeError(f"amplitudes must be None or AmplitudeVectors, got {type(self.amplitudes).__name__}")
         if self.mode not in SUPERMAPS:
             raise ValueError(f"mode must be one of {list(SUPERMAPS)}, got {self.mode!r}")
         takes_amplitudes = SUPERMAPS[self.mode].takes_amplitudes

@@ -17,15 +17,15 @@ roots where it is positive; the late-time thresholds come from the same
 coefficients.  All formulas are vectorized over numpy arrays and analytic
 in (u, v), so ``detect_backflow`` checks every derivative against the
 complex-step derivative Im D(t + ih) / h, with the step entering through
-u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu: exact in double precision
-at h = 1e-30, where cos 2h = 1 and sin 2h = 2h.
+u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu: exact at h = 2^-560, where
+cos 2h = 1, sin 2h = 2h and a product of two imaginary parts rounds to 0, so
+each real part is the real operation's, fused or not, and Im / h is exact.
 """
 
 import functools
 import math
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +39,7 @@ DEFAULT_T_MIN = 1e-2
 DEFAULT_T_MAX = 12.0
 DEFAULT_GRID_POINTS = 481
 FD_STEP = 1e-4
-COMPLEX_STEP = 1e-30
+COMPLEX_STEP = 2.0 ** -560
 FD_CHECK_TOL = 1e-10
 LIPSCHITZ_BOUND = 6.0
 
@@ -92,11 +92,6 @@ def _check_a(a: float) -> None:
 def _check_a_open(a: float) -> None:
     if not 0.0 < a < 1.0:
         raise ValueError(f"probe parameter a must be in (0, 1), got {a}")
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"control parameter p must be in [0, 1], got {p}")
 
 
 def _check_t(t) -> None:
@@ -243,12 +238,6 @@ def _derivative_parts(mode: str, a: float, p: float, t):
     return _prefactor(a, terms), _horner(_bracket_coeffs(mode, a, p), terms[0])
 
 
-def _controlled(mode: str) -> str:
-    if mode not in CONTROLLED_MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, CONTROLLED_MODES))}, got {mode!r}")
-    return mode
-
-
 def probe_distance(config: ConfigLike, a: float, t):
     """Probe-pair trace distance D(t) for a configuration ('bare' or
     ControlConfig), for a in (0, 1] and t >= 0."""
@@ -277,84 +266,51 @@ def _u_range(t_lo: float, t_hi: float) -> Tuple[float, float]:
     return math.exp(-2.0 * t_hi), math.exp(-2.0 * t_lo)
 
 
-def _cubic_candidates(d3, d2, d1, d0, ops):
+def _cubic_candidates(d3, d2, d1, d0):
     """Candidates that include every real root of d3 u^3 + d2 u^2 + d1 u + d0,
-    with the functions of ``ops``.
+    elementwise over numpy arrays or numpy scalars.
 
     Branch-free: the three trigonometric-form values (all roots when three
     are real), Cardano's value (the root when one is real) and the two
     roots of d2 u^2 + d1 u + d0 (the roots as d3 -> 0, where the cubic
-    forms lose their precision).  A formula that does not apply gives NaN
-    or a spurious value; callers only ever use a candidate as one more point
-    at which to evaluate.
+    forms lose their precision).  A formula that does not apply gives inf,
+    NaN or a spurious value; callers only ever use a candidate as one more
+    point at which to evaluate.
     """
-    shift = ops.divide(d2, 3.0 * d3)
-    c, d = ops.divide(d1, d3), ops.divide(d0, d3)
-    pp = c - 3.0 * shift * shift
-    qq = shift * (2.0 * shift * shift - c) + d
-    disc = 0.25 * qq * qq + pp * pp * pp / 27.0
-    s = ops.cbrt(-0.5 * qq - ops.copysign(ops.sqrt(disc), qq))
-    m = 2.0 * ops.sqrt(-pp / 3.0)
-    phi = ops.arccos(ops.clip(ops.divide(3.0 * qq, pp * m))) / 3.0
-    q = -0.5 * (d1 + ops.copysign(ops.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
-    return (
-        m * ops.cos(phi) - shift,
-        m * ops.cos(phi - 2.0 * np.pi / 3.0) - shift,
-        m * ops.cos(phi + 2.0 * np.pi / 3.0) - shift,
-        s - ops.divide(pp, 3.0 * s) - shift,
-        ops.divide(q, d2),
-        ops.divide(d0, q),
-    )
-
-
-def _float_divide(x: float, y: float) -> float:
-    """x / y on Python floats, with numpy's inf or NaN where Python raises."""
-    try:
-        return x / y
-    except ZeroDivisionError:
-        return math.nan if x == 0.0 or math.isnan(x) else math.copysign(math.inf, x) * math.copysign(1.0, y)
-
-
-# The functions of _cubic_candidates on numpy arrays, and on the Python floats
-# of one cell.  These give numpy's inf and NaN where Python raises, and keep
-# numpy's cbrt, arccos and cos, so both give the same candidates bit for bit.
-_ARRAY_OPS = SimpleNamespace(
-    divide=np.divide, sqrt=np.sqrt, copysign=np.copysign, cbrt=np.cbrt, arccos=np.arccos, cos=np.cos,
-    clip=lambda x: np.minimum(np.maximum(x, -1.0), 1.0),
-)
-_FLOAT_OPS = SimpleNamespace(
-    divide=_float_divide, sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan, copysign=math.copysign,
-    cbrt=lambda x: float(np.cbrt(x)), arccos=lambda x: float(np.arccos(x)), cos=lambda x: float(np.cos(x)),
-    # x first, so a NaN passes through max and min as through numpy's
-    clip=lambda x: min(max(x, -1.0), 1.0),
-)
-
-
-def _cubic_roots(d3, d2, d1, d0):
-    """The cubic's candidate roots, vectorized over numpy arrays."""
     with np.errstate(all="ignore"):
-        return _cubic_candidates(d3, d2, d1, d0, _ARRAY_OPS)
+        shift = d2 / (3.0 * d3)
+        c, d = d1 / d3, d0 / d3
+        pp = c - 3.0 * shift * shift
+        qq = shift * (2.0 * shift * shift - c) + d
+        disc = 0.25 * qq * qq + pp * pp * pp / 27.0
+        s = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(disc), qq))
+        m = 2.0 * np.sqrt(-pp / 3.0)
+        # np.clip is slow on numpy scalars
+        phi = np.arccos(np.minimum(np.maximum(3.0 * qq / (pp * m), -1.0), 1.0)) / 3.0
+        q = -0.5 * (d1 + np.copysign(np.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
+        return (
+            m * np.cos(phi) - shift,
+            m * np.cos(phi - 2.0 * np.pi / 3.0) - shift,
+            m * np.cos(phi + 2.0 * np.pi / 3.0) - shift,
+            s - pp / (3.0 * s) - shift,
+            q / d2,
+            d0 / q,
+        )
 
 
-def _float_cubic_roots(d3, d2, d1, d0):
-    """The cubic's candidate roots for one cell, on Python floats: equal to
-    _cubic_roots on 0-d inputs bit for bit, without numpy's per-call cost."""
-    return _cubic_candidates(d3, d2, d1, d0, _FLOAT_OPS)
-
-
-def _breakpoints(coeffs, u_lo, u_hi, roots=_cubic_roots):
+def _breakpoints(coeffs, u_lo, u_hi):
     """(point, inside) pairs: both ends of [u_lo, u_hi], and every candidate
     critical point of the bracket flagged with whether it lies strictly
     inside.  The bracket is monotone between consecutive inside points, so
     it is positive somewhere in the range iff it is positive at one of them.
     A linear bracket has no critical point; up to a quartic, they are the
-    roots of its derivative, padded to a cubic, from ``roots``."""
+    roots of its derivative, padded to a cubic.  The coefficients are numpy
+    arrays or numpy scalars, so a zero leading one divides to inf or NaN."""
     pairs = [(u_lo, True), (u_hi, True)]
     if len(coeffs) > 2:
         slopes = [k * c for k, c in enumerate(coeffs)][:0:-1]
-        # the zero padding divides to inf or NaN, not raise
         padding = [0.0 * slopes[0]] * (4 - len(slopes))
-        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in roots(*padding, *slopes)]
+        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in _cubic_candidates(*padding, *slopes)]
     return pairs
 
 
@@ -386,7 +342,7 @@ def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:
     order, with exact roots as inner endpoints: one root per monotone piece
     whose ends differ in sign."""
     u_lo, u_hi = _u_range(t_lo, t_hi)
-    candidates = _breakpoints([float(c) for c in coeffs], u_lo, u_hi, _float_cubic_roots)
+    candidates = _breakpoints(np.array(coeffs, dtype=float), u_lo, u_hi)
     points = sorted(float(u) for u, inside in candidates if inside)
     values = [_horner(coeffs, u) for u in points]
     # edges in descending time, since u = e^{-2t} runs backwards
@@ -471,7 +427,7 @@ def detect_backflow(
     The distance comes from the closed form of the configuration, the
     derivative from the generic prefactor and the row's bracket, and every
     call verifies the derivative against the complex-step derivative
-    Im D(t + ih) / h of the same closed form (h = 1e-30, tolerance 1e-10).
+    Im D(t + ih) / h of the same closed form (h = 2^-560, tolerance 1e-10).
     The intervals are where the derivative's bracket is positive in
     [times[0], times[-1]], from its real roots rather than from the samples;
     ``eps`` only sets the ``marginal`` band and must be finite and >= 0.
@@ -489,8 +445,8 @@ def detect_backflow(
     mode, p, label = _mode_and_p(config)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    # one pass at t + ih: the step adds terms of order h^2 to each real part,
-    # far below half an ulp, so the real parts are the terms at t bit for bit
+    # one pass at t + ih: a product of two imaginary parts is of order h^2,
+    # which rounds to 0, so the real parts are the terms at t bit for bit
     shifted = _terms(mode, a, p, u_shifted, v_shifted)
     terms = tuple(term.real for term in shifted)
     coeffs = _bracket_coeffs(mode, a, p)
@@ -534,19 +490,20 @@ def detect_backflow(
 # thresholds and region scans
 # ---------------------------------------------------------------------------
 
-def asymptotic_threshold(mode: str, p: float) -> float:
-    """Critical probe parameter below which late-time backflow occurs.
+def asymptotic_threshold(config: ConfigLike) -> float:
+    """Critical probe parameter below which late-time backflow occurs, for 'bare' or a ControlConfig.
 
     As u = e^{-2t} -> 0 the bracket's sign is that of its u^0 coefficient
     a^2 B_x + b^2 B_z, positive for a^2 below B_z / (B_z - B_x) at u = 0:
 
     path:   a < sqrt(p / (1 + p))
     switch: a < sqrt(2 p^2 / (3p + 2))
+    bare:   0, since B_z = 0 at u = 0
 
     The path threshold dominates the switch threshold for every p in (0, 1].
     """
-    _check_p(p)
-    x0, z0 = (_horner(b, p) for b in _BRACKET_TABLES[_controlled(mode)][0])
+    mode, p, _ = _mode_and_p(config)
+    x0, z0 = (_horner(b, p) for b in _BRACKET_TABLES[mode][0])
     # no late-time backflow where the ratio is not positive, -0 included
     return math.sqrt(max(0.0, z0 / (z0 - x0)))
 

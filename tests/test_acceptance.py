@@ -35,7 +35,7 @@ from backflow.detect import (
 )
 from backflow.qmat import kron, project_control, trace_distance
 from conftest import pure_control_parts, random_density
-from test_detect import empirical_threshold
+from test_detect import _config, empirical_threshold
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -80,7 +80,7 @@ def test_criterion_3_pure_control_threshold_recovery():
     expected = {"path": 1.0 / np.sqrt(2.0), "switch": np.sqrt(2.0 / 5.0)}
     deviations = {}
     for mode, target in expected.items():
-        measured = empirical_threshold(mode, 1.0, a_step=5e-4)
+        measured = empirical_threshold(_config(mode, 1.0), a_step=5e-4)
         deviations[mode] = abs(measured - target)
     elapsed = time.perf_counter() - start
     ok = all(d <= 1e-3 for d in deviations.values()) and elapsed < 30.0
@@ -96,8 +96,8 @@ def test_criterion_4_robust_thresholds_and_region_containment():
     worst = 0.0
     for p in (0.2, 0.4, 0.6, 0.8):
         for mode in ("path", "switch"):
-            measured = empirical_threshold(mode, p, a_step=5e-4)
-            worst = max(worst, abs(measured - asymptotic_threshold(mode, p)))
+            measured = empirical_threshold(_config(mode, p), a_step=5e-4)
+            worst = max(worst, abs(measured - asymptotic_threshold(_config(mode, p))))
     a_grid = np.linspace(0.005, 0.995, 100)
     p_grid = np.linspace(0.0, 1.0, 100)
     scan = scan_region(a_grid, p_grid)

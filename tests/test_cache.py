@@ -144,7 +144,7 @@ class TestReuse:
     )
     def test_shifted_pair_gives_the_complex_step_of_complex_t(self, mode, a, p, t):
         # u (1 - 2ih) and v + 2ihu are e^{-2(t + ih)} and -expm1(-2(t + ih))
-        # to double precision at h = 1e-30, so both slopes Im D(t + ih) / h agree
+        # to double precision at h = 2^-560, so both slopes Im D(t + ih) / h agree
         grid = np.sort(np.array(t))
         shifted = detect._grid_work(grid)[-2:]
         z = -2.0 * (grid + 1j * COMPLEX_STEP)

@@ -360,6 +360,7 @@ class TestExitCodes:
         "args, code",
         [
             (["threshold", "--mode", "path", "--p", "2"], 2),
+            (["threshold", "--mode", "switch", "--p", "nan"], 2),
             (["distance", "--mode", "path", "--a", "0", "--t", "1"], 2),
             (["scan", "--a-min", "0", "--a-points", "3", "--p-points", "3"], 2),
             (["evolve", "--mode", "bare", "--t", "-1"], 2),
@@ -401,7 +402,7 @@ class TestExitCodes:
             (["evolve", "--mode", "bare", "--outcome", "minus", "--t", "1", "--format", "json"], 2),
         ],
         ids=[
-            "threshold-p", "distance-a", "scan-a-min", "evolve-t", "detect-a",
+            "threshold-p", "threshold-p-nan", "distance-a", "scan-a-min", "evolve-t", "detect-a",
             "detect-p", "detect-overflow", "detect-t-max-inf",
             "evolve-input-nan", "evolve-t-nan", "distance-t-negative", "distance-t-min-negative",
             "distance-t-nan", "scan-a-min-nan", "scan-p-max-nan", "detect-bare-tiny-a",

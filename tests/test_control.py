@@ -62,6 +62,12 @@ class TestConfigInvariants:
                 mode="switch", control=ControlState(1.0), amplitudes=default_amplitudes()
             )
 
+    def test_amplitudes_must_be_amplitude_vectors(self):
+        # refused at construction, not later in path_kraus (AttributeError)
+        # or by the closed-form doors as if they were non-default amplitudes
+        with pytest.raises(TypeError, match="amplitudes must be None or AmplitudeVectors"):
+            ControlConfig("path", ControlState(1.0), amplitudes=((1, 0, 0), (1, 0, 0)))
+
     def test_default_amplitudes_are_one_instance(self):
         r = 1.0 / np.sqrt(2.0)
         assert default_amplitudes() is default_amplitudes()

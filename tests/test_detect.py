@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import backflow.detect as detect
@@ -27,6 +27,7 @@ from backflow.control import (
     AmplitudeVectors,
     ControlConfig,
     _decay,
+    _mode_and_p,
     closed_form_output,
     controlled_output,
     default_amplitudes,
@@ -43,8 +44,8 @@ def central_diff(fn, t, h=FD_H):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
-def empirical_threshold(mode, p, a_step=5e-4):
-    """Measured large-time edge of the backflow region at fixed p: the
+def empirical_threshold(config, a_step=5e-4):
+    """Measured large-time edge of a configuration's backflow region: the
     sampled cross-check of ``asymptotic_threshold``.
 
     Scans a in steps of ``a_step`` and returns the midpoint between the last
@@ -59,13 +60,13 @@ def empirical_threshold(mode, p, a_step=5e-4):
     measurement deliberately excludes.  Raises ValueError unless
     0 < a_step < 1.
     """
-    detect._check_p(p)
+    mode, p, _ = _mode_and_p(config)
     # NaN fails the test too; a step outside (0, 1) scans no a below 1
     if not 0.0 < a_step < 1.0:
         raise ValueError(f"a_step must be in (0, 1), got {a_step}")
     a_values = np.arange(a_step, 1.0, a_step)
     u = math.exp(-2.0 * DEFAULT_T_MAX)
-    coeffs = detect._bracket_coeffs(detect._controlled(mode), a_values, p)
+    coeffs = detect._bracket_coeffs(mode, a_values, p)
     positive = detect._horner(coeffs, u) > 0.0
     if not positive.any():
         return float(0.5 * a_step) if detect._horner(detect._bracket_coeffs(mode, 0.0, p), u) > 0.0 else 0.0
@@ -324,6 +325,8 @@ class TestDetectBackflow:
             detect_backflow(config, 0.5)
         with pytest.raises(ValueError, match="plus outcome"):
             closed_form_output(config, probe_pair(0.5)[1], 1.0)
+        with pytest.raises(ValueError, match="plus outcome"):
+            asymptotic_threshold(config)
 
     def test_rejects_edge_a(self):
         with pytest.raises(ValueError):
@@ -343,6 +346,8 @@ class TestDetectBackflow:
             analytic_derivative(config, 0.65, 2.0)
         with pytest.raises(ValueError, match="default path amplitudes"):
             closed_form_output(config, probe_pair(0.65)[1], 2.0)
+        with pytest.raises(ValueError, match="default path amplitudes"):
+            asymptotic_threshold(config)
 
     def test_doors_check_p_of_an_untyped_control(self):
         # ControlConfig refuses a control that is not a ControlState, so every
@@ -512,43 +517,48 @@ class TestModeTable:
 
 class TestThresholds:
     def test_pure_control_values(self):
-        assert asymptotic_threshold("path", 1.0) == pytest.approx(1.0 / np.sqrt(2.0))
-        assert asymptotic_threshold("switch", 1.0) == pytest.approx(np.sqrt(0.4))
+        assert asymptotic_threshold(path_config(1.0)) == pytest.approx(1.0 / np.sqrt(2.0))
+        assert asymptotic_threshold(switch_config(1.0)) == pytest.approx(np.sqrt(0.4))
 
     def test_fully_mixed_control(self):
-        assert asymptotic_threshold("path", 0.0) == 0.0
-        assert asymptotic_threshold("switch", 0.0) == 0.0
+        assert asymptotic_threshold(path_config(0.0)) == 0.0
+        assert asymptotic_threshold(switch_config(0.0)) == 0.0
+
+    def test_bare_channel_reads_zero_from_its_row(self):
+        # the bare row's u^0 coefficients give B_z / (B_z - B_x) = 0
+        assert asymptotic_threshold("bare") == 0.0
+        assert empirical_threshold("bare") == 0.0
 
     def test_path_dominates_switch(self):
         for p in np.linspace(0.05, 1.0, 20):
-            assert asymptotic_threshold("path", p) >= asymptotic_threshold("switch", p)
+            assert asymptotic_threshold(path_config(p)) >= asymptotic_threshold(switch_config(p))
 
     def test_monotone_in_p(self):
         ps = np.linspace(0.0, 1.0, 41)
-        for mode in ("path", "switch"):
-            vals = [asymptotic_threshold(mode, p) for p in ps]
+        for config in _CONFIGS.values():
+            vals = [asymptotic_threshold(config(p)) for p in ps]
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_empirical_matches_analytic(self):
-        for mode in ("path", "switch"):
+        for config in _CONFIGS.values():
             for p in (0.4, 1.0):
-                emp = empirical_threshold(mode, p, a_step=5e-4)
-                assert abs(emp - asymptotic_threshold(mode, p)) <= 1e-3
+                emp = empirical_threshold(config(p), a_step=5e-4)
+                assert abs(emp - asymptotic_threshold(config(p))) <= 1e-3
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            asymptotic_threshold("serial", 0.5)
-        # the bare channel has no control, hence no threshold
         for threshold in (asymptotic_threshold, empirical_threshold):
-            with pytest.raises(ValueError, match="mode must be 'path' or 'switch'"):
-                threshold("bare", 0.5)
+            with pytest.raises(ValueError, match="string config must be 'bare'"):
+                threshold("serial")
+            # a supermap is configured through a ControlConfig, not by name
+            with pytest.raises(ValueError, match="string config must be 'bare'"):
+                threshold("path")
 
     @pytest.mark.parametrize("a_step", [-0.1, 2.0, 0.0, float("nan"), 1.0])
     def test_empirical_step_outside_unit_interval(self, a_step):
         # at p = 0.5 the threshold is 0.577: no step outside (0, 1) may
         # report "no late-time backflow" (0.0) or fail inside numpy
         with pytest.raises(ValueError, match="a_step must be in"):
-            empirical_threshold("path", 0.5, a_step=a_step)
+            empirical_threshold(path_config(0.5), a_step=a_step)
 
     @pytest.mark.parametrize(
         "mode, p, a_step, want",
@@ -557,9 +567,9 @@ class TestThresholds:
     def test_empirical_step_coarser_than_the_threshold(self, mode, p, a_step, want):
         # no scanned a is positive; the a -> 0 limit of the bracket tells an
         # edge below the first sample (a_step / 2) from none at all (0.0)
-        emp = empirical_threshold(mode, p, a_step=a_step)
+        emp = empirical_threshold(_config(mode, p), a_step=a_step)
         assert emp == want
-        assert abs(emp - asymptotic_threshold(mode, p)) <= a_step / 2
+        assert abs(emp - asymptotic_threshold(_config(mode, p))) <= a_step / 2
 
 
 class TestScanRegion:
@@ -747,8 +757,8 @@ class TestExactWindows:
     )
     def test_windows_of_any_degree_up_to_four(self, coeffs):
         # a derived bracket need not be linear or quartic: below degree 4 its
-        # derivative is padded to a cubic, whose lost top terms the candidate
-        # roots of _cubic_roots survive; each bracket here is positive at both
+        # derivative is padded to a cubic, whose lost top terms the cubic
+        # candidates survive; each bracket here is positive at both
         # ends of the range, or negative at both, and changes sign inside
         times = log_time_grid()
         windows = detect._windows(coeffs, times[0], times[-1])
@@ -802,26 +812,9 @@ def _two_pass_series(mode, a, p, times):
     return dist, deriv, float(np.abs(slope - deriv).max())
 
 
-def _same_float(x, y):
-    """Equal bit for bit, the sign of zero included; any NaN equals any NaN."""
-    x, y = float(x), float(y)
-    if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-
-
-# finite cubic coefficients: signed zeros, subnormals, huge and ordinary values
-_COEFFICIENTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300]),
-    st.floats(-1e3, 1e3),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
 class TestOnePassAndScalarWindows:
-    """detect_backflow reads its series from one pass at t + ih, and its
-    windows from the cubic candidates on Python floats; both must equal
-    what they replace bit for bit."""
+    """detect_backflow reads its series from one pass at t + ih; they must
+    equal the pass at t and the separate complex-step pass bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -831,6 +824,8 @@ class TestOnePassAndScalarWindows:
         t_max=st.sampled_from([4.0, 12.0, 50.0, 400.0]),
         points=st.integers(2, 600),
     )
+    # a rounding tie that a fused complex multiply broke at h = 1e-30
+    @example(mode="switch", a=0.5, p=0.75, t_max=50.0, points=292)
     def test_series_equal_the_two_pass_reference(self, mode, a, p, t_max, points):
         times = log_time_grid(DEFAULT_T_MIN, t_max, points)
         dist, deriv, fd_residual = _two_pass_series(mode, a, p, times)
@@ -851,26 +846,6 @@ class TestOnePassAndScalarWindows:
         assert np.array_equal(report.distance, dist)
         assert np.array_equal(report.derivative, deriv)
         assert report.fd_residual == fd_residual
-
-    @settings(max_examples=400, deadline=None)
-    @given(d3=_COEFFICIENTS, d2=_COEFFICIENTS, d1=_COEFFICIENTS, d0=_COEFFICIENTS)
-    def test_float_candidates_equal_0d_candidates(self, d3, d2, d1, d0):
-        want = detect._cubic_roots(*map(np.float64, (d3, d2, d1, d0)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = detect._float_cubic_roots(d3, d2, d1, d0)
-        assert all(isinstance(r, float) for r in got)
-        assert all(map(_same_float, got, want)), (got, want)
-
-    @pytest.mark.parametrize("zero", [0.0, -0.0])
-    @pytest.mark.parametrize("padding", [1, 2, 3])
-    def test_float_candidates_divide_by_zero_as_numpy(self, padding, zero):
-        # a zero leading coefficient, as the padding and the switch quartic
-        # at p = 0 give, divides to inf or NaN, so the candidate is not inside
-        slopes = [zero] * padding + [2.0, -3.0, 1.0, -0.1][padding:]
-        want = detect._cubic_roots(*map(np.float64, slopes))
-        got = detect._float_cubic_roots(*slopes)
-        assert all(map(_same_float, got, want)) and not all(map(math.isfinite, got))
 
 
 class TestCentralDifference:

@@ -422,7 +422,8 @@ def test_thresholds_follow_from_the_late_time_coefficient(mode, expected):
     b_x, b_z = (_exact(detect._horner(b, p)) for b in detect._BRACKET_TABLES[mode][0])
     assert _is_zero(b_z / (b_z - b_x) - expected)
     for p_ in (0.0, 0.1, 0.5, 1.0):
-        assert detect.asymptotic_threshold(mode, p_) ** 2 == pytest.approx(float(root.subs(p, p_)), rel=1e-15, abs=0.0)
+        config = control.SUPERMAPS[mode].config(p_, "plus")
+        assert detect.asymptotic_threshold(config) ** 2 == pytest.approx(float(root.subs(p, p_)), rel=1e-15, abs=0.0)
 
 
 def test_path_threshold_dominates_switch():
