@@ -16,13 +16,11 @@ from .channel import (
     CanonicalGenerator,
     CptpReport,
     KrausChannel,
-    PhiCoefficients,
     apply,
     choi_matrix,
     completeness_residual,
     eternal_nm_generator,
     integrate_canonical,
-    phi_t_coefficients,
     phi_t_kraus,
     validate_cptp,
 )

@@ -21,7 +21,7 @@ that equation serves as an independent oracle for the Kraus form.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,18 @@ MAX_RK4_STEPS = 400_000
 # Steps whose RK4 multipliers are computed in one array pass; keeps memory
 # flat at any t_final.
 RK4_BLOCK_STEPS = 1024
+
+
+def _decay(t):
+    """u = e^{-2t} and v = 1 - u = -expm1(-2t), both in [0, 1], for t >= 0,
+    scalar or array; v is exact at small t.  The one time check: a negative
+    or NaN t raises ValueError.  Capping t at DECAYED_TIME changes no value
+    and keeps -2t finite.  The Bloch rows are polynomials in (u, v), so a
+    complex step enters through u (1 - 2ih) and v + 2ihu, not complex t."""
+    if not (np.asarray(t) >= 0.0).all():
+        raise ValueError(f"time must be non-negative, got {t}")
+    s = -2.0 * np.minimum(t, DECAYED_TIME)
+    return np.exp(s), -np.expm1(s)
 
 
 @dataclass(frozen=True)
@@ -131,28 +143,6 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return (ops @ rho).swapaxes(0, 1).reshape(channel.dim, -1) @ dagger(ops).reshape(-1, channel.dim)
 
 
-class PhiCoefficients(NamedTuple):
-    """Weights of the lossy-channel Kraus family at one time."""
-
-    t: float
-    alpha1: float
-    alpha2: float
-    alpha3: float
-
-
-def phi_t_coefficients(t: float) -> PhiCoefficients:
-    """Kraus weights at dimensionless time t >= 0.
-
-    alpha1 = alpha3 = (1 + exp(-2t)) / 2, alpha2 = (1 - exp(-2t)) / 2, so
-    alpha1 + alpha2 = 1, which is exactly the completeness weight of the
-    three surviving operators.
-    """
-    if not t >= 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    u = np.exp(-2.0 * min(t, DECAYED_TIME))
-    return PhiCoefficients(float(t), (1.0 + u) / 2.0, (1.0 - u) / 2.0, (1.0 + u) / 2.0)
-
-
 # |0><1|, |1><0| and I: the lossy channel's operators before their weights;
 # read-only, since every phi_t_kraus call shares it
 _PHI_TEMPLATES = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], I2], dtype=complex)
@@ -160,11 +150,11 @@ _PHI_TEMPLATES.flags.writeable = False
 
 
 def phi_t_kraus(t: float) -> KrausChannel:
-    """The lossy channel at time t as a three-operator Kraus set."""
-    c = phi_t_coefficients(t)
-    k_flip = np.sqrt(c.alpha2)
-    k_id = np.sqrt((c.alpha1 + c.alpha3) / 2.0)
-    weights = np.array([k_flip, k_flip, k_id])
+    """The lossy channel at time t >= 0 as three Kraus operators: |0><1| and
+    |1><0| weighted sqrt((1 - u) / 2), I weighted sqrt((1 + u) / 2), u = e^{-2t}."""
+    u, _ = _decay(t)
+    k_flip = np.sqrt((1.0 - u) / 2.0)
+    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)])
     return KrausChannel(weights[:, None, None] * _PHI_TEMPLATES, label=f"phi_t(t={t:g})")
 
 

@@ -60,8 +60,11 @@ def _emit(text: str, out) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--out'") from exc
 
 
 def _csv(lines) -> str:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .channel import DECAYED_TIME, KrausChannel, apply, phi_t_kraus
+from .channel import KrausChannel, _decay, apply, phi_t_kraus
 from .qmat import (
     KET_MINUS,
     KET_PLUS,
@@ -218,16 +218,6 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     return block / prob, prob
 
 
-def _decay(t):
-    """u = e^{-2t} and v = 1 - u = -expm1(-2t) for real t: both in [0, 1] for
-    every t >= 0, v exact at small t.  t is capped at DECAYED_TIME, which
-    changes no value and keeps -2t finite up to the largest float.  The
-    Bloch rows are polynomials in (u, v), so a complex step enters through
-    u(t + ih) = u (1 - 2ih) and v(t + ih) = v + 2ihu, not through complex t."""
-    s = -2.0 * np.minimum(t, DECAYED_TIME)
-    return np.exp(s), -np.expm1(s)
-
-
 def _switch_row(p, u, v):
     # n_z in this factored form: expanded, it loses digits near its root at
     # small a, or cancels to nothing at p = 0 once u is tiny
@@ -276,13 +266,12 @@ def closed_form_output(config: ConfigLike, rho0: np.ndarray, t: float) -> np.nda
         [ l+ s21 + l- s12             tr/2 - l_z (s11 - s22)/2 ]
     """
     mode, p, _ = _mode_and_p(config)
-    if not t >= 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    u, v = _decay(t)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError("closed-form outputs expect a qubit state")
     s11, s12, s21, s22 = rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
-    delta, n_x, n_y, n_z = BLOCH_ROWS[mode](p, *_decay(t))
+    delta, n_x, n_y, n_z = BLOCH_ROWS[mode](p, u, v)
     half_trace, half_z = 0.5 * (s11 + s22), 0.5 * n_z / delta * (s11 - s22)
     plus, minus = 0.5 * (n_x + n_y) / delta, 0.5 * (n_x - n_y) / delta
     return np.array(

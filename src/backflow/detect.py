@@ -30,7 +30,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .control import BLOCH_ROWS, SUPERMAPS, ConfigLike, _decay, _mode_and_p
+from .channel import _decay
+from .control import BLOCH_ROWS, SUPERMAPS, ConfigLike, _mode_and_p
 from .qmat import KET_0, pure_state
 
 BACKFLOW_EPS = 1e-9
@@ -94,11 +95,6 @@ def _check_a_open(a: float) -> None:
         raise ValueError(f"probe parameter a must be in (0, 1), got {a}")
 
 
-def _check_t(t) -> None:
-    if not (np.asarray(t) >= 0.0).all():
-        raise ValueError(f"times must be non-negative, got {t}")
-
-
 # ---------------------------------------------------------------------------
 # closed forms from the Bloch rows of ``control``: with b = sqrt(1 - a^2) the
 # probes' Bloch difference is 2b (a, 0, -b), so D = b sqrt(S) / Delta for
@@ -119,17 +115,17 @@ def _scale(a, p, u):
 
     Once a, p and u are all below about 1e-154, S underflows to 0 while r
     does not: s is then the power of two with s / 2 <= max(a, p, |u|) < s,
-    elementwise, so one scaled term is at least 1/2 in size.  While
-    a >= 2^-500, S is itself normal and s = 1.  Scaling by a power of two is
+    elementwise, so one scaled term is at least 1/2 in size; below 2^-1022,
+    s stays 2^-1021, since numpy's complex division by a subnormal overflows.
+    While a >= 2^-500, S is normal and s = 1.  Scaling by a power of two is
     exact, so s sqrt(r) equals sqrt(S) bit for bit wherever S is normal.  s
     is real and reads u only through |u|, which the complex step
     u (1 - 2ih) leaves unchanged in double precision, so the forms stay
-    analytic in (u, v), the pair through which the complex step enters; no
-    complex t is formed."""
+    analytic in (u, v), the pair through which the complex step enters."""
     unscaled = a >= _UNSCALED_A
     if unscaled.all() if isinstance(unscaled, np.ndarray) else unscaled:
         return 1.0
-    return np.ldexp(1.0, np.frexp(np.maximum(np.maximum(a, p), np.abs(u)))[1])
+    return np.ldexp(1.0, np.maximum(np.frexp(np.maximum(np.maximum(a, p), np.abs(u)))[1], -1021))
 
 
 def _terms(mode: str, a: float, p: float, u, v):
@@ -242,9 +238,9 @@ def probe_distance(config: ConfigLike, a: float, t):
     """Probe-pair trace distance D(t) for a configuration ('bare' or
     ControlConfig), for a in (0, 1] and t >= 0."""
     mode, p, _ = _mode_and_p(config)
-    _check_t(t)
+    u, v = _decay(t)
     _check_a(a)
-    return _distance(a, _terms(mode, a, p, *_decay(t)))
+    return _distance(a, _terms(mode, a, p, u, v))
 
 
 def analytic_derivative(config: ConfigLike, a: float, t):
@@ -252,7 +248,6 @@ def analytic_derivative(config: ConfigLike, a: float, t):
     a in (0, 1) and t >= 0."""
     mode, p, _ = _mode_and_p(config)
     _check_a_open(a)
-    _check_t(t)
     prefactor, bracket = _derivative_parts(mode, a, p, t)
     return prefactor * bracket
 

@@ -28,7 +28,7 @@ def _clear_caches():
 
 def _times():
     # up to the largest float, where -2t would overflow without the cap
-    elements = st.floats(-300.0, 1.7976931348623157e308)
+    elements = st.floats(0.0, 1.7976931348623157e308)
     return hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=5), elements=elements)
 
 
@@ -65,6 +65,10 @@ class TestReuse:
         for got_part, ref in zip(got, want):
             assert np.array_equal(got_part, ref)
             assert np.shape(got_part) == t.shape
+        # the one time check: a negative or NaN time anywhere is refused
+        for bad in (-1e-300, -300.0, np.nan):
+            with pytest.raises(ValueError, match="time must be non-negative"):
+                _decay(np.append(t, bad))
 
     @pytest.mark.parametrize("config", ["bare", path_config(0.6), switch_config(0.6)])
     def test_grid_changed_in_place_is_recomputed(self, config):

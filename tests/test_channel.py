@@ -10,7 +10,6 @@ from backflow.channel import (
     completeness_residual,
     eternal_nm_generator,
     integrate_canonical,
-    phi_t_coefficients,
     phi_t_kraus,
     validate_cptp,
 )
@@ -98,37 +97,42 @@ def _rk4_reference(gen, rho0, checkpoints, dt=1e-3):
     return np.stack(states)
 
 
+def kraus_weights(t):
+    """alpha2 = |K1[0, 1]|^2 and (alpha1 + alpha3) / 2 = |K3[0, 0]|^2 of the
+    Kraus set at t; K3 is a multiple of I, so alpha1 = alpha3."""
+    k1, _, k3 = phi_t_kraus(t).ops
+    assert np.array_equal(k3, k3[0, 0] * I2)
+    return abs(k1[0, 1]) ** 2, abs(k3[0, 0]) ** 2
+
+
 class TestCoefficients:
     def test_values_at_zero(self):
-        c = phi_t_coefficients(0.0)
-        assert c.alpha1 == pytest.approx(1.0)
-        assert c.alpha2 == pytest.approx(0.0)
-        assert c.alpha3 == pytest.approx(1.0)
+        alpha2, alpha13 = kraus_weights(0.0)
+        assert alpha13 == pytest.approx(1.0)
+        assert alpha2 == pytest.approx(0.0)
 
     def test_half_life_point(self):
-        c = phi_t_coefficients(LN2_HALF)
-        assert c.alpha2 == pytest.approx(0.25)
-        assert (c.alpha1 + c.alpha3) / 2 == pytest.approx(0.75)
+        alpha2, alpha13 = kraus_weights(LN2_HALF)
+        assert alpha2 == pytest.approx(0.25)
+        assert alpha13 == pytest.approx(0.75)
 
     def test_large_time_limits(self):
-        c = phi_t_coefficients(40.0)
-        assert c.alpha2 == pytest.approx(0.5, abs=1e-12)
-        assert (c.alpha1 + c.alpha3) / 2 == pytest.approx(0.5, abs=1e-12)
+        alpha2, alpha13 = kraus_weights(40.0)
+        assert alpha2 == pytest.approx(0.5, abs=1e-12)
+        assert alpha13 == pytest.approx(0.5, abs=1e-12)
 
     def test_completeness_weight(self):
         # the three surviving operators weigh alpha2 (twice, on the two
-        # projectors) plus (alpha1+alpha3)/2 + (alpha1-alpha3)/2 = alpha1
+        # projectors) plus (alpha1 + alpha3) / 2 = alpha1
         for t in np.linspace(0.0, 6.0, 31):
-            c = phi_t_coefficients(t)
-            assert c.alpha1 == c.alpha3
-            weight = c.alpha2 + (c.alpha1 + c.alpha3) / 2 + (c.alpha1 - c.alpha3) / 2
-            assert weight == pytest.approx(1.0, abs=1e-14)
+            alpha2, alpha13 = kraus_weights(t)
+            assert alpha2 + alpha13 == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            phi_t_coefficients(-0.1)
+            phi_t_kraus(-0.1)
         with pytest.raises(ValueError):
-            phi_t_coefficients(np.nan)
+            phi_t_kraus(np.nan)
 
 
 class TestPhiKraus:
@@ -151,8 +155,8 @@ class TestPhiKraus:
     @pytest.mark.parametrize("t", [0.0, 1e-8, 0.5, 3.0, 400.0])
     def test_equals_explicit_operators(self, t):
         # the shared read-only template, scaled, against three matrices built per call
-        c = phi_t_coefficients(t)
-        k_flip, k_id = np.sqrt(c.alpha2), np.sqrt((c.alpha1 + c.alpha3) / 2.0)
+        u = np.exp(-2.0 * t)
+        k_flip, k_id = np.sqrt((1.0 - u) / 2.0), np.sqrt((1.0 + u) / 2.0)
         explicit = np.array([
             k_flip * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
             k_flip * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),

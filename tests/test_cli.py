@@ -355,6 +355,9 @@ class TestByteStability:
             assert abs(float(result.output) - float(printed)) <= 1e-15
 
 
+_SUBNORMAL_A = [(mode, a) for mode in ("bare", "path", "switch") for a in ("1e-310", "1e-320", "5e-324")]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "args, code",
@@ -400,6 +403,8 @@ class TestExitCodes:
             (["detect", "--mode", "path", "--a", "0.3", "--t-max", "1e308", "--points", "5"], 1),
             # the bare channel has no control, so no outcome but the default to post-select
             (["evolve", "--mode", "bare", "--outcome", "minus", "--t", "1", "--format", "json"], 2),
+            # below 2^-1022 the rescale stays a normal number, down to the smallest subnormal a
+            *((["detect", "--mode", mode, "--p", "0", "--a", a, "--t-max", "400"], 0) for mode, a in _SUBNORMAL_A),
         ],
         ids=[
             "threshold-p", "threshold-p-nan", "distance-a", "scan-a-min", "evolve-t", "detect-a",
@@ -411,6 +416,7 @@ class TestExitCodes:
             "detect-switch-p-negative", "distance-t-max-inf", "evolve-t-max-inf",
             "distance-bare-t-1e308", "distance-path-t-1e308", "evolve-bare-t-1e308",
             "evolve-switch-t-1e308", "detect-path-t-max-1e308", "evolve-bare-minus",
+            *(f"detect-{mode}-subnormal-a-{a}" for mode, a in _SUBNORMAL_A),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -419,6 +425,23 @@ class TestExitCodes:
         assert result.exit_code == code
         # a command that succeeds returns normally; every other code comes from SystemExit
         assert isinstance(result.exception, SystemExit) if code else result.exception is None
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["distance", "--mode", "bare", "--a", "0.5", "--t", "1"],
+            ["evolve", "--mode", "bare", "--t", "1"],
+            ["detect", "--mode", "path", "--a", "0.65"],
+            ["scan", "--a-points", "3", "--p-points", "3"],
+        ],
+        ids=["distance", "evolve", "detect", "scan"],
+    )
+    def test_out_into_missing_directory_is_a_usage_error(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "missing" / "out.csv")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--out'" in result.output
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(

@@ -292,6 +292,14 @@ class TestDetectBackflow:
                     assert np.array_equal(report.distance, probe_distance(config, a, grid)), (a, p)
                     assert np.array_equal(report.derivative, analytic_derivative(config, a, grid)), (a, p)
 
+    @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
+    @pytest.mark.parametrize("a", [1e-310, 5e-324])
+    def test_subnormal_a_gives_finite_series(self, mode, a):
+        # the radicand's scale stays a normal number below 2^-1022, where the
+        # complex step's division by a subnormal scale would overflow
+        report = detect_backflow(_config(mode, 0.0), a, log_time_grid(t_max=400.0))
+        assert np.isfinite(report.distance).all() and np.isfinite(report.derivative).all()
+
     def test_marginal_flag_near_threshold(self):
         a_inside = 1.0 / np.sqrt(2.0) - 1e-4
         report = detect_backflow(path_config(1.0), a_inside)
@@ -474,6 +482,44 @@ class TestProbeDistanceTimes:
             for config in ("bare", path_config(1.0), switch_config(0.5)):
                 with pytest.raises(ValueError, match="non-negative"):
                     call(config, 0.5, t)
+
+
+_RHO = np.diag([0.75, 0.25]).astype(complex)
+# every door through which a time enters, each reaching channel._decay
+_TIME_DOORS = {
+    "phi_t_kraus": phi_t_kraus,
+    "closed_form_output": lambda t: closed_form_output(switch_config(0.5), _RHO, t),
+    "controlled_output": lambda t: controlled_output(path_config(0.5), _RHO, t),
+    "probe_distance": lambda t: probe_distance(path_config(0.5), 0.5, t),
+    "analytic_derivative": lambda t: analytic_derivative(switch_config(0.5), 0.5, t),
+    "_derivative_parts": lambda t: detect._derivative_parts("bare", 0.5, 1.0, t),
+}
+_ARRAY_DOORS = ("probe_distance", "analytic_derivative", "_derivative_parts")
+
+
+class TestOneClock:
+    @pytest.mark.parametrize(
+        "door, t",
+        [pytest.param(door, t, id=f"{door}-{t}") for door in _TIME_DOORS for t in (-1.0, np.nan)]
+        + [
+            pytest.param(door, np.array(t), id=f"{door}-array-{t[0]}")
+            for door in _ARRAY_DOORS
+            for t in ([-1.0, 0.5], [np.nan, 1.0])
+        ],
+    )
+    def test_every_door_refuses_negative_and_nan_times(self, door, t):
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            _TIME_DOORS[door](t)
+
+    def test_each_door_keeps_its_check_order(self):
+        # t before a in probe_distance, a before t in analytic_derivative,
+        # and t before the qubit shape in closed_form_output
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            probe_distance("bare", 2.0, -1.0)
+        with pytest.raises(ValueError, match="probe parameter a"):
+            analytic_derivative("bare", 2.0, -1.0)
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            closed_form_output("bare", np.eye(4) / 4, -1.0)
 
 
 class TestModeTable:
