@@ -27,7 +27,6 @@ from .channel import (
 from .control import (
     AmplitudeVectors,
     ControlConfig,
-    ControlState,
     build_supermap,
     closed_form_output,
     controlled_output,

@@ -48,8 +48,12 @@ def _decay(t):
     or NaN t raises ValueError.  Capping t at DECAYED_TIME changes no value
     and keeps -2t finite.  The Bloch rows are polynomials in (u, v), so a
     complex step enters through u (1 - 2ih) and v + 2ihu, not complex t."""
-    if not (np.asarray(t) >= 0.0).all():
-        raise ValueError(f"time must be non-negative, got {t}")
+    valid = np.asarray(t) >= 0.0
+    if not valid.all():
+        # the first refused time, and how many there are among several
+        bad = ~valid
+        count = f" ({bad.sum()} of {bad.size} times)" if bad.size > 1 else ""
+        raise ValueError(f"time must be non-negative, got {np.asarray(t)[bad].flat[0]}{count}")
     s = -2.0 * np.minimum(t, DECAYED_TIME)
     return np.exp(s), -np.expm1(s)
 
@@ -118,7 +122,10 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
 
 
 def validate_cptp(channel: KrausChannel) -> CptpReport:
-    """Report completeness residual and Choi minimum eigenvalue."""
+    """Report completeness residual and Choi minimum eigenvalue; a Kraus set
+    with a non-finite entry fails with both fields NaN."""
+    if not np.isfinite(channel.ops).all():
+        return CptpReport(channel.label, np.nan, np.nan)
     res = completeness_residual(channel)
     lam_min = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
     return CptpReport(channel.label, res, lam_min)

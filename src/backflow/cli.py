@@ -14,8 +14,6 @@ import click
 import numpy as np
 
 from .channel import (
-    CHOI_PSD_TOL,
-    COMPLETENESS_TOL,
     DECAYED_TIME,
     apply,
     eternal_nm_generator,
@@ -23,7 +21,7 @@ from .channel import (
     phi_t_kraus,
     validate_cptp,
 )
-from .control import OUTCOMES, SUPERMAPS, closed_form_output, controlled_output, default_amplitudes
+from .control import OUTCOMES, SUPERMAPS, ControlConfig, closed_form_output, controlled_output
 from .detect import (
     BACKFLOW_EPS,
     CONTROLLED_MODES,
@@ -102,7 +100,7 @@ def _config_for(mode: str, p: float, outcome: str = "plus"):
     """The supermap mode's default configuration, or the bare mode's name;
     the bare mode has no control to measure, so it takes no other outcome."""
     if mode in SUPERMAPS:
-        return SUPERMAPS[mode].config(p, outcome)
+        return ControlConfig(mode, p, postselect_outcome=outcome)
     if outcome != "plus":
         raise click.UsageError(f"--outcome {outcome} needs a control; {mode} mode has none")
     return mode
@@ -303,7 +301,7 @@ def detect(ctx, mode, a, p, t_min, t_max, points, eps, fmt_name, out):
 
 @main.command()
 @click.option("--mode", type=click.Choice(CONTROLLED_MODES), required=True)
-@click.option("--p", type=float, required=True)
+@click.option("--p", type=float, required=True, callback=_unit_interval)
 def threshold(mode, p):
     """Critical probe parameter for late-time backflow."""
     click.echo(_fmt(asymptotic_threshold(_config_for(mode, p))))
@@ -350,19 +348,17 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
 
 
 def _suite_cptp():
-    worst_res = 0.0
-    worst_eig = np.inf
-    grid = np.arange(0.0, 5.0 + 1e-9, 0.1)
-    amps = default_amplitudes()
-    for t in grid:
+    reports = []
+    for t in np.arange(0.0, 5.0 + 1e-9, 0.1):
         phi = phi_t_kraus(t)
-        for ch in [phi, *(supermap.kraus(phi, amps) for supermap in SUPERMAPS.values())]:
-            report = validate_cptp(ch)
-            worst_res = max(worst_res, report.completeness_residual)
-            worst_eig = min(worst_eig, report.choi_min_eigenvalue)
-    ok = worst_res <= COMPLETENESS_TOL and worst_eig >= -CHOI_PSD_TOL
+        channels = [phi, *(supermap.kraus(phi, supermap.amplitudes) for supermap in SUPERMAPS.values())]
+        reports.extend(validate_cptp(ch) for ch in channels)
+    # every suite folds with numpy's max and min, which carry a NaN through
+    # to fail its check; Python's max and min would drop it
+    worst_res = np.max([report.completeness_residual for report in reports])
+    worst_eig = np.min([report.choi_min_eigenvalue for report in reports])
     detail = f"worst completeness residual {worst_res:.3e}, worst Choi eigenvalue {worst_eig:.3e}"
-    return ok, detail
+    return all(report.passed for report in reports), detail
 
 
 def _random_states(seed: int):
@@ -388,8 +384,9 @@ def _suite_ode(t_values, random_states):
     for t, ode_batch in zip(times, ode_states):
         channel = phi_t_kraus(t)
         for rho, ode_state in zip(states, ode_batch):
-            kraus_state = apply(channel, rho)
-            worst = max(worst, trace_distance(kraus_state, ode_state))
+            # a non-finite oracle state fails the suite, not trace_distance's check
+            distance = trace_distance(apply(channel, rho), ode_state) if np.isfinite(ode_state).all() else np.nan
+            worst = np.maximum(worst, distance)
     return worst <= 1e-6, f"worst Kraus-vs-RK4 trace distance {worst:.3e}"
 
 
@@ -401,7 +398,7 @@ def _suite_closed_form(states):
             for rho in states:
                 for config in configs:
                     out, _ = controlled_output(config, rho, t)
-                    worst = max(worst, float(np.abs(out - closed_form_output(config, rho, t)).max()))
+                    worst = np.maximum(worst, np.abs(out - closed_form_output(config, rho, t)).max())
     return worst <= 1e-10, f"worst closed-form vs supermap deviation {worst:.3e}"
 
 
@@ -412,7 +409,7 @@ def _suite_derivatives():
     for a in (0.2, 0.5, 0.65, 0.9):
         for config in configs:
             fd = central_difference(lambda s: probe_distance(config, a, s), ts)
-            worst_fd = max(worst_fd, float(np.abs(fd - analytic_derivative(config, a, ts)).max()))
+            worst_fd = np.maximum(worst_fd, np.abs(fd - analytic_derivative(config, a, ts)).max())
     return worst_fd <= 1e-6, f"worst FD residual {worst_fd:.3e}"
 
 

@@ -23,6 +23,7 @@ cover, for every closed-form door.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -70,59 +71,38 @@ def default_amplitudes() -> AmplitudeVectors:
 
 
 @dataclass(frozen=True)
-class ControlState:
-    """Control qubit omega = p |+><+| + (1 - p) I/2 with p in [0, 1]."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"control purity parameter p must be in [0, 1], got {self.p}")
-
-    def density(self) -> np.ndarray:
-        """omega as a new 2x2 complex array on each call."""
-        half_p = self.p / 2
-        return np.array([[0.5, half_p], [half_p, 0.5]], dtype=complex)
-
-
-@dataclass(frozen=True)
 class ControlConfig:
-    """Which supermap to build and how to post-select the control."""
+    """Which supermap to build, the control omega = p |+><+| + (1 - p) I/2
+    with p in [0, 1], and the control outcome to post-select.  Path takes
+    the table's default amplitudes unless given others; the switch takes
+    none."""
 
     mode: str
-    control: ControlState
+    p: float
     amplitudes: Optional[AmplitudeVectors] = None
     postselect_outcome: str = "plus"
 
     def __post_init__(self):
-        if not isinstance(self.control, ControlState):
-            raise TypeError(f"control must be a ControlState, got {type(self.control).__name__}")
-        if not isinstance(self.amplitudes, (AmplitudeVectors, type(None))):
-            raise TypeError(f"amplitudes must be None or AmplitudeVectors, got {type(self.amplitudes).__name__}")
         if self.mode not in SUPERMAPS:
             raise ValueError(f"mode must be one of {list(SUPERMAPS)}, got {self.mode!r}")
-        takes_amplitudes = SUPERMAPS[self.mode].takes_amplitudes
-        if takes_amplitudes != (self.amplitudes is not None):
-            need = "requires" if takes_amplitudes else "takes no"
-            raise ValueError(f"{self.mode} mode {need} amplitude vectors")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"control purity parameter p must be in [0, 1], got {self.p}")
+        if self.amplitudes is None:
+            object.__setattr__(self, "amplitudes", SUPERMAPS[self.mode].amplitudes)
+        elif SUPERMAPS[self.mode].amplitudes is None:
+            raise ValueError(f"{self.mode} mode takes no amplitude vectors")
+        elif not isinstance(self.amplitudes, AmplitudeVectors):
+            raise TypeError(f"amplitudes must be None or AmplitudeVectors, got {type(self.amplitudes).__name__}")
         if self.postselect_outcome not in OUTCOMES:
             raise ValueError(f"postselect_outcome must be one of {list(OUTCOMES)}")
 
 
 def switch_config(p: float, outcome: str = "plus") -> ControlConfig:
-    return ControlConfig(mode="switch", control=ControlState(p), postselect_outcome=outcome)
+    return ControlConfig("switch", p, postselect_outcome=outcome)
 
 
-def path_config(
-    p: float,
-    amplitudes: Optional[AmplitudeVectors] = None,
-    outcome: str = "plus",
-) -> ControlConfig:
-    if amplitudes is None:
-        amplitudes = default_amplitudes()
-    return ControlConfig(
-        mode="path", control=ControlState(p), amplitudes=amplitudes, postselect_outcome=outcome
-    )
+def path_config(p: float, amplitudes: Optional[AmplitudeVectors] = None, outcome: str = "plus") -> ControlConfig:
+    return ControlConfig("path", p, amplitudes, outcome)
 
 
 # Control measurement outcomes and their kets; the closed forms describe
@@ -179,24 +159,19 @@ def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> Krau
     return KrausChannel(ops, label=f"path({e.label},{f.label})")
 
 
-# (config, t, channel) of the last build_supermap call
-_last_supermap = None
-
-
 def build_supermap(config: ControlConfig, t: float) -> KrausChannel:
     """Joint Kraus set for two copies of the lossy channel at time t.
 
-    The last result is kept and returned again for the same config object
-    (``is``) and an equal t, so the probes of one query share one build; its
-    operators are read-only.  Any other config, equal or not, is built.
+    The last result is kept and returned again for an equal config and t,
+    so the probes of one query share one build; its operators are read-only.
     """
-    global _last_supermap
-    last = _last_supermap
-    if last is not None and last[0] is config and last[1] == t:
-        return last[2]
+    return _joint_kraus(config, float(t))
+
+
+@lru_cache(maxsize=1)
+def _joint_kraus(config: ControlConfig, t: float) -> KrausChannel:
     channel = SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
     channel.ops.flags.writeable = False
-    _last_supermap = (config, float(t), channel)
     return channel
 
 
@@ -212,7 +187,8 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     if rho0.shape != (2, 2):
         raise ValueError("controlled_output expects a qubit state")
     joint_channel = build_supermap(config, t)
-    joint_state = kron(rho0, config.control.density())
+    half_p = config.p / 2
+    joint_state = kron(rho0, np.array([[0.5, half_p], [half_p, 0.5]], dtype=complex))
     evolved = apply(joint_channel, joint_state)
     block, prob = project_control(evolved, OUTCOMES[config.postselect_outcome])
     return block / prob, prob
@@ -251,9 +227,9 @@ def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
     if config.postselect_outcome != CLOSED_FORM_OUTCOME:
         raise ValueError(f"the closed forms cover the {CLOSED_FORM_OUTCOME} outcome only")
     # the path closed forms hold for the default amplitudes only
-    if config.amplitudes not in (None, default_amplitudes()):
+    if config.amplitudes != SUPERMAPS[config.mode].amplitudes:
         raise ValueError("the closed forms cover the default path amplitudes only")
-    return config.mode, config.control.p, f"{config.mode}(p={config.control.p:g})"
+    return config.mode, config.p, f"{config.mode}(p={config.p:g})"
 
 
 def closed_form_output(config: ConfigLike, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -282,14 +258,11 @@ def closed_form_output(config: ConfigLike, rho0: np.ndarray, t: float) -> np.nda
 
 class _Supermap(NamedTuple):
     kraus: Callable  # (phi, amplitudes) -> joint Kraus set over two copies of phi
-    takes_amplitudes: bool
-    config: Callable  # (p, outcome) -> ControlConfig, default amplitudes
+    amplitudes: Optional[AmplitudeVectors]  # what a config takes by default
 
 # Each supermap stated once.  The entries look the builders up as module
 # globals at call time, so a wrapper installed on this module sees every call.
 SUPERMAPS = {
-    "path": _Supermap(lambda phi, amps: path_kraus(phi, phi, amps), True,
-                      lambda p, outcome: path_config(p, outcome=outcome)),
-    "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), False,
-                        lambda p, outcome: switch_config(p, outcome=outcome)),
+    "path": _Supermap(lambda phi, amps: path_kraus(phi, phi, amps), default_amplitudes()),
+    "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), None),
 }

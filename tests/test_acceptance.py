@@ -136,7 +136,8 @@ def test_criterion_6_closed_forms_match_supermap(rng):
         for config in (path_config(p), switch_config(p)):
             for t in t_values:
                 supermap = build_supermap(config, t)
-                omega = config.control.density()
+                half_p = p / 2
+                omega = np.array([[0.5, half_p], [half_p, 0.5]], dtype=complex)
                 plus = OUTCOMES["plus"]
                 for rho in states:
                     evolved = apply(supermap, kron(rho, omega))

@@ -159,6 +159,7 @@ class TestReuse:
         assert np.all(np.abs(slopes[0] - slopes[1]) <= 1e-15 * np.maximum(1.0, np.abs(slopes[1])))
 
     def test_supermap_reused_for_the_same_config_and_time(self, monkeypatch):
+        control._joint_kraus.cache_clear()
         calls = []
         original = control.path_kraus
         monkeypatch.setattr(control, "path_kraus", lambda *args: calls.append(1) or original(*args))
@@ -169,12 +170,15 @@ class TestReuse:
         with pytest.raises(ValueError):
             first.ops[0, 0, 0] = 1.0
         assert len(calls) == 1
-        # an equal but new config, or another time, is built again
-        fresh = build_supermap(path_config(0.5), 1.0)
-        assert fresh is not first and np.array_equal(fresh.ops, first.ops)
-        assert len(calls) == 2
+        # an equal new config is served from the memo
+        assert build_supermap(path_config(0.5), 1.0) is first
+        assert len(calls) == 1
+        # another time, or another p, is built again
         later = build_supermap(config, 2.0)
         assert later is not first and not np.array_equal(later.ops, first.ops)
+        assert len(calls) == 2
+        other_p = build_supermap(path_config(0.25), 2.0)
+        assert other_p is not later and np.array_equal(other_p.ops, later.ops)
         assert len(calls) == 3
 
     def test_log_time_grid_is_read_only_and_takes_0d_bounds(self):

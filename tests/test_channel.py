@@ -219,6 +219,16 @@ class TestValidation:
         assert not report.passed
         assert report.completeness_residual == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_kraus_set_fails(self, entry):
+        # a failed report, not numpy's LinAlgError from the Choi spectrum
+        ops = phi_t_kraus(1.0).ops.copy()
+        ops[0, 0, 1] = entry
+        report = validate_cptp(KrausChannel(ops))
+        assert not report.passed
+        assert np.isnan(report.completeness_residual) and np.isnan(report.choi_min_eigenvalue)
+
     def test_apply_refuses_unvalidated_channel(self, rng):
         channel = KrausChannel((np.sqrt(0.5) * I2,))
         with pytest.raises(ValueError, match="not trace preserving"):

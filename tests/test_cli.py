@@ -42,6 +42,13 @@ class TestThreshold:
         result = runner.invoke(main, ["threshold", "--mode", "serial", "--p", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("p", ["1.5", "-1", "nan"])
+    def test_rejects_p_outside_unit_interval(self, runner, p):
+        # refused by the option, like the --p of detect, distance and evolve
+        result = runner.invoke(main, ["threshold", "--mode", "path", "--p", p])
+        assert result.exit_code == 2
+        assert "Invalid value for '--p'" in result.output
+
 
 class TestEvolve:
     def test_bare_series_schema(self, runner):
@@ -107,6 +114,13 @@ class TestDistance:
         lines = result.output.splitlines()
         assert lines[0] == "t,distance"
         assert float(lines[1].split(",")[1]) == pytest.approx(np.sqrt(1 - 0.65**2))
+
+    def test_negative_times_refused_in_one_line(self, runner):
+        result = runner.invoke(main, ["distance", "--mode", "path", "--a", "0.5", "--t-min", "-1", "--t-max", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        # the first refused time and the count, not the whole grid
+        assert result.stderr == "Error: time must be non-negative, got -1.0 (100 of 201 times)\n"
 
     def test_series_length(self, runner):
         result = invoke(
@@ -278,6 +292,38 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--suite", "cptp"])
         assert result.exit_code == 4
         assert "cptp: FAIL" in result.output
+
+    @pytest.mark.parametrize("suite", ["cptp", "ode", "closed-form", "derivatives"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_result_fails(self, runner, monkeypatch, suite):
+        # one NaN entry where each suite reads its result: a failed check
+        # (exit 4), neither a PASS nor a usage error
+        name = {
+            "cptp": "phi_t_kraus",
+            "ode": "integrate_canonical",
+            "closed-form": "closed_form_output",
+            "derivatives": "analytic_derivative",
+        }[suite]
+        original = getattr(cli, name)
+
+        def with_nan(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if isinstance(out, KrausChannel):
+                # the lossy channel at t = 1 only, as in test_injected_defect_fails
+                if args[0] != 1.0:
+                    return out
+                out = KrausChannel(out.ops.copy(), label="nan")
+                out.ops[0, 0, 0] = np.nan
+                return out
+            out = np.array(out)
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, name, with_nan)
+        result = runner.invoke(main, ["validate", "--suite", suite])
+        assert result.exit_code == 4
+        assert f"{suite}: FAIL" in result.output and "nan" in result.output
+        assert "validation FAILED" in result.output
 
     def test_ode_suite_single_time(self, runner):
         # 400 is the largest time accepted

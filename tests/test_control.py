@@ -10,7 +10,6 @@ from backflow.control import (
     SUPERMAPS,
     AmplitudeVectors,
     ControlConfig,
-    ControlState,
     closed_form_output,
     controlled_output,
     default_amplitudes,
@@ -37,36 +36,48 @@ P0 = pure_state(KET_0)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
-class TestControlState:
+def omega(p):
+    """The control state p |+><+| + (1 - p) I/2, built here from p."""
+    return np.array([[0.5, p / 2], [p / 2, 0.5]], dtype=complex)
+
+
+class TestControlConfig:
     def test_density_interpolates(self):
-        assert np.allclose(ControlState(1.0).density(), 0.5 * np.ones((2, 2)))
-        assert np.allclose(ControlState(0.0).density(), I2 / 2)
-        state = ControlState(0.25)
-        assert np.array_equal(state.density(), 0.5 * np.array([[1.0, 0.25], [0.25, 1.0]]))
-        # equality and hashing follow the field alone
-        assert state == ControlState(0.25) and hash(state) == hash(ControlState(0.25))
+        assert np.allclose(omega(1.0), 0.5 * np.ones((2, 2)))
+        assert np.allclose(omega(0.0), I2 / 2)
+        assert np.array_equal(omega(0.25), 0.5 * np.array([[1.0, 0.25], [0.25, 1.0]]))
+
+    def test_equality_and_hash_follow_the_fields(self):
+        for mode in SUPERMAPS:
+            config = ControlConfig(mode, 0.25)
+            assert config == ControlConfig(mode, 0.25) and hash(config) == hash(ControlConfig(mode, 0.25))
+            assert config != ControlConfig(mode, 0.5)
+            assert config != ControlConfig(mode, 0.25, postselect_outcome="minus")
+        assert path_config(0.25) != switch_config(0.25)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ControlState(1.5)
+        for mode in SUPERMAPS:
+            for p in (1.5, -0.1, np.nan):
+                with pytest.raises(ValueError, match="control purity parameter p must be in"):
+                    ControlConfig(mode, p)
+            with pytest.raises(TypeError):
+                ControlConfig(mode, "0.5")
 
 
 class TestConfigInvariants:
-    def test_amplitudes_required_for_path(self):
-        with pytest.raises(ValueError, match="amplitude"):
-            ControlConfig(mode="path", control=ControlState(1.0))
+    def test_path_defaults_to_default_amplitudes(self):
+        assert ControlConfig(mode="path", p=1.0).amplitudes is default_amplitudes()
+        assert ControlConfig(mode="switch", p=1.0).amplitudes is None
 
     def test_amplitudes_forbidden_for_switch(self):
         with pytest.raises(ValueError, match="amplitude"):
-            ControlConfig(
-                mode="switch", control=ControlState(1.0), amplitudes=default_amplitudes()
-            )
+            ControlConfig(mode="switch", p=1.0, amplitudes=default_amplitudes())
 
     def test_amplitudes_must_be_amplitude_vectors(self):
         # refused at construction, not later in path_kraus (AttributeError)
         # or by the closed-form doors as if they were non-default amplitudes
         with pytest.raises(TypeError, match="amplitudes must be None or AmplitudeVectors"):
-            ControlConfig("path", ControlState(1.0), amplitudes=((1, 0, 0), (1, 0, 0)))
+            ControlConfig("path", 1.0, amplitudes=((1, 0, 0), (1, 0, 0)))
 
     def test_default_amplitudes_are_one_instance(self):
         r = 1.0 / np.sqrt(2.0)
@@ -328,7 +339,7 @@ class TestClosedForms:
     )
     def test_closed_form_equals_supermap(self, mode, seed, p, t):
         rho = random_density(np.random.default_rng(seed))
-        config = SUPERMAPS[mode].config(p, "plus")
+        config = ControlConfig(mode, p)
         out, _ = controlled_output(config, rho, t)
         assert np.abs(out - closed_form_output(config, rho, t)).max() <= 1e-10
 
@@ -347,11 +358,11 @@ class TestCptpAndContractivity:
         phi = phi_t_kraus(t)
         assert validate_cptp(phi).passed
         assert trace_distance(apply(phi, rho1), apply(phi, rho2)) <= before + 1e-12
-        omega = ControlState(p).density()
+        control_state = omega(p)
         for mode, supermap in SUPERMAPS.items():
             joint = supermap.kraus(phi, default_amplitudes())
             assert validate_cptp(joint).passed, mode
-            after = trace_distance(apply(joint, kron(rho1, omega)), apply(joint, kron(rho2, omega)))
+            after = trace_distance(apply(joint, kron(rho1, control_state)), apply(joint, kron(rho2, control_state)))
             assert after <= before + 1e-12, mode
 
 
@@ -361,7 +372,7 @@ class TestSupermapTable:
         rho = random_density(rng)
         for outcome, ket in OUTCOMES.items():
             config = path_config(0.5, outcome=outcome)
-            joint = apply(control.build_supermap(config, 1.0), kron(rho, config.control.density()))
+            joint = apply(control.build_supermap(config, 1.0), kron(rho, omega(config.p)))
             block, want = project_control(joint, ket)
             out, prob = controlled_output(config, rho, 1.0)
             assert prob == want and np.array_equal(out, block / want)
@@ -370,11 +381,13 @@ class TestSupermapTable:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):
-            ControlConfig(mode="bare", control=ControlState(1.0))
+            ControlConfig(mode="bare", p=1.0)
 
     def test_builders_called_through_module_globals(self, monkeypatch):
         # wrappers installed on the module (as a tracer does) must see every
-        # call the supermap table makes
+        # call the supermap table makes; the memo is cleared so no earlier
+        # build of these configs is served instead
+        control._joint_kraus.cache_clear()
         calls = {}
         for name in ("path_kraus", "switch_kraus"):
             original = getattr(control, name)

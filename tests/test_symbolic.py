@@ -422,7 +422,7 @@ def test_thresholds_follow_from_the_late_time_coefficient(mode, expected):
     b_x, b_z = (_exact(detect._horner(b, p)) for b in detect._BRACKET_TABLES[mode][0])
     assert _is_zero(b_z / (b_z - b_x) - expected)
     for p_ in (0.0, 0.1, 0.5, 1.0):
-        config = control.SUPERMAPS[mode].config(p_, "plus")
+        config = control.ControlConfig(mode, p_)
         assert detect.asymptotic_threshold(config) ** 2 == pytest.approx(float(root.subs(p, p_)), rel=1e-15, abs=0.0)
 
 
