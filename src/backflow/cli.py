@@ -9,6 +9,7 @@ or a library consistency check).
 
 import json
 import random
+from itertools import chain, starmap
 
 import click
 import numpy as np
@@ -44,6 +45,8 @@ EXIT_BACKFLOW = 1
 EXIT_POSTSELECT = 3
 EXIT_CHECK_FAILED = 4
 VALIDATE_SEED = 7
+MAX_POINTS = 1_000_000  # the most points of a series, and cells of a scan
+ROW_BLOCK = 16384  # series rows made Python floats at a time: they format fast, and no column becomes a list
 
 
 def _fmt(value: float) -> str:
@@ -65,8 +68,28 @@ def _emit(text: str, out) -> None:
             raise click.BadParameter(str(exc), param_hint="'--out'") from exc
 
 
-def _csv(lines) -> str:
-    return "\n".join(lines) + "\n"
+def _emit_json(payload, out) -> None:
+    try:  # strict JSON (RFC 8259) has no NaN or Infinity
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
+    except ValueError as exc:
+        raise click.UsageError("JSON output cannot carry a non-finite value; use --format csv") from exc
+
+
+def _write_series(fmt_name, out, payload, header, columns, comments=(), entry=None):
+    """Write one float array per header column as CSV (comment lines, header,
+    one line per row at 15 significant digits) or as the payload plus a "series"
+    of rows rounded to 15 digits, each shaped by ``entry`` (default: by header)."""
+    names = header.split(",")
+    blocks = range(0, len(columns[0]), ROW_BLOCK)
+    rows = chain.from_iterable(zip(*(c[i : i + ROW_BLOCK].tolist() for c in columns)) for i in blocks)
+    if fmt_name == "csv":
+        template = ",".join(["{:.15g}"] * len(names)) + "\n"
+        parts = [f"{line}\n" for line in (*comments, header)]
+        parts.extend(starmap(template.format, rows))
+        _emit("".join(parts), out)
+    else:
+        entry = entry or (lambda values: dict(zip(names, values)))
+        _emit_json({**payload, "series": [entry([_round15(v) for v in row]) for row in rows]}, out)
 
 
 def _parse_input_state(text: str) -> np.ndarray:
@@ -133,6 +156,13 @@ def _unit_interval(ctx, param, value):
     return value
 
 
+def _points(ctx, param, value):
+    """Option callback: more than MAX_POINTS is a usage error, before any grid is built."""
+    if value > MAX_POINTS:
+        raise click.BadParameter(f"must be at most 10^6, got {value}")
+    return value
+
+
 def _time_axis(t, t_min, t_max, points) -> np.ndarray:
     if t is not None:
         return np.array([t], dtype=float)
@@ -179,7 +209,7 @@ def main():
 @click.option("--t", type=float, default=None, help="Single evaluation time.")
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, default=None)
-@click.option("--points", type=int, default=201, show_default=True)
+@click.option("--points", type=int, default=201, show_default=True, callback=_points)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, out):
@@ -187,38 +217,17 @@ def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, o
     rho0 = _initial_state(a, input_text)
     times = _time_axis(t, t_min, t_max, points)
     config = _config_for(mode, p, outcome)
-    rows = []
-    for ti in times:
-        if config == "bare":
-            rho, prob = apply(phi_t_kraus(ti), rho0), 1.0
-        else:
-            rho, prob = controlled_output(config, rho0, ti)
-        rows.append((float(ti), rho, prob))
-    header = (
-        "t,rho11_re,rho11_im,rho12_re,rho12_im,"
-        "rho21_re,rho21_im,rho22_re,rho22_im,probability"
+
+    def row(ti):
+        rho, prob = (apply(phi_t_kraus(ti), rho0), 1.0) if config == "bare" else controlled_output(config, rho0, ti)
+        return [ti, *np.asarray(rho, complex).ravel().view(float), prob]  # re, im of rho11, rho12, rho21, rho22
+
+    payload = {"command": "evolve", "mode": mode, "p": p, "outcome": outcome}
+    header = "t,rho11_re,rho11_im,rho12_re,rho12_im,rho21_re,rho21_im,rho22_re,rho22_im,probability"
+    _write_series(
+        fmt_name, out, payload, header, np.array([row(ti) for ti in times]).T,
+        entry=lambda r: {"t": r[0], "rho": [r[1:3], r[3:5], r[5:7], r[7:9]], "probability": r[9]},
     )
-    if fmt_name == "csv":
-        lines = [header]
-        for ti, rho, prob in rows:
-            entries = [ti]
-            for idx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                entries.extend([rho[idx].real, rho[idx].imag])
-            entries.append(prob)
-            lines.append(",".join(_fmt(v) for v in entries))
-        _emit(_csv(lines), out)
-    else:
-        series = []
-        for ti, rho, prob in rows:
-            series.append(
-                {
-                    "t": _round15(ti),
-                    "rho": [[_round15(rho[i, j].real), _round15(rho[i, j].imag)] for i in range(2) for j in range(2)],
-                    "probability": _round15(prob),
-                }
-            )
-        payload = {"command": "evolve", "mode": mode, "p": p, "outcome": outcome, "series": series}
-        _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
 @main.command()
@@ -228,7 +237,7 @@ def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, o
 @click.option("--t", type=float, default=None)
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, default=None)
-@click.option("--points", type=int, default=201, show_default=True)
+@click.option("--points", type=int, default=201, show_default=True, callback=_points)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
@@ -236,19 +245,8 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
     times = _time_axis(t, t_min, t_max, points)
     config = _config_for(mode, p)
     values = np.asarray(probe_distance(config, a, times), dtype=float)
-    if fmt_name == "csv":
-        lines = ["t,distance"]
-        lines.extend(f"{_fmt(ti)},{_fmt(di)}" for ti, di in zip(times, values))
-        _emit(_csv(lines), out)
-    else:
-        payload = {
-            "command": "distance",
-            "mode": mode,
-            "a": a,
-            "p": p,
-            "series": [{"t": _round15(ti), "distance": _round15(di)} for ti, di in zip(times, values)],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+    payload = {"command": "distance", "mode": mode, "a": a, "p": p}
+    _write_series(fmt_name, out, payload, "t,distance", (times, values))
 
 
 @main.command()
@@ -257,7 +255,7 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
-@click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)
+@click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True, callback=_points)
 @click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative, help="Marginal when the peak derivative is within 10*eps of zero.")
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
@@ -266,36 +264,18 @@ def detect(ctx, mode, a, p, t_min, t_max, points, eps, fmt_name, out):
     """Detect information backflow; exit code 1 when backflow is found."""
     times = log_time_grid(t_min, t_max, points)
     report = detect_backflow(_config_for(mode, p), a, times=times, eps=eps)
-    intervals = ";".join(f"{_fmt(t0)}:{_fmt(t1)}" for t0, t1 in report.backflow_intervals)
-    if fmt_name == "csv":
-        lines = [
-            f"# config: {report.config}",
-            f"# a: {_fmt(a)}",
-            f"# verdict: {'true' if report.verdict else 'false'}",
-            f"# marginal: {'true' if report.marginal else 'false'}",
-            f"# intervals: {intervals}",
-            "t,distance,derivative",
-        ]
-        lines.extend(
-            f"{_fmt(ti)},{_fmt(di)},{_fmt(vi)}"
-            for ti, di, vi in zip(report.times, report.distance, report.derivative)
-        )
-        _emit(_csv(lines), out)
-    else:
-        payload = {
-            "command": "detect",
-            "config": report.config,
-            "a": a,
-            "eps": eps,
-            "verdict": report.verdict,
-            "marginal": report.marginal,
-            "intervals": [[_round15(t0), _round15(t1)] for t0, t1 in report.backflow_intervals],
-            "series": [
-                {"t": _round15(ti), "distance": _round15(di), "derivative": _round15(vi)}
-                for ti, di, vi in zip(report.times, report.distance, report.derivative)
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+    comments = (
+        f"# config: {report.config}",
+        f"# a: {_fmt(a)}",
+        f"# verdict: {'true' if report.verdict else 'false'}",
+        f"# marginal: {'true' if report.marginal else 'false'}",
+        f"# intervals: {';'.join(f'{_fmt(t0)}:{_fmt(t1)}' for t0, t1 in report.backflow_intervals)}",
+    )
+    payload = dict(
+        command="detect", config=report.config, a=a, eps=eps, verdict=report.verdict, marginal=report.marginal,
+        intervals=[[_round15(t0), _round15(t1)] for t0, t1 in report.backflow_intervals],
+    )
+    _write_series(fmt_name, out, payload, "t,distance,derivative", (report.times, report.distance, report.derivative), comments)
     ctx.exit(EXIT_BACKFLOW if report.verdict else 0)
 
 
@@ -321,7 +301,7 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
     """Backflow verdicts over an (a, p) grid, rows ordered p-major."""
     if a_points < 1 or p_points < 1:
         raise click.UsageError("grid sizes must be positive")
-    if a_points * p_points > 1_000_000:
+    if a_points * p_points > MAX_POINTS:
         raise click.UsageError("grid exceeds 10^6 cells")
     a_grid = np.linspace(a_min, a_max, a_points)
     p_grid = np.linspace(p_min, p_max, p_points)
@@ -337,14 +317,11 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
             parts.extend(a + ends[2 * path_v + switch_v] for a, path_v, switch_v in zip(a_text, path_row, switch_row))
         _emit("".join(parts), out)
     else:
-        payload = {
-            "command": "scan",
-            "a_grid": [_round15(v) for v in a_grid],
-            "p_grid": [_round15(v) for v in p_grid],
-            "backflow_path": result.backflow_path.tolist(),
-            "backflow_switch": result.backflow_switch.tolist(),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+        payload = dict(
+            command="scan", a_grid=[_round15(v) for v in a_grid], p_grid=[_round15(v) for v in p_grid],
+            backflow_path=result.backflow_path.tolist(), backflow_switch=result.backflow_switch.tolist(),
+        )
+        _emit_json(payload, out)
 
 
 def _suite_cptp():

@@ -360,7 +360,10 @@ class BackflowReport:
     dD/dt > 0, with endpoints at the real roots of the derivative's bracket
     (or at the ends of the grid); ``verdict`` is True when there is one.
     ``marginal`` flags reports whose peak derivative on the grid lies within
-    10 * eps of zero, so the verdict rests on a sub-resolution margin.
+    10 * eps of zero. It does not qualify the verdict, which comes from the
+    bracket's exact roots: with no backflow the sampled peak is the last
+    point's derivative, of order e^{-2 t_max}, so ``detect --mode bare
+    --a 0.5`` is marginal.
     ``fd_residual`` records the worst disagreement between the analytic
     derivative and its complex-step cross-check.
     """

@@ -23,6 +23,15 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 class TestThreshold:
     def test_path_pure_control(self, runner):
         result = invoke(runner, "threshold", "--mode", "path", "--p", "1")
@@ -401,6 +410,70 @@ class TestByteStability:
             assert abs(float(result.output) - float(printed)) <= 1e-15
 
 
+class TestSeriesFormats:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["evolve", "distance", "detect"]),
+        mode=st.sampled_from(["bare", "path", "switch"]),
+        a=st.floats(0.01, 0.99),
+        p=st.floats(0.0, 1.0),
+        t_min=st.floats(0.01, 10.0),
+        span=st.floats(0.01, 30.0),
+        points=st.integers(2, 12),
+    )
+    def test_csv_and_json_carry_the_same_series(self, command, mode, a, p, t_min, span, points):
+        args = [
+            command, "--mode", mode, "--a", repr(a), "--p", repr(p),
+            "--t-min", repr(t_min), "--t-max", repr(t_min + span), "--points", str(points),
+        ]
+        csv_result = CliRunner().invoke(main, args)
+        json_result = CliRunner().invoke(main, [*args, "--format", "json"])
+        assert csv_result.exit_code == json_result.exit_code
+        assert csv_result.exit_code in {0, 1}
+        header, *lines = [line for line in csv_result.stdout.splitlines() if not line.startswith("#")]
+        csv_rows = [[float(v) for v in line.split(",")] for line in lines]
+        series = strict_json(json_result.stdout)["series"]
+        if command == "evolve":
+            assert all(list(entry) == ["t", "rho", "probability"] for entry in series)
+            json_rows = [[entry["t"], *(v for pair in entry["rho"] for v in pair), entry["probability"]] for entry in series]
+        else:
+            assert all(list(entry) == header.split(",") for entry in series)
+            json_rows = [list(entry.values()) for entry in series]
+        assert len(csv_rows) == points
+        assert json_rows == csv_rows
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_series_spans_row_blocks(self, runner, extra):
+        # rows become Python floats a block at a time; none is lost or repeated
+        points = 2 * cli.ROW_BLOCK + extra
+        args = ["distance", "--mode", "path", "--a", "0.5", "--t-max", "3", "--points", str(points)]
+        lines = invoke(runner, *args).stdout.splitlines()[1:]
+        times = np.linspace(0.0, 3.0, points)
+        assert [float(line.split(",")[0]) for line in lines] == [float(f"{t:.15g}") for t in times]
+        series = strict_json(invoke(runner, *args, "--format", "json").stdout)["series"]
+        assert [[entry["t"], entry["distance"]] for entry in series] == [
+            [float(v) for v in line.split(",")] for line in lines
+        ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["distance", "--mode", "bare", "--a", "0.5", "--t", "inf"],
+            ["evolve", "--mode", "path", "--t", "inf"],
+        ],
+        ids=["distance", "evolve"],
+    )
+    def test_json_refuses_an_infinite_time(self, runner, args):
+        # RFC 8259 has no Infinity; the CSV form prints inf
+        result = runner.invoke(main, [*args, "--format", "json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "JSON output cannot carry a non-finite value" in result.stderr
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1].startswith("inf,")
+
+
 _SUBNORMAL_A = [(mode, a) for mode in ("bare", "path", "switch") for a in ("1e-310", "1e-320", "5e-324")]
 
 
@@ -489,6 +562,25 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value for '--out'" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "1000000000000000"],
+            ["detect", "--mode", "bare", "--a", "0.5", "--points", "1000000000000000"],
+            ["evolve", "--mode", "bare", "--t-max", "1", "--points", "1000000000000000"],
+            # the limit is the scan's 10^6 cells
+            ["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "1000001"],
+        ],
+        ids=["distance", "detect", "evolve", "distance-one-over"],
+    )
+    def test_unbounded_points_is_a_usage_error(self, runner, args):
+        # refused before numpy tries to allocate the 7 PiB grid
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--points'" in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "args, option",
