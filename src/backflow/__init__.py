@@ -30,7 +30,6 @@ from .control import (
     build_supermap,
     closed_form_output,
     controlled_output,
-    default_amplitudes,
     path_config,
     path_kraus,
     switch_config,

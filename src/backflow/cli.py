@@ -22,14 +22,12 @@ from .channel import (
     phi_t_kraus,
     validate_cptp,
 )
-from .control import OUTCOMES, SUPERMAPS, ControlConfig, closed_form_output, controlled_output
+from .control import BLOCH_ROWS, OUTCOMES, SUPERMAPS, ControlConfig, closed_form_output, controlled_output
 from .detect import (
     BACKFLOW_EPS,
-    CONTROLLED_MODES,
     DEFAULT_GRID_POINTS,
     DEFAULT_T_MAX,
     DEFAULT_T_MIN,
-    MODES,
     analytic_derivative,
     asymptotic_threshold,
     central_difference,
@@ -201,7 +199,7 @@ def main():
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(MODES), required=True)
+@click.option("--mode", type=click.Choice(list(BLOCH_ROWS)), required=True)
 @click.option("--a", type=float, default=None, help="Probe parameter; evolves a|0>+sqrt(1-a^2)|1>.")
 @click.option("--input", "input_text", type=str, default=None, help="Initial state rho11,re12,im12,rho22.")
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval, help="Control purity parameter.")
@@ -231,7 +229,7 @@ def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, o
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(MODES), required=True)
+@click.option("--mode", type=click.Choice(list(BLOCH_ROWS)), required=True)
 @click.option("--a", type=float, required=True)
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t", type=float, default=None)
@@ -250,7 +248,7 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(MODES), required=True)
+@click.option("--mode", type=click.Choice(list(BLOCH_ROWS)), required=True)
 @click.option("--a", type=float, required=True)
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
@@ -280,7 +278,7 @@ def detect(ctx, mode, a, p, t_min, t_max, points, eps, fmt_name, out):
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(CONTROLLED_MODES), required=True)
+@click.option("--mode", type=click.Choice(list(SUPERMAPS)), required=True)
 @click.option("--p", type=float, required=True, callback=_unit_interval)
 def threshold(mode, p):
     """Critical probe parameter for late-time backflow."""
@@ -371,9 +369,9 @@ def _suite_closed_form(states):
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 3.0):
         for p in (0.0, 0.5, 1.0):
-            configs = [_config_for(mode, p) for mode in SUPERMAPS]
-            for rho in states:
-                for config in configs:
+            # each config's states in a row, so each supermap is built once
+            for config in [_config_for(mode, p) for mode in SUPERMAPS]:
+                for rho in states:
                     out, _ = controlled_output(config, rho, t)
                     worst = np.maximum(worst, np.abs(out - closed_form_output(config, rho, t)).max())
     return worst <= 1e-10, f"worst closed-form vs supermap deviation {worst:.3e}"

@@ -59,17 +59,6 @@ class AmplitudeVectors:
         object.__setattr__(self, "beta", beta)
 
 
-_R = 1.0 / np.sqrt(2.0)
-# frozen and built from tuples, so one instance serves every caller
-_DEFAULT_AMPLITUDES = AmplitudeVectors(alpha=(_R, _R, 0.0), beta=(_R, _R, 0.0))
-
-
-def default_amplitudes() -> AmplitudeVectors:
-    """Equal weight on the two exchange operators, none on the identity one;
-    the same instance on every call."""
-    return _DEFAULT_AMPLITUDES
-
-
 @dataclass(frozen=True)
 class ControlConfig:
     """Which supermap to build, the control omega = p |+><+| + (1 - p) I/2
@@ -260,9 +249,15 @@ class _Supermap(NamedTuple):
     kraus: Callable  # (phi, amplitudes) -> joint Kraus set over two copies of phi
     amplitudes: Optional[AmplitudeVectors]  # what a config takes by default
 
+
+_R = 1.0 / np.sqrt(2.0)
 # Each supermap stated once.  The entries look the builders up as module
 # globals at call time, so a wrapper installed on this module sees every call.
+# The path default puts equal weight on the two exchange operators and none on
+# the identity one; frozen and built from tuples, it is one instance for all.
 SUPERMAPS = {
-    "path": _Supermap(lambda phi, amps: path_kraus(phi, phi, amps), default_amplitudes()),
+    "path": _Supermap(
+        lambda phi, amps: path_kraus(phi, phi, amps), AmplitudeVectors(alpha=(_R, _R, 0.0), beta=(_R, _R, 0.0))
+    ),
     "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), None),
 }

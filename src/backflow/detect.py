@@ -207,8 +207,6 @@ def _bracket_table(row):
 
 
 _BRACKET_TABLES = {mode: _bracket_table(row) for mode, row in BLOCH_ROWS.items()}
-MODES = tuple(BLOCH_ROWS)
-CONTROLLED_MODES = tuple(SUPERMAPS)
 
 
 def _horner(coeffs, x):
@@ -544,7 +542,7 @@ def scan_region(
     u_lo, u_hi = _u_range(DEFAULT_T_MIN, t_max)
     a, p = a_grid[None, :], p_grid[:, None]
     verdicts = {}
-    for m in CONTROLLED_MODES:
+    for m in SUPERMAPS:
         coeffs = _bracket_coeffs(m, a, p)
         verdicts[f"backflow_{m}"] = np.logical_or.reduce(
             [inside & (_horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]

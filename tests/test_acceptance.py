@@ -17,9 +17,9 @@ from backflow.channel import (
 )
 from backflow.control import (
     OUTCOMES,
+    SUPERMAPS,
     build_supermap,
     closed_form_output,
-    default_amplitudes,
     path_config,
     path_kraus,
     switch_config,
@@ -183,7 +183,7 @@ def test_criterion_7_derivative_consistency():
 def test_criterion_8_cptp_suite():
     worst_residual = 0.0
     worst_eigenvalue = np.inf
-    amps = default_amplitudes()
+    amps = SUPERMAPS["path"].amplitudes
     for t in np.arange(0.0, 5.0 + 1e-9, 0.1):
         phi = phi_t_kraus(t)
         for channel in (phi, switch_kraus(phi, phi), path_kraus(phi, phi, amps)):

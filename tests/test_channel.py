@@ -13,7 +13,7 @@ from backflow.channel import (
     phi_t_kraus,
     validate_cptp,
 )
-from backflow.control import SUPERMAPS, default_amplitudes
+from backflow.control import SUPERMAPS
 from backflow.qmat import (
     I2,
     KET_0,
@@ -437,7 +437,7 @@ class TestChoi:
         oracle = choi_from_action(lambda m: apply_raw(phi, m))
         assert np.abs(choi_matrix(phi) - oracle).max() < 1e-13
         for supermap in SUPERMAPS.values():
-            joint = supermap.kraus(phi, default_amplitudes())
+            joint = supermap.kraus(phi, SUPERMAPS["path"].amplitudes)
             oracle = choi_from_action(lambda m: apply_raw(joint, m), dim=4)
             assert np.abs(choi_matrix(joint) - oracle).max() < 1e-13
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import backflow.cli as cli
+import backflow.control as control
 import backflow.detect as detect
 from backflow.channel import KrausChannel, phi_t_kraus
 from backflow.cli import main
@@ -333,6 +334,18 @@ class TestValidate:
         assert result.exit_code == 4
         assert f"{suite}: FAIL" in result.output and "nan" in result.output
         assert "validation FAILED" in result.output
+
+    def test_closed_form_suite_builds_each_supermap_once(self, runner, monkeypatch):
+        # 4 times x 3 p x 2 modes: each config's states run back to back, so
+        # the one-entry supermap memo serves all of them from one build
+        control._joint_kraus.cache_clear()
+        builds = []
+        for name in ("path_kraus", "switch_kraus"):
+            original = getattr(control, name)
+            monkeypatch.setattr(control, name, lambda *args, original=original: builds.append(1) or original(*args))
+        result = runner.invoke(main, ["validate", "--suite", "closed-form"])
+        assert result.exit_code == 0
+        assert len(builds) == 4 * 3 * 2
 
     def test_ode_suite_single_time(self, runner):
         # 400 is the largest time accepted

@@ -12,7 +12,6 @@ from backflow.control import (
     ControlConfig,
     closed_form_output,
     controlled_output,
-    default_amplitudes,
     path_config,
     path_kraus,
     switch_config,
@@ -65,13 +64,13 @@ class TestControlConfig:
 
 
 class TestConfigInvariants:
-    def test_path_defaults_to_default_amplitudes(self):
-        assert ControlConfig(mode="path", p=1.0).amplitudes is default_amplitudes()
+    def test_path_defaults_to_the_table_amplitudes(self):
+        assert ControlConfig(mode="path", p=1.0).amplitudes is SUPERMAPS["path"].amplitudes
         assert ControlConfig(mode="switch", p=1.0).amplitudes is None
 
     def test_amplitudes_forbidden_for_switch(self):
         with pytest.raises(ValueError, match="amplitude"):
-            ControlConfig(mode="switch", p=1.0, amplitudes=default_amplitudes())
+            ControlConfig(mode="switch", p=1.0, amplitudes=SUPERMAPS["path"].amplitudes)
 
     def test_amplitudes_must_be_amplitude_vectors(self):
         # refused at construction, not later in path_kraus (AttributeError)
@@ -79,10 +78,12 @@ class TestConfigInvariants:
         with pytest.raises(TypeError, match="amplitudes must be None or AmplitudeVectors"):
             ControlConfig("path", 1.0, amplitudes=((1, 0, 0), (1, 0, 0)))
 
-    def test_default_amplitudes_are_one_instance(self):
+    def test_path_default_is_one_instance(self):
         r = 1.0 / np.sqrt(2.0)
-        assert default_amplitudes() is default_amplitudes()
-        assert default_amplitudes() == AmplitudeVectors((r, r, 0.0), (r, r, 0.0))
+        default = SUPERMAPS["path"].amplitudes
+        assert path_config(0.3).amplitudes is default and path_config(1.0).amplitudes is default
+        # tuples of complex compare exactly, so this pins the bits
+        assert default == AmplitudeVectors((r, r, 0.0), (r, r, 0.0))
 
     def test_amplitude_normalization_enforced(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -134,7 +135,7 @@ class TestSwitchKraus:
 
 class TestPathKraus:
     def test_completeness_with_defaults(self):
-        amps = default_amplitudes()
+        amps = SUPERMAPS["path"].amplitudes
         for t in (0.0, 1.0, 3.0):
             phi = phi_t_kraus(t)
             report = validate_cptp(path_kraus(phi, phi, amps))
@@ -166,7 +167,7 @@ class TestPathKraus:
         # zero, so only (i=3, j=1), (i=3, j=2) act on the first arm and
         # (i=1, j=3), (i=2, j=3) on the second
         phi = phi_t_kraus(0.0)
-        joint = path_kraus(phi, phi, default_amplitudes())
+        joint = path_kraus(phi, phi, SUPERMAPS["path"].amplitudes)
         r = 1.0 / np.sqrt(2.0)
         expected = {
             2: kron(r * I2, P1),
@@ -360,7 +361,7 @@ class TestCptpAndContractivity:
         assert trace_distance(apply(phi, rho1), apply(phi, rho2)) <= before + 1e-12
         control_state = omega(p)
         for mode, supermap in SUPERMAPS.items():
-            joint = supermap.kraus(phi, default_amplitudes())
+            joint = supermap.kraus(phi, SUPERMAPS["path"].amplitudes)
             assert validate_cptp(joint).passed, mode
             after = trace_distance(apply(joint, kron(rho1, control_state)), apply(joint, kron(rho2, control_state)))
             assert after <= before + 1e-12, mode

@@ -24,13 +24,13 @@ from backflow.detect import (
     scan_region,
 )
 from backflow.control import (
+    SUPERMAPS,
     AmplitudeVectors,
     ControlConfig,
     _decay,
     _mode_and_p,
     closed_form_output,
     controlled_output,
-    default_amplitudes,
     path_config,
     switch_config,
 )
@@ -361,7 +361,7 @@ class TestDetectBackflow:
         # ControlConfig refuses a p that is not a number, so every config the
         # doors see carries a p already checked to lie in [0, 1]
         with pytest.raises(TypeError):
-            ControlConfig("path", SimpleNamespace(p=5.0), default_amplitudes())
+            ControlConfig("path", SimpleNamespace(p=5.0), SUPERMAPS["path"].amplitudes)
 
     @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
     def test_rejects_eps_not_finite_and_nonnegative(self, eps):

@@ -20,7 +20,7 @@ from backflow.qmat import (
     trace_distance,
 )
 from backflow.channel import KrausChannel, apply, phi_t_kraus
-from backflow.control import default_amplitudes, path_kraus, switch_kraus
+from backflow.control import SUPERMAPS, path_kraus, switch_kraus
 from conftest import random_density, random_pure
 
 
@@ -107,7 +107,7 @@ class TestTraceDistance:
     def test_contractive_under_joint_channels(self, rng):
         phi = phi_t_kraus(0.8)
         joints = (
-            path_kraus(phi, phi, default_amplitudes()),
+            path_kraus(phi, phi, SUPERMAPS["path"].amplitudes),
             switch_kraus(phi, phi),
         )
         for joint in joints:
@@ -187,7 +187,7 @@ class TestProjectControl:
         # terms fully decohere the control, and the plus outcome shows up
         # with probability one half
         rho = random_density(rng)
-        joint_channel = path_kraus(phi_t_kraus(0.0), phi_t_kraus(0.0), default_amplitudes())
+        joint_channel = path_kraus(phi_t_kraus(0.0), phi_t_kraus(0.0), SUPERMAPS["path"].amplitudes)
         evolved = apply(joint_channel, kron(rho, pure_state(KET_PLUS)))
         block, prob = project_control(evolved, KET_PLUS)
         assert prob == pytest.approx(0.5, abs=1e-12)

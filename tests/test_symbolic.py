@@ -64,7 +64,7 @@ DISTANCE_SQUARED = {
     "switch": (1 - a**2) * ((1 - a**2) * (SWITCH_U[0] - SWITCH_U[1]) ** 2 + a**2 * SWITCH_U[2] ** 2),
 }
 
-MODES = ("bare", "path", "switch")
+MODES = tuple(control.BLOCH_ROWS)
 SAMPLES = [(a_, p_, t_) for a_ in (0.05, 0.5, 0.9) for p_ in (0.0, 0.4, 1.0) for t_ in (0.0, 1e-3, 0.7, 5.0, 300.0)]
 
 
@@ -432,3 +432,13 @@ def test_path_threshold_dominates_switch():
     gap = squared_threshold("path")[1] - squared_threshold("switch")[1]
     assert _is_zero(gap - p * (2 + p - 2 * p**2) / ((1 + p) * (3 * p + 2)))
     assert sp.minimum(2 + p - 2 * p**2, p, sp.Interval(0, 1)) == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_x_part_of_the_bracket_is_negative(mode):
+    # B_x = sum_j c_j(p) u^j with every c_j <= 0 and c_0 < 0 on p in [0, 1],
+    # so B_x <= c_0 < 0 for every u >= 0: the bracket a^2 B_x + b^2 B_z is
+    # positive only where B_z is, and then only for a^2 below B_z / (B_z - B_x)
+    maxima = [sp.maximum(_exact(detect._horner(b_x, p)), p, sp.Interval(0, 1)) for b_x, _ in detect._BRACKET_TABLES[mode]]
+    assert all(m <= 0 for m in maxima)
+    assert maxima[0] < 0
