@@ -13,7 +13,6 @@ simulation and an RK4 master-equation oracle.
 import types
 
 from .channel import (
-    CanonicalGenerator,
     CptpReport,
     KrausChannel,
     apply,

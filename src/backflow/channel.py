@@ -67,7 +67,6 @@ class KrausChannel:
     """
 
     ops: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         try:
@@ -89,7 +88,6 @@ class KrausChannel:
 class CptpReport:
     """Completeness and complete-positivity diagnostics for a Kraus set."""
 
-    label: str
     completeness_residual: float
     choi_min_eigenvalue: float
 
@@ -125,10 +123,10 @@ def validate_cptp(channel: KrausChannel) -> CptpReport:
     """Report completeness residual and Choi minimum eigenvalue; a Kraus set
     with a non-finite entry fails with both fields NaN."""
     if not np.isfinite(channel.ops).all():
-        return CptpReport(channel.label, np.nan, np.nan)
+        return CptpReport(np.nan, np.nan)
     res = completeness_residual(channel)
     lam_min = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
-    return CptpReport(channel.label, res, lam_min)
+    return CptpReport(res, lam_min)
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -142,9 +140,7 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"state dimension {rho.shape} does not match channel dim {channel.dim}")
     res = completeness_residual(channel)
     if not res <= COMPLETENESS_TOL:
-        raise ValueError(
-            f"channel {channel.label!r} is not trace preserving (residual {res:.3e})"
-        )
+        raise ValueError(f"channel is not trace preserving (residual {res:.3e})")
     # [K_1 rho ... K_k rho] times the K_i^dag stacked as one (k*d, d) column
     ops = channel.ops
     return (ops @ rho).swapaxes(0, 1).reshape(channel.dim, -1) @ dagger(ops).reshape(-1, channel.dim)
@@ -162,46 +158,23 @@ def phi_t_kraus(t: float) -> KrausChannel:
     u, _ = _decay(t)
     k_flip = np.sqrt((1.0 - u) / 2.0)
     weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)])
-    return KrausChannel(weights[:, None, None] * _PHI_TEMPLATES, label=f"phi_t(t={t:g})")
+    return KrausChannel(weights[:, None, None] * _PHI_TEMPLATES)
 
 
-@dataclass(frozen=True)
-class CanonicalGenerator:
-    """Time-local qubit generator with three Pauli decoherence rates and no
-    coherent (Hamiltonian) part.
-
-    Each rate is called with a float or with an array of times and must
-    return a value of the same shape; a rate that returns a constant scalar
-    for any input is broadcast against the times.  ``integrate_canonical``
-    calls the rates once per block of steps with an array of stage times.
-    """
-
-    gamma1: Callable[[float | np.ndarray], float | np.ndarray]
-    gamma2: Callable[[float | np.ndarray], float | np.ndarray]
-    gamma3: Callable[[float | np.ndarray], float | np.ndarray]
-
-    def rates(self, t):
-        return self.gamma1(t), self.gamma2(t), self.gamma3(t)
-
-
-def eternal_nm_generator() -> CanonicalGenerator:
+def eternal_nm_generator() -> Callable:
     """Rates g1 = g2 = 1 and g3 = -tanh(t): negative at all t > 0."""
-    return CanonicalGenerator(
-        gamma1=lambda t: 1.0,
-        gamma2=lambda t: 1.0,
-        gamma3=lambda t: -np.tanh(t),
-    )
+    return lambda t: (1.0, 1.0, -np.tanh(t))
 
 
-def _bloch_decay_rates(gen: CanonicalGenerator, t: np.ndarray) -> np.ndarray:
+def _bloch_decay_rates(gen: Callable, t: np.ndarray) -> np.ndarray:
     """Decay rates (g2 + g3, g1 + g3, g1 + g2) of the Bloch components
     (x, y, z) at times t, stacked on a new leading axis: under the canonical
     equation each sigma_j is an eigenvector, dsigma_j/dt = -rate_j(t) sigma_j."""
-    g1, g2, g3, _ = np.broadcast_arrays(*gen.rates(t), t)
+    g1, g2, g3, _ = np.broadcast_arrays(*gen(t), t)
     return np.stack([g2 + g3, g1 + g3, g1 + g2])
 
 
-def _rk4_multipliers(gen: CanonicalGenerator, t: np.ndarray, h: float) -> np.ndarray:
+def _rk4_multipliers(gen: Callable, t: np.ndarray, h: float) -> np.ndarray:
     """Product over steps starting at times t of one classical RK4 step's
     multiplier on each Bloch component (x, y, z), shape (3,).
 
@@ -234,12 +207,15 @@ def _scale_bloch(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def integrate_canonical(
-    gen: CanonicalGenerator,
+    gen: Callable,
     rho0: np.ndarray,
     t_final: float | Sequence[float],
     dt: float = 1e-3,
 ) -> np.ndarray:
     """Classical RK4 integration of the canonical equation up to t_final.
+    The generator ``gen`` maps an array of stage times to the three Pauli
+    rates ``(g1, g2, g3)`` (no Hamiltonian part), each of the times' shape
+    or a constant, which is broadcast; it is called once per block of steps.
 
     Every Pauli dissipator is diagonal on the Bloch components, so RK4 on
     the state is RK4 on each component: one step multiplies r_x, r_y and

@@ -124,7 +124,7 @@ def switch_kraus(e: KrausChannel, f: KrausChannel) -> KrausChannel:
         raise ValueError(f"dimension mismatch: {e.dim} vs {f.dim}")
     ei, fj = e.ops[:, None], f.ops[None, :]
     ops = _on_control_diagonal(ei @ fj, fj @ ei)
-    return KrausChannel(ops, label=f"switch({e.label},{f.label})")
+    return KrausChannel(ops)
 
 
 def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> KrausChannel:
@@ -145,7 +145,7 @@ def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> Krau
     alpha = np.array(amps.alpha)[None, :, None, None]
     beta = np.array(amps.beta)[:, None, None, None]
     ops = _on_control_diagonal(alpha * e.ops[:, None], beta * f.ops[None, :])
-    return KrausChannel(ops, label=f"path({e.label},{f.label})")
+    return KrausChannel(ops)
 
 
 def build_supermap(config: ControlConfig, t: float) -> KrausChannel:

@@ -139,6 +139,13 @@ class TestDistance:
         )
         assert len(result.output.splitlines()) == 42
 
+    @pytest.mark.parametrize("mode, last_row", [("path", "400,5e-201"), ("switch", "400,2.5e-201")])
+    def test_tiny_a_at_p_zero_keeps_its_digits(self, runner, mode, last_row):
+        # a * a and the u terms underflow; the rescaled forms print about a/2
+        # and a/4 (the README's 5e-201), not 0
+        result = invoke(runner, "distance", "--mode", mode, "--p", "0", "--a", "1e-200", "--t", "400")
+        assert result.stdout.splitlines()[-1] == last_row
+
 
 class TestDetect:
     def test_path_backflow_exit_code(self, runner):
@@ -296,7 +303,7 @@ class TestValidate:
                 return channel
             ops = channel.ops.copy()
             ops[2] += 0.05 * np.eye(2)
-            return KrausChannel(ops, label="injected-defect")
+            return KrausChannel(ops)
 
         monkeypatch.setattr(cli, "phi_t_kraus", perturbed)
         result = runner.invoke(main, ["validate", "--suite", "cptp"])
@@ -322,7 +329,7 @@ class TestValidate:
                 # the lossy channel at t = 1 only, as in test_injected_defect_fails
                 if args[0] != 1.0:
                     return out
-                out = KrausChannel(out.ops.copy(), label="nan")
+                out = KrausChannel(out.ops.copy())
                 out.ops[0, 0, 0] = np.nan
                 return out
             out = np.array(out)
@@ -355,6 +362,12 @@ class TestValidate:
             assert "ode: PASS" in result.output
             residual = float(result.output.split("trace distance")[1].split(")")[0])
             assert residual < 1e-6
+
+    def test_ode_suite_long_span(self, runner):
+        # 50,000 RK4 steps at dt = 1e-3
+        result = invoke(runner, "validate", "--suite", "ode", "--t", "0.5", "--t", "50")
+        assert result.exit_code == 0
+        assert "ode: PASS" in result.output
 
     def test_ode_checkpoints_sorted_and_deduplicated(self, runner):
         repeated = invoke(runner, "validate", "--suite", "ode", "--t", "5", "--t", "0.5", "--t", "5")
@@ -400,6 +413,8 @@ class TestByteStability:
         result = invoke(runner, "scan", *args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+        if "json" in args:
+            strict_json(result.output)
 
     # thresholds recorded at the same point: p = 0 and p = 1 exactly, others
     # to one unit in the 15th significant digit
@@ -454,6 +469,25 @@ class TestSeriesFormats:
             json_rows = [list(entry.values()) for entry in series]
         assert len(csv_rows) == points
         assert json_rows == csv_rows
+
+    @pytest.mark.parametrize(
+        "args, codes",
+        [
+            (["evolve", "--t-max", "5", "--points", "21"], {"bare": 0, "path": 0, "switch": 0}),
+            (["distance", "--a", "0.5", "--t-max", "5", "--points", "21"], {"bare": 0, "path": 0, "switch": 0}),
+            # exit 1 is the backflow verdict
+            (["detect", "--a", "0.3"], {"bare": 0, "path": 1, "switch": 1}),
+        ],
+        ids=["evolve", "distance", "detect"],
+    )
+    @pytest.mark.parametrize("mode", ["bare", "path", "switch"])
+    def test_json_is_strict(self, runner, args, codes, mode):
+        result = runner.invoke(main, [*args, "--mode", mode, "--format", "json"])
+        assert result.exit_code == codes[mode]
+        strict_json(result.stdout)
+
+    def test_scan_json_is_strict(self, runner):
+        strict_json(invoke(runner, "scan", "--a-points", "20", "--p-points", "20", "--format", "json").stdout)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_series_spans_row_blocks(self, runner, extra):
@@ -533,6 +567,9 @@ class TestExitCodes:
             (["evolve", "--mode", "bare", "--t", "1e308"], 0),
             (["evolve", "--mode", "switch", "--t", "1e308"], 0),
             (["detect", "--mode", "path", "--a", "0.3", "--t-max", "1e308", "--points", "5"], 1),
+            (["distance", "--mode", "bare", "--a", "0.5", "--t", "700"], 0),
+            # the paper's p = 1 forms in e^{2t} overflow here; the u-forms do not
+            (["detect", "--mode", "path", "--p", "1", "--a", "0.5", "--t-max", "400"], 1),
             # the bare channel has no control, so no outcome but the default to post-select
             (["evolve", "--mode", "bare", "--outcome", "minus", "--t", "1", "--format", "json"], 2),
             # below 2^-1022 the rescale stays a normal number, down to the smallest subnormal a
@@ -547,7 +584,8 @@ class TestExitCodes:
             "evolve-bare-p", "evolve-bare-p-negative", "evolve-path-p-nan", "distance-switch-p",
             "detect-switch-p-negative", "distance-t-max-inf", "evolve-t-max-inf",
             "distance-bare-t-1e308", "distance-path-t-1e308", "evolve-bare-t-1e308",
-            "evolve-switch-t-1e308", "detect-path-t-max-1e308", "evolve-bare-minus",
+            "evolve-switch-t-1e308", "detect-path-t-max-1e308", "distance-bare-t-700",
+            "detect-path-p1-t-max-400", "evolve-bare-minus",
             *(f"detect-{mode}-subnormal-a-{a}" for mode, a in _SUBNORMAL_A),
         ],
     )

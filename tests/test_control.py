@@ -94,7 +94,7 @@ class TestConfigInvariants:
 
 class TestSwitchKraus:
     def test_identity_channels(self, rng):
-        ident = KrausChannel((I2,), label="id")
+        ident = KrausChannel((I2,))
         joint = switch_kraus(ident, ident)
         rho = random_density(rng, 4)
         assert np.allclose(apply(joint, rho), rho, atol=1e-14)
@@ -109,8 +109,8 @@ class TestSwitchKraus:
     def test_pauli_order_sensitivity(self):
         # sigma_x sigma_z and sigma_z sigma_x differ by a sign, and the two
         # orders land on the two control projectors
-        e = KrausChannel((SIGMA_X,), label="x")
-        f = KrausChannel((SIGMA_Z,), label="z")
+        e = KrausChannel((SIGMA_X,))
+        f = KrausChannel((SIGMA_Z,))
         joint = switch_kraus(e, f)
         xz = SIGMA_X @ SIGMA_Z
         expected = kron(xz, P0) + kron(SIGMA_Z @ SIGMA_X, P1)
