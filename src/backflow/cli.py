@@ -9,6 +9,7 @@ or a library consistency check).
 
 import json
 import random
+import sys
 from itertools import chain, starmap
 
 import click
@@ -44,6 +45,7 @@ EXIT_POSTSELECT = 3
 EXIT_CHECK_FAILED = 4
 VALIDATE_SEED = 7
 MAX_POINTS = 1_000_000  # the most points of a series, and cells of a scan
+NON_FINITE_JSON = "JSON output cannot carry a non-finite value; use --format csv"
 ROW_BLOCK = 16384  # series rows made Python floats at a time: they format fast, and no column becomes a list
 
 
@@ -55,39 +57,79 @@ def _round15(value: float) -> float:
     return float(_fmt(value))
 
 
-def _emit(text: str, out) -> None:
+def _emit(chunks, out) -> None:
+    """Write str chunks to stdout, or to the --out file.  Not through
+    click.echo, which runs its ANSI strip over each text when stdout is not a
+    terminal, and as str, so a captured stdout (an io.StringIO) takes them."""
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise click.BadParameter(str(exc), param_hint="'--out'") from exc
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--out'") from exc
 
 
-def _emit_json(payload, out) -> None:
+def _emit_json(payload, lists, out) -> None:
+    """Write json.dumps({**payload, **lists}, indent=2, allow_nan=False) plus a
+    newline, a block at a time: the payload's members first, in one chunk,
+    then each list member of ``lists``, given as its items' ``_json_items``
+    text in blocks."""
     try:  # strict JSON (RFC 8259) has no NaN or Infinity
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
+        head = json.dumps(payload, indent=2, allow_nan=False)[:-2]  # all but the closing "\n}"
     except ValueError as exc:
-        raise click.UsageError("JSON output cannot carry a non-finite value; use --format csv") from exc
+        raise click.UsageError(NON_FINITE_JSON) from exc
+    members = chain.from_iterable(starmap(_json_member, lists.items()))
+    _emit(chain([head], members, ["\n}\n"]), out)
+
+
+def _json_member(key, blocks):
+    """A non-empty list member of the top-level object, from blocks of its
+    items' text."""
+    blocks = iter(blocks)
+    yield f",\n  {json.dumps(key)}: [\n    {next(blocks)}"
+    for block in blocks:
+        yield ",\n    " + block
+    yield "\n  ]"
+
+
+def _json_items(items) -> str:
+    """Items as json.dumps(..., indent=2) writes them in a list member of the
+    top-level object: at four spaces, joined by ",\n    ", without the first
+    item's indent."""
+    return json.dumps(items, indent=2, allow_nan=False)[4:-2].replace("\n", "\n  ")
+
+
+def _runs(row):
+    """(value, start, end) of each run of equal values in a non-empty 1-d
+    array, the values as Python scalars."""
+    starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    return zip(row[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(row)])
 
 
 def _write_series(fmt_name, out, payload, header, columns, comments=(), entry=None):
     """Write one float array per header column as CSV (comment lines, header,
     one line per row at 15 significant digits) or as the payload plus a "series"
-    of rows rounded to 15 digits, each shaped by ``entry`` (default: by header)."""
+    of rows rounded to 15 digits, each shaped by ``entry`` (default: by header),
+    a block of rows at a time."""
     names = header.split(",")
-    blocks = range(0, len(columns[0]), ROW_BLOCK)
-    rows = chain.from_iterable(zip(*(c[i : i + ROW_BLOCK].tolist() for c in columns)) for i in blocks)
+    starts = range(0, len(columns[0]), ROW_BLOCK)
+    blocks = (list(zip(*(c[i : i + ROW_BLOCK].tolist() for c in columns))) for i in starts)
     if fmt_name == "csv":
         template = ",".join(["{:.15g}"] * len(names)) + "\n"
-        parts = [f"{line}\n" for line in (*comments, header)]
-        parts.extend(starmap(template.format, rows))
-        _emit("".join(parts), out)
+        head = "".join(f"{line}\n" for line in (*comments, header))
+        _emit(chain([head], ("".join(starmap(template.format, rows)) for rows in blocks)), out)
     else:
+        # refused before the first write: rounding is monotone in magnitude,
+        # so a column holds a value that is or rounds to inf or NaN iff its
+        # largest magnitude does (NaN carries through the max)
+        if not all(np.isfinite(_round15(np.abs(c).max())) for c in columns):
+            raise click.UsageError(NON_FINITE_JSON)
         entry = entry or (lambda values: dict(zip(names, values)))
-        _emit_json({**payload, "series": [entry([_round15(v) for v in row]) for row in rows]}, out)
+        series = ([entry([_round15(v) for v in row]) for row in rows] for rows in blocks)
+        _emit_json(payload, {"series": map(_json_items, series)}, out)
 
 
 def _parse_input_state(text: str) -> np.ndarray:
@@ -285,6 +327,29 @@ def threshold(mode, p):
     click.echo(_fmt(asymptotic_threshold(_config_for(mode, p))))
 
 
+_FLAGS = ("false", "true")
+
+
+def _scan_csv(a_grid, p_grid, result):
+    """The scan CSV, one chunk per p row; each run of a values with the same
+    verdicts shares one line end, so a run is one join."""
+    yield "a,p,path_backflow,switch_backflow\n"
+    a_text = [f"{_fmt(a)}," for a in a_grid.tolist()]
+    codes = 2 * result.backflow_path.view(np.int8) + result.backflow_switch.view(np.int8)
+    for p, row in zip(p_grid.tolist(), codes):
+        p_text = _fmt(p)
+        # the four "<p>,<flag>,<flag>" line ends of this p, indexed by 2 path + switch
+        ends = [f"{p_text},{path_v},{switch_v}\n" for path_v in _FLAGS for switch_v in _FLAGS]
+        yield "".join(ends[code].join(a_text[s:e]) + ends[code] for code, s, e in _runs(row))
+
+
+def _json_verdicts(row) -> str:
+    """A verdict row as an item of a list member of the top-level object, by
+    runs of equal verdicts."""
+    sep = ",\n      "
+    return "[\n      " + sep.join(sep.join([_FLAGS[v]] * (e - s)) for v, s, e in _runs(row)) + "\n    ]"
+
+
 @main.command()
 @click.option("--a-min", type=float, default=0.005, show_default=True)
 @click.option("--a-max", type=float, default=0.995, show_default=True)
@@ -305,21 +370,15 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
     p_grid = np.linspace(p_min, p_max, p_points)
     result = scan_region(a_grid, p_grid, t_max=t_max)
     if fmt_name == "csv":
-        a_text = [f"{_fmt(a)}," for a in a_grid]
-        flag = ("false", "true")
-        parts = ["a,p,path_backflow,switch_backflow\n"]
-        for p, path_row, switch_row in zip(p_grid, result.backflow_path.tolist(), result.backflow_switch.tolist()):
-            p_text = _fmt(p)
-            # the four "<p>,<flag>,<flag>" line ends of this p, indexed by 2 path + switch
-            ends = [f"{p_text},{flag[path_v]},{flag[switch_v]}\n" for path_v in (0, 1) for switch_v in (0, 1)]
-            parts.extend(a + ends[2 * path_v + switch_v] for a, path_v, switch_v in zip(a_text, path_row, switch_row))
-        _emit("".join(parts), out)
+        _emit(_scan_csv(a_grid, p_grid, result), out)
     else:
-        payload = dict(
-            command="scan", a_grid=[_round15(v) for v in a_grid], p_grid=[_round15(v) for v in p_grid],
-            backflow_path=result.backflow_path.tolist(), backflow_switch=result.backflow_switch.tolist(),
+        lists = dict(
+            a_grid=[_json_items([_round15(v) for v in a_grid.tolist()])],
+            p_grid=[_json_items([_round15(v) for v in p_grid.tolist()])],
+            backflow_path=map(_json_verdicts, result.backflow_path),
+            backflow_switch=map(_json_verdicts, result.backflow_switch),
         )
-        _emit_json(payload, out)
+        _emit_json({"command": "scan"}, lists, out)
 
 
 def _suite_cptp():

@@ -527,10 +527,18 @@ def scan_region(
     """Backflow verdicts for both configurations over an (a, p) grid.
 
     A cell has backflow when its bracket is positive somewhere in
-    [DEFAULT_T_MIN, t_max], the detect_backflow criterion.  The whole grid
-    is decided at once from the bracket at both ends of the range and at
-    its real critical points in between: none for the linear path bracket,
-    the roots of the cubic derivative for the switch quartic.
+    [DEFAULT_T_MIN, t_max], the detect_backflow criterion: at either end of
+    the range or at a real critical point in between (none for the linear
+    path bracket, the roots of the cubic derivative for the switch quartic).
+
+    Each p row is decided by one search for its boundary in a.  The bracket
+    is a^2 B_x + (1 - a^2) B_z with B_x < 0 at every u in (0, 1] and p in
+    [0, 1] (every coefficient of B_x is <= 0 there, its u^0 one < 0), so at
+    each u the a with a positive bracket are those with a^2 below
+    B_z / (B_z - B_x), if any: the a with backflow form an interval that
+    starts at the smallest a.  The a grid is sorted once, and every row is
+    bisected at once for its first a without backflow, one verdict on a
+    (P,) array per step, about log2(A) steps in all.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -540,11 +548,21 @@ def scan_region(
         raise ValueError("p grid must lie in [0, 1]")
     _check_time_range(DEFAULT_T_MIN, t_max)
     u_lo, u_hi = _u_range(DEFAULT_T_MIN, t_max)
-    a, p = a_grid[None, :], p_grid[:, None]
+    order = np.argsort(a_grid, kind="stable")
+    a_sorted, rank = a_grid[order], np.argsort(order)
     verdicts = {}
     for m in SUPERMAPS:
-        coeffs = _bracket_coeffs(m, a, p)
-        verdicts[f"backflow_{m}"] = np.logical_or.reduce(
-            [inside & (_horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
-        )
+        # each row has backflow at the sorted a below lo and none from hi on
+        lo = np.zeros(len(p_grid), dtype=np.intp)
+        hi = np.full(len(p_grid), len(a_grid))
+        for _ in range(len(a_grid).bit_length()):
+            open_rows = lo < hi
+            mid = (lo + hi) // 2
+            coeffs = _bracket_coeffs(m, a_sorted[np.minimum(mid, len(a_grid) - 1)], p_grid)
+            backflow = np.logical_or.reduce(
+                [inside & (_horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
+            )
+            lo = np.where(open_rows & backflow, mid + 1, lo)
+            hi = np.where(open_rows & ~backflow, mid, hi)
+        verdicts[f"backflow_{m}"] = rank < lo[:, None]
     return RegionScan(a_grid, p_grid, **verdicts)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 
@@ -406,8 +408,57 @@ class TestByteStability:
                 ["--t-max", "400", "--a-points", "300", "--p-points", "300"],
                 "b7b8aa7d02c415afa11f093d8be1dec0cd9963eaaaf0d06bd0e6bf3d9c6b2599",
             ),
+            # recorded while every cell was still decided on its own and the
+            # text built whole: at 100x100 and 1000x1000, then the benchmark's
+            # scan argument vectors of seeds 3 and 11
+            (["--a-points", "100", "--p-points", "100", "--t-max", "1"], "ea663575aebc1ed25ac46b45bfc0d81b2cd3f479ba7ff62703692cd55d9bef34"),
+            (["--a-points", "100", "--p-points", "100", "--t-max", "1", "--format", "json"], "d6f080f9613e19b99ddce724d93e018610d897e8634aaa27832c3353c1ca9092"),
+            (["--a-points", "100", "--p-points", "100", "--t-max", "400"], "f6ec6938c658bb1ffe125044083bda1f2a5475856c9b98a17cb98881b3448c94"),
+            (["--a-points", "100", "--p-points", "100", "--t-max", "400", "--format", "json"], "63a5d0ad7db3cf90dccdfdc251e0a07b2d5b84a6e24caf2db3a6fcf6834e8411"),
+            (["--a-points", "1000", "--p-points", "1000", "--t-max", "1"], "e7e741fceb932fcc575767cdd0f696bbfd8bde45ecf20290e7d5d2c66ed2e391"),
+            (["--a-points", "1000", "--p-points", "1000", "--t-max", "1", "--format", "json"], "8749c44f6b853a3ba5be5ed7a4833aec9b187860b2bcfd61f898d517e621c964"),
+            (["--a-points", "1000", "--p-points", "1000", "--t-max", "12"], "c8dcb6d805770a2ae16aebadeda06375aa6a52dd7b2d8a2c8d511dffe9d9580d"),
+            (["--a-points", "1000", "--p-points", "1000", "--t-max", "12", "--format", "json"], "abb451c9f057a9e693391b6d77f484fe2644bdbc08e7f10fe15131cba7ef9cbb"),
+            (["--a-points", "1000", "--p-points", "1000", "--t-max", "400"], "c8dcb6d805770a2ae16aebadeda06375aa6a52dd7b2d8a2c8d511dffe9d9580d"),
+            (["--a-points", "1000", "--p-points", "1000", "--t-max", "400", "--format", "json"], "abb451c9f057a9e693391b6d77f484fe2644bdbc08e7f10fe15131cba7ef9cbb"),
+            (
+                ["--a-min", "0.01639638850326191", "--a-max", "0.9683238736076898", "--a-points", "450", "--p-min", "0.023654703281564944", "--p-max", "0.9713722686999339", "--p-points", "100"],
+                "0a52b23c3fd333e91db8ccd436dced411a2e018479fefe6e31c5a61a6e5c1960",
+            ),
+            (
+                ["--a-min", "0.029244260920216033", "--a-max", "0.9907943806029645", "--a-points", "100", "--p-min", "0.02314654397932874", "--p-max", "0.976076507237186", "--p-points", "450"],
+                "8b822b41684cba32d3d15ebbaf4f412b66c3251fd07102978b854778f1dea7b4",
+            ),
+            (
+                ["--a-min", "0.038651224131139944", "--a-max", "0.9783215650346065", "--a-points", "450", "--p-min", "0.033446268505183535", "--p-max", "0.9643639012086842", "--p-points", "100"],
+                "bbefc766c6d1b2487321a565022828a613f78c5a17a4a0851ebec414fd3d9e39",
+            ),
+            (
+                ["--a-min", "0.02029475712261644", "--a-max", "0.9922696416937996", "--a-points", "100", "--p-min", "0.010318083229009551", "--p-max", "0.9637135981180694", "--p-points", "450"],
+                "17c00ec11f661f7086933f3e1ee68f0539e7cabdfb0138edb690efcc591733d1",
+            ),
+            (
+                ["--a-min", "0.014107583383918425", "--a-max", "0.9914988903527817", "--a-points", "450", "--p-min", "0.04684480107269667", "--p-max", "0.9809680271458043", "--p-points", "100"],
+                "7812beabc8184b27052f7349e0ec850ec535c6e92c0492a5439d411a93ff7819",
+            ),
+            (
+                ["--a-min", "0.0394855867049419", "--a-max", "0.9935708301362497", "--a-points", "100", "--p-min", "0.024373763654422752", "--p-max", "0.9994385494957619", "--p-points", "450"],
+                "a91d721dd148e412308aadf70c08464a20e32b1c6dcc1c43f0aca304b5bf207e",
+            ),
+            (
+                ["--a-min", "0.0486780606918957", "--a-max", "0.9675194667342691", "--a-points", "450", "--p-min", "0.049067556161984646", "--p-max", "0.9912657807765801", "--p-points", "100"],
+                "9ab3cf9213f4c1d3280e0a51f215fc62db4bbfc084adf4922408ebd5e522e5e5",
+            ),
+            (
+                ["--a-min", "0.04673086304338597", "--a-max", "0.9517746235321213", "--a-points", "100", "--p-min", "0.010423396665521261", "--p-max", "0.9952138356288212", "--p-points", "450"],
+                "9e5a266c51bed488ef993c0befab79fb17aee012e21e971b499276894571fc5b",
+            ),
         ],
-        ids=["csv", "json", "t-max-400-300x300"],
+        ids=[
+            "csv", "json", "t-max-400-300x300",
+            *(f"{fmt}-{size}x{size}-t-max-{t}" for size, t in ((100, 1), (100, 400), (1000, 1), (1000, 12), (1000, 400)) for fmt in ("csv", "json")),
+            *(f"seed-{seed}-{shape}-{pair}" for seed in (3, 11) for pair in (1, 2) for shape in ("wide", "tall")),
+        ],
     )
     def test_scan_bytes_are_pinned(self, runner, args, digest):
         result = invoke(runner, "scan", *args)
@@ -415,6 +466,27 @@ class TestByteStability:
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
         if "json" in args:
             strict_json(result.output)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "--a-points", "30", "--p-points", "20"],
+            ["scan", "--a-points", "30", "--p-points", "20", "--format", "json"],
+            ["detect", "--mode", "switch", "--a", "0.3", "--points", "40"],
+            ["detect", "--mode", "path", "--a", "0.3", "--points", "40", "--format", "json"],
+            ["validate", "--suite", "closed-form"],
+        ],
+        ids=["scan-csv", "scan-json", "detect-csv", "detect-json", "validate"],
+    )
+    def test_output_to_a_redirected_stdout(self, runner, args):
+        # the text output reaches whatever sys.stdout is at call time, as
+        # str: an io.StringIO takes the same text as the runner's capture
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(args, standalone_mode=False)
+        expected = runner.invoke(main, args)
+        assert (code or 0) == expected.exit_code
+        assert buf.getvalue() == expected.stdout
 
     # thresholds recorded at the same point: p = 0 and p = 1 exactly, others
     # to one unit in the 15th significant digit
@@ -519,6 +591,18 @@ class TestSeriesFormats:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1].startswith("inf,")
+
+    def test_json_refuses_a_late_value_that_rounds_to_inf(self, runner):
+        # the largest float prints as inf at 15 digits; it is the last row,
+        # in the second block of rows, and is still refused before any output
+        args = [
+            "distance", "--mode", "bare", "--a", "0.5", "--t-max", "1.7976931348623157e308",
+            "--points", str(cli.ROW_BLOCK + 1), "--format", "json",
+        ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "JSON output cannot carry a non-finite value" in result.stderr
 
 
 _SUBNORMAL_A = [(mode, a) for mode in ("bare", "path", "switch") for a in ("1e-310", "1e-320", "5e-324")]

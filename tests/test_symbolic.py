@@ -442,3 +442,49 @@ def test_x_part_of_the_bracket_is_negative(mode):
     maxima = [sp.maximum(_exact(detect._horner(b_x, p)), p, sp.Interval(0, 1)) for b_x, _ in detect._BRACKET_TABLES[mode]]
     assert all(m <= 0 for m in maxima)
     assert maxima[0] < 0
+
+
+def exact_verdict(mode, a_, p_, t_max):
+    """Whether a mode's bracket at the floats a_ and p_ is positive somewhere
+    on the u range of [DEFAULT_T_MIN, t_max] that ``scan_region`` decides,
+    in exact arithmetic: the coefficients from ``_BRACKET_TABLES`` at the
+    exact values of a_ and p_, the range from the exact values of the floats
+    ``_u_range`` gives.  The bracket changes sign only at the roots of its
+    factors of odd multiplicity; with none strictly inside the range, it has
+    the sign of their product, with its leading coefficient, at the middle."""
+    a2, p_exact = Fraction(a_) ** 2, Fraction(p_)
+    coeffs = [
+        a2 * detect._horner([Fraction(c) for c in x], p_exact) + (1 - a2) * detect._horner([Fraction(c) for c in z], p_exact)
+        for x, z in detect._BRACKET_TABLES[mode]
+    ]
+    bracket = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], u, domain=sp.QQ)
+    if bracket.is_zero:
+        return False
+    lo, hi = (sp.Rational(*end.as_integer_ratio()) for end in detect._u_range(detect.DEFAULT_T_MIN, t_max))
+    lead, factors = bracket.sqf_list()
+    odd = sp.Poly(lead, u, domain=sp.QQ)
+    for factor, multiplicity in factors:
+        if multiplicity % 2:
+            odd *= factor
+    inside = odd.count_roots(lo, hi) - (odd.eval(lo) == 0) - (odd.eval(hi) == 0)
+    return bool(inside > 0 or odd.eval((lo + hi) / 2) > 0)
+
+
+@pytest.mark.parametrize("t_max", [1.0, 12.0])
+def test_scan_row_boundaries_are_exact(t_max):
+    # on the default scan grid, each row's last a with backflow and first a
+    # without, per mode, have the exact verdict the scan gives them; the
+    # search gives each row one run of backflow cells, and the exact verdict
+    # is monotone in a (test_x_part_of_the_bracket_is_negative), so these two
+    # cells certify every cell of the row
+    a_grid, p_grid = np.linspace(0.005, 0.995, 100), np.linspace(0.0, 1.0, 100)
+    scan = detect.scan_region(a_grid, p_grid, t_max=t_max)
+    checked = 0
+    for mode in control.SUPERMAPS:
+        for p_, row in zip(p_grid, getattr(scan, f"backflow_{mode}")):
+            edge = int(row.sum())  # the first a without backflow
+            for j, want in ((edge - 1, True), (edge, False)):
+                if 0 <= j < len(a_grid):
+                    assert exact_verdict(mode, a_grid[j], p_, t_max) is want, (mode, a_grid[j], p_)
+                    checked += 1
+    assert checked >= 300
