@@ -171,10 +171,7 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
     on the configured outcome and renormalizes.  Propagates
     PostSelectionImpossibleError when the outcome probability vanishes.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     check_density_operator(rho0)
-    if rho0.shape != (2, 2):
-        raise ValueError("controlled_output expects a qubit state")
     joint_channel = build_supermap(config, t)
     half_p = config.p / 2
     joint_state = kron(rho0, np.array([[0.5, half_p], [half_p, 0.5]], dtype=complex))
@@ -205,12 +202,13 @@ BLOCH_ROWS = {
 
 def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
     """Row key, control parameter and report label of a configuration with a
-    closed form: a row without a supermap, by name, or a ControlConfig with
-    the plus outcome and, for path, the default amplitudes."""
+    closed form: a row without a supermap, by name, at p = 0, which keeps p
+    out of its scale; or a ControlConfig with the plus outcome and, for
+    path, the default amplitudes."""
     if isinstance(config, str):
         if config not in BLOCH_ROWS or config in SUPERMAPS:
             raise ValueError(f"string config must be 'bare', got {config!r}")
-        return config, 1.0, config
+        return config, 0.0, config
     if not isinstance(config, ControlConfig):
         raise TypeError("config must be 'bare' or a ControlConfig")
     if config.postselect_outcome != CLOSED_FORM_OUTCOME:

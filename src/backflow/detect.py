@@ -132,8 +132,7 @@ def _terms(mode: str, a: float, p: float, u, v):
     """u, the scale s, Delta and r = S / s^2 of a mode's row at the decay
     pair (u, v), so sqrt(S) = s sqrt(r)."""
     delta, n_x, _, n_z = BLOCH_ROWS[mode](p, u, v)
-    # the bare row has no p terms, so p must not set its scale
-    s = _scale(a, 0.0 if mode == "bare" else p, u)
+    s = _scale(a, p, u)
     return u, s, delta, (a / s * n_x) ** 2 + (1.0 - a * a) * (n_z / s) ** 2
 
 

@@ -1,10 +1,11 @@
-"""Dense complex-matrix helpers for small quantum systems.
+"""Dense complex-matrix helpers for qubits.
 
-States and operators are plain square ``numpy`` arrays with ``complex128``
-entries.  Tensor products always put the system factor first and the control
-factor second, so a joint index reads ``row = system_index * dim_control +
-control_index``.  That single convention is relied on everywhere else in the
-package.
+States and operators are plain ``numpy`` arrays with ``complex128`` entries.
+Every state the package evolves or compares is a qubit, so the density check
+and the trace distance take 2x2 matrices only, in closed form; only ``kron``
+and ``project_control`` meet the 4x4 system (x) control space.  Tensor
+products put the system factor first, so a joint index reads ``row =
+system_index * dim_control + control_index``, as everywhere in the package.
 """
 
 import cmath
@@ -40,6 +41,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def pure_state(amplitudes) -> np.ndarray:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
     psi = np.asarray(amplitudes, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"pure_state expects an amplitude vector, got shape {psi.shape}")
     norm = _norm(psi)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {norm}")
@@ -66,18 +69,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity, max |M - M^dagger|; NaN when an
-    entry of M - M^dagger is NaN.  A 2x2 takes the qubit closed form."""
-    if m.shape == (2, 2):
-        (a, b), (c, d) = m.tolist()
-        return _qubit_residual(a, b, c, d)
-    return float(np.abs(m - dagger(m)).max())
-
-
 # A 2x2 matrix [[a, b], [c, d]] is read as Python complex numbers: for a
 # Hermitian one, the eigenvalues are (a + d)/2 -+ hypot((a - d)/2, |c|),
 # with no LAPACK call.
+
+def _entries(m, name: str) -> list:
+    """Entries [a, b, c, d] of a 2x2 [[a, b], [c, d]] as Python complex
+    numbers; ValueError naming the caller for any other shape."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"{name} expects a 2x2 matrix, got shape {m.shape}")
+    return m.ravel().tolist()
+
+
+def hermiticity_residual(m: np.ndarray) -> float:
+    """Max-entry deviation from Hermiticity of a 2x2, max |M - M^dagger|;
+    NaN when an entry of M - M^dagger is NaN."""
+    return _qubit_residual(*_entries(m, "hermiticity_residual"))
+
 
 def _qubit_residual(a: complex, b: complex, c: complex, d: complex) -> float:
     """max |M - M^dagger| from the entries numpy would form: the diagonal
@@ -97,45 +106,32 @@ def _qubit_eigvalsh(a: complex, c: complex, d: complex):
 
 
 def check_density_operator(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace and positive semidefiniteness to the
-    module tolerances; raises ValueError naming the first violated invariant.
-    A NaN entry fails the checks."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density operator must be a square matrix")
-    # the ascending spectrum is taken only once the matrix is known Hermitian
-    if rho.shape == (2, 2):
-        (a, b), (c, d) = rho.tolist()
-        res, tr, spectrum = _qubit_residual(a, b, c, d), a + d, lambda: _qubit_eigvalsh(a, c, d)
-    else:
-        res, tr, spectrum = hermiticity_residual(rho), rho.trace(), lambda: np.linalg.eigvalsh(rho)
+    """Validate a 2x2 for Hermiticity, unit trace and positive
+    semidefiniteness to the module tolerances; raises ValueError naming the
+    first violated invariant.  A NaN entry fails the checks."""
+    a, b, c, d = _entries(rho, "check_density_operator")
+    res, tr = _qubit_residual(a, b, c, d), a + d
     if not res <= HERMITICITY_TOL:
         raise ValueError(f"density operator not Hermitian (residual {res:.3e})")
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density operator trace is {tr}, expected 1")
-    lam_min = float(spectrum()[0])
+    lam_min = _qubit_eigvalsh(a, c, d)[0]
     if not lam_min >= -PSD_TOL:
         raise ValueError(f"density operator has negative eigenvalue {lam_min:.3e}")
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Trace distance (1/2) ||rho1 - rho2||_1 via the Hermitian eigenvalues.
+    """Trace distance (1/2) ||rho1 - rho2||_1 of two 2x2 density operators.
 
-    The difference of two density operators is Hermitian and traceless, so
-    the trace norm is the sum of absolute eigenvalues.
+    Their difference is Hermitian and traceless, so the trace norm is the
+    sum of the absolute eigenvalues of its Hermitian part.
     """
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape != rho2.shape:
-        raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
-    diff = rho1 - rho2
-    res = hermiticity_residual(diff)
+    # the entries of rho1 - rho2, each difference rounded as numpy rounds it
+    a, b, c, d = (x - y for x, y in zip(_entries(rho1, "trace_distance"), _entries(rho2, "trace_distance")))
+    res = _qubit_residual(a, b, c, d)
     if not res <= 1e-10:
         raise ValueError(f"difference is not Hermitian (residual {res:.3e})")
-    if diff.shape != (2, 2):
-        return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + dagger(diff)))).sum())
     # the Hermitian part (diff + diff^dagger) / 2 keeps the real diagonal
-    (a, b), (c, d) = diff.tolist()
     low, high = _qubit_eigvalsh(a, 0.5 * (c + b.conjugate()), d)
     return 0.5 * (abs(low) + abs(high))
 

@@ -15,6 +15,20 @@ def random_pure(rng, dim=2):
     return np.outer(psi, psi.conj())
 
 
+def reference_residual(m):
+    return float(np.abs(m - m.conj().T).max())
+
+
+def reference_trace_distance(rho1, rho2):
+    """Trace distance through np.linalg.eigvalsh at every size (reference):
+    the package's trace_distance takes qubits only."""
+    diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
+    res = reference_residual(diff)
+    if not res <= 1e-10:
+        raise ValueError(f"difference is not Hermitian (residual {res:.3e})")
+    return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

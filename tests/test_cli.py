@@ -104,6 +104,25 @@ class TestEvolve:
         result = runner.invoke(main, ["evolve", "--mode", "bare", "--input", "2,0,0,0", "--t", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0.5,nan,0,0.5", "density operator not Hermitian (residual nan)"),
+            ("2,0,0,0", "density operator trace is (2+0j), expected 1"),
+            ("1.5,0,0,-0.5", "density operator has negative eigenvalue -5.000e-01"),
+        ],
+        ids=["non-hermitian", "trace-2", "negative-eigenvalue"],
+    )
+    def test_input_refusal_text(self, runner, text, reason):
+        result = runner.invoke(main, ["evolve", "--mode", "bare", "--input", text, "--t", "1"], prog_name="backflow")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "Usage: backflow evolve [OPTIONS]\n"
+            "Try 'backflow evolve --help' for help.\n\n"
+            f"Error: --input is not a density matrix: {reason}\n"
+        )
+
     def test_rejects_conflicting_state_flags(self, runner):
         result = runner.invoke(
             main, ["evolve", "--mode", "bare", "--a", "0.5", "--input", "1,0,0,0", "--t", "1"]

@@ -29,7 +29,7 @@ from backflow.qmat import (
     pure_state,
     trace_distance,
 )
-from conftest import random_density
+from conftest import random_density, reference_trace_distance
 
 P0 = pure_state(KET_0)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -217,6 +217,12 @@ class TestControlledOutput:
         with pytest.raises(PostSelectionImpossibleError):
             controlled_output(switch_config(1.0, outcome="minus"), random_density(rng), 0.0)
 
+    @pytest.mark.parametrize("config", [path_config(0.5), switch_config(0.5)], ids=["path", "switch"])
+    def test_rejects_a_joint_input_state(self, config):
+        # rho0 is the system qubit; a valid 4x4 density is refused for its shape
+        with pytest.raises(ValueError, match=r"check_density_operator expects a 2x2 matrix, got shape \(4, 4\)"):
+            controlled_output(config, np.eye(4) / 4, 1.0)
+
     def test_switch_insensitive_to_amplitude_choice(self, rng):
         # the switch takes no amplitudes at all; perturbing the path
         # amplitudes changes its output at fixed t
@@ -363,7 +369,10 @@ class TestCptpAndContractivity:
         for mode, supermap in SUPERMAPS.items():
             joint = supermap.kraus(phi, SUPERMAPS["path"].amplitudes)
             assert validate_cptp(joint).passed, mode
-            after = trace_distance(apply(joint, kron(rho1, control_state)), apply(joint, kron(rho2, control_state)))
+            # trace_distance takes qubits only, so the joint distance uses the reference
+            after = reference_trace_distance(
+                apply(joint, kron(rho1, control_state)), apply(joint, kron(rho2, control_state))
+            )
             assert after <= before + 1e-12, mode
 
 

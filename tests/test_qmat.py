@@ -21,7 +21,7 @@ from backflow.qmat import (
 )
 from backflow.channel import KrausChannel, apply, phi_t_kraus
 from backflow.control import SUPERMAPS, path_kraus, switch_kraus
-from conftest import random_density, random_pure
+from conftest import random_density, random_pure, reference_residual, reference_trace_distance
 
 
 def two_by_two_eigvals(m):
@@ -63,8 +63,9 @@ class TestTraceDistance:
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            trace_distance(np.eye(2), np.eye(4))
+        for rho1, rho2 in ((np.eye(2) / 2, np.eye(4) / 4), (np.eye(4) / 4, np.eye(2) / 2)):
+            with pytest.raises(ValueError, match=r"trace_distance expects a 2x2 matrix, got shape \(4, 4\)"):
+                trace_distance(rho1, rho2)
 
     def test_non_hermitian_difference(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
@@ -77,9 +78,11 @@ class TestTraceDistance:
         zero = np.zeros((2, 2))
         with pytest.raises(ValueError, match="not Hermitian"):
             trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), zero)
-        for dim in (2, 3):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                trace_distance(np.diag([np.nan] + [0.0] * (dim - 1)), np.zeros((dim, dim)))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance(np.diag([np.nan, 0.0]), zero)
+        # a larger matrix is refused for its shape before its entries are read
+        with pytest.raises(ValueError, match="expects a 2x2 matrix"):
+            trace_distance(np.diag([np.nan, 0.0, 0.0]), np.zeros((3, 3)))
         assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)) == 1.0
         assert np.isnan(hermiticity_residual(np.diag([np.nan, 0.0]).astype(complex)))
 
@@ -112,9 +115,10 @@ class TestTraceDistance:
         )
         for joint in joints:
             for _ in range(10):
+                # trace_distance takes qubits only, so the 4x4 distances use the reference
                 r1, r2 = random_density(rng, 4), random_density(rng, 4)
-                before = trace_distance(r1, r2)
-                after = trace_distance(apply(joint, r1), apply(joint, r2))
+                before = reference_trace_distance(r1, r2)
+                after = reference_trace_distance(apply(joint, r1), apply(joint, r2))
                 assert after <= before + 1e-10
 
     def test_contractive_under_composed_channel(self, rng):
@@ -131,6 +135,11 @@ class TestPureState:
         for amplitudes in ([1.0, 1.0], [np.nan, 0.0]):
             with pytest.raises(ValueError, match="not normalized"):
                 pure_state(amplitudes)
+
+    @pytest.mark.parametrize("amplitudes, shape", [([[1.0, 0.0]], r"\(1, 2\)"), (1.0, r"\(\)")])
+    def test_rejects_what_is_not_a_vector(self, amplitudes, shape):
+        with pytest.raises(ValueError, match=r"pure_state expects an amplitude vector, got shape " + shape):
+            pure_state(amplitudes)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
@@ -316,10 +325,6 @@ class TestMatmulKernels:
         assert not isinstance(info.value, PostSelectionImpossibleError)
 
 
-def reference_residual(m):
-    return float(np.abs(m - m.conj().T).max())
-
-
 def reference_check_density(rho):
     """check_density_operator through np.linalg.eigvalsh at every size (reference)."""
     rho = np.asarray(rho, dtype=complex)
@@ -332,15 +337,6 @@ def reference_check_density(rho):
     lam_min = float(np.linalg.eigvalsh(rho).min())
     if not lam_min >= -1e-10:
         raise ValueError(f"density operator has negative eigenvalue {lam_min:.3e}")
-
-
-def reference_trace_distance(rho1, rho2):
-    """trace_distance through np.linalg.eigvalsh at every size (reference)."""
-    diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
-    res = reference_residual(diff)
-    if not res <= 1e-10:
-        raise ValueError(f"difference is not Hermitian (residual {res:.3e})")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
 def outcome(fn, *args):
@@ -374,33 +370,36 @@ def near(scale):
 PLACES = st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from([1.0, 1j]))
 
 
+KINDS = st.sampled_from(["plain", "hermiticity", "trace", "negative"])
+
+
+def perturbed_density(seed, dim, kind, size, place):
+    """A random density matrix, perturbed near one of the check's tolerances."""
+    rng = np.random.default_rng(seed)
+    rho = hermitian_density(rng, dim, low=-abs(size) if kind == "negative" else None)
+    if kind == "hermiticity":
+        i, j, unit = place
+        rho[i, j] += size * unit
+    elif kind == "trace":
+        rho *= 1.0 + size
+    return rho
+
+
 class TestQubitClosedForms:
     """check_density_operator and trace_distance take the eigenvalues of a
     2x2 in closed form; they must decide as the eigvalsh reference does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        seed=SEEDS,
-        dim=st.sampled_from([2, 2, 2, 4]),
-        kind=st.sampled_from(["plain", "hermiticity", "trace", "negative"]),
-        size=st.one_of(near(1e-12), near(1e-10)),
-        place=PLACES,
-    )
-    def test_density_check_matches_eigvalsh(self, seed, dim, kind, size, place):
-        rng = np.random.default_rng(seed)
-        rho = hermitian_density(rng, dim, low=-abs(size) if kind == "negative" else None)
-        if kind == "hermiticity":
-            i, j, unit = place
-            rho[i, j] += size * unit
-        elif kind == "trace":
-            rho *= 1.0 + size
+    @given(seed=SEEDS, kind=KINDS, size=st.one_of(near(1e-12), near(1e-10)), place=PLACES)
+    def test_density_check_matches_eigvalsh(self, seed, kind, size, place):
+        rho = perturbed_density(seed, 2, kind, size, place)
         assert outcome(check_density_operator, rho) == outcome(reference_check_density, rho)
 
     @settings(max_examples=300, deadline=None)
-    @given(seed=SEEDS, dim=st.sampled_from([2, 2, 2, 4]), size=st.one_of(st.just(0.0), near(1e-12), near(1e-10)), place=PLACES)
-    def test_trace_distance_matches_eigvalsh(self, seed, dim, size, place):
+    @given(seed=SEEDS, size=st.one_of(st.just(0.0), near(1e-12), near(1e-10)), place=PLACES)
+    def test_trace_distance_matches_eigvalsh(self, seed, size, place):
         rng = np.random.default_rng(seed)
-        rho1, rho2 = hermitian_density(rng, dim), hermitian_density(rng, dim)
+        rho1, rho2 = hermitian_density(rng, 2), hermitian_density(rng, 2)
         i, j, unit = place
         rho1[i, j] += size * unit
         got, want = outcome(trace_distance, rho1, rho2), outcome(reference_trace_distance, rho1, rho2)
@@ -425,3 +424,40 @@ class TestQubitClosedForms:
         assert want[0] is ValueError
         assert outcome(check_density_operator, rho1) == want
         assert outcome(trace_distance, rho1, rho2) == outcome(reference_trace_distance, rho1, rho2)
+
+
+# arguments that are not a 2x2 matrix, with the shape the refusal names
+NOT_QUBIT = {
+    "3x3 density": (np.eye(3) / 3, r"\(3, 3\)"),
+    "4x4 density": (np.eye(4) / 4, r"\(4, 4\)"),
+    "1-d": (np.array([0.5, 0.0, 0.0, 0.5]), r"\(4,\)"),
+    "non-square": (np.full((2, 3), 1.0 / 3.0), r"\(2, 3\)"),
+}
+
+# each helper as a call on one argument, by the name its refusal gives
+QUBIT_HELPERS = [
+    ("hermiticity_residual", hermiticity_residual),
+    ("check_density_operator", check_density_operator),
+    ("trace_distance", lambda m: trace_distance(m, I2 / 2)),
+    ("trace_distance", lambda m: trace_distance(I2 / 2, m)),
+]
+
+
+class TestQubitContract:
+    """hermiticity_residual, check_density_operator and trace_distance take
+    2x2 matrices only; any other shape is a ValueError naming the helper."""
+
+    @pytest.mark.parametrize("bad, shape", list(NOT_QUBIT.values()), ids=list(NOT_QUBIT))
+    def test_non_qubit_argument_refused(self, bad, shape):
+        for name, call in QUBIT_HELPERS:
+            with pytest.raises(ValueError, match=rf"{name} expects a 2x2 matrix, got shape {shape}"):
+                call(bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, kind=KINDS, size=st.one_of(near(1e-12), near(1e-10)), place=PLACES)
+    def test_larger_draws_refused_whatever_their_entries(self, seed, kind, size, place):
+        # a 4x4 is refused for its shape, whichever check its entries would fail
+        rho = perturbed_density(seed, 4, kind, size, place)
+        for name, call in QUBIT_HELPERS:
+            with pytest.raises(ValueError, match=rf"{name} expects a 2x2 matrix, got shape \(4, 4\)"):
+                call(rho)

@@ -470,14 +470,22 @@ def exact_verdict(mode, a_, p_, t_max):
     return bool(inside > 0 or odd.eval((lo + hi) / 2) > 0)
 
 
-@pytest.mark.parametrize("t_max", [1.0, 12.0])
-def test_scan_row_boundaries_are_exact(t_max):
-    # on the default scan grid, each row's last a with backflow and first a
-    # without, per mode, have the exact verdict the scan gives them; the
-    # search gives each row one run of backflow cells, and the exact verdict
-    # is monotone in a (test_x_part_of_the_bracket_is_negative), so these two
-    # cells certify every cell of the row
-    a_grid, p_grid = np.linspace(0.005, 0.995, 100), np.linspace(0.0, 1.0, 100)
+@pytest.mark.parametrize(
+    "t_max, points",
+    [
+        pytest.param(1.0, 100, id="1.0"),
+        pytest.param(12.0, 100, id="12.0"),
+        # the 10^6-cell scan: about 3,300 and 4,000 exact checks, 3 s each case
+        *(pytest.param(t_max, 1000, id=f"1000x1000-{t_max}", marks=pytest.mark.slow) for t_max in (1.0, 12.0)),
+    ],
+)
+def test_scan_row_boundaries_are_exact(t_max, points):
+    # on the scan grid of the default range, each row's last a with backflow
+    # and first a without, per mode, have the exact verdict the scan gives
+    # them; the search gives each row one run of backflow cells, and the exact
+    # verdict is monotone in a (test_x_part_of_the_bracket_is_negative), so
+    # these two cells certify every cell of the row
+    a_grid, p_grid = np.linspace(0.005, 0.995, points), np.linspace(0.0, 1.0, points)
     scan = detect.scan_region(a_grid, p_grid, t_max=t_max)
     checked = 0
     for mode in control.SUPERMAPS:
@@ -487,4 +495,4 @@ def test_scan_row_boundaries_are_exact(t_max):
                 if 0 <= j < len(a_grid):
                     assert exact_verdict(mode, a_grid[j], p_, t_max) is want, (mode, a_grid[j], p_)
                     checked += 1
-    assert checked >= 300
+    assert checked >= 3 * points
