@@ -208,6 +208,25 @@ def _bracket_table(row):
 _BRACKET_TABLES = {mode: _bracket_table(row) for mode, row in BLOCH_ROWS.items()}
 
 
+def _peak_table(table):
+    """W / u^m as a polynomial in w = u + 1/u, ascending, for W = B_x B_z' - B_z B_x' of a bracket table
+    (primes in u; r = B_z / (B_z - B_x) has the slope -W / (B_z - B_x)^2), a palindrome of degree 2m in u."""
+    b_x, b_z = (_PolyPU({(i, j): c for j, pair in enumerate(table) for i, c in enumerate(pair[k])}) for k in (0, 1))
+    w_u = b_x * b_z.d_du() - b_z * b_x.d_du()
+    coeffs = [w_u.in_p(j) for j in range(1 + max((j for (_, j), c in w_u.items() if c), default=0))]
+    assert len(coeffs) % 2 and coeffs == coeffs[::-1], "W is not a palindrome in u"
+    # u^k + u^-k as polynomials in w (in the u slot): 2, w, then w (u^k + u^-k) - (u^(k-1) + u^(1-k))
+    m, w = len(coeffs) // 2, _PolyPU({(0, 1): 1.0})
+    sums = [_PolyPU.of(2.0), w]
+    while len(sums) <= m:
+        sums.append(w * sums[-1] - sums[-2])
+    folded = sum(_PolyPU({(i, 0): c for i, c in enumerate(coeffs[m + k])}) * (sums[k] if k else 1.0) for k in range(m + 1))
+    return tuple(folded.in_p(k) for k in range(m + 1))
+
+
+_PEAK_TABLES = {mode: _peak_table(table) for mode, table in _BRACKET_TABLES.items()}
+
+
 def _horner(coeffs, x):
     """A polynomial at x by Horner's rule, coefficients ascending."""
     value = coeffs[-1]
@@ -498,9 +517,25 @@ def asymptotic_threshold(config: ConfigLike) -> float:
     The path threshold dominates the switch threshold for every p in (0, 1].
     """
     mode, p, _ = _mode_and_p(config)
-    x0, z0 = (_horner(b, p) for b in _BRACKET_TABLES[mode][0])
+    x0, z0 = (float(b[0]) for b in _peak(mode, np.array([p]), 0.0, 0.0))
     # no late-time backflow where the ratio is not positive, -0 included
     return math.sqrt(max(0.0, z0 / (z0 - x0)))
+
+
+def _peak(mode: str, p, u_lo: float, u_hi: float):
+    """B_x and B_z (the bracket at a = 1 and at a = 0) at the u* in [u_lo, u_hi] where r = B_z / (B_z - B_x)
+    peaks over the points with B_z > 0, or at u_lo if there are none, for a 1-d p array.  u* is an end of
+    the range or a root w >= 2 of the mode's peak table, a polynomial in w = u + 1/u, that lies inside it."""
+    folded = [_horner(c, p) for c in _PEAK_TABLES[mode]][::-1]
+    with np.errstate(all="ignore"):
+        # the root u <= 1 of u^2 - w u + 1, without the cancellation of (w - sqrt(w^2 - 4)) / 2
+        roots = [2.0 / (w + np.sqrt(w * w - 4.0)) for w in _cubic_candidates(*[0.0 * p] * (4 - len(folded)), *folded)]
+    # a root outside the range clips to an end, and a NaN has no B_z > 0
+    u = np.clip([np.full_like(p, u_lo), np.full_like(p, u_hi), *roots], u_lo, u_hi)
+    b_x, b_z = _horner(_bracket_coeffs(mode, np.array([[[1.0]], [[0.0]]]), p), u)
+    ratio = np.divide(b_z, b_z - b_x, out=np.full_like(b_z, -1.0), where=b_z > 0.0)
+    peak = ratio.argmax(axis=0)[None]
+    return np.take_along_axis(b_x, peak, 0)[0], np.take_along_axis(b_z, peak, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -525,19 +560,9 @@ def scan_region(
 ) -> RegionScan:
     """Backflow verdicts for both configurations over an (a, p) grid.
 
-    A cell has backflow when its bracket is positive somewhere in
-    [DEFAULT_T_MIN, t_max], the detect_backflow criterion: at either end of
-    the range or at a real critical point in between (none for the linear
-    path bracket, the roots of the cubic derivative for the switch quartic).
-
-    Each p row is decided by one search for its boundary in a.  The bracket
-    is a^2 B_x + (1 - a^2) B_z with B_x < 0 at every u in (0, 1] and p in
-    [0, 1] (every coefficient of B_x is <= 0 there, its u^0 one < 0), so at
-    each u the a with a positive bracket are those with a^2 below
-    B_z / (B_z - B_x), if any: the a with backflow form an interval that
-    starts at the smallest a.  The a grid is sorted once, and every row is
-    bisected at once for its first a without backflow, one verdict on a
-    (P,) array per step, about log2(A) steps in all.
+    A cell has backflow when its bracket is positive somewhere in [DEFAULT_T_MIN, t_max], the detect_backflow
+    criterion: iff a^2 (-B_x) < (1 - a^2) B_z at the u* where r = B_z / (B_z - B_x) peaks, one u* per p row.
+    As -B_x >= 0, each row is one run of backflow cells from its smallest a, in any a order.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -547,21 +572,9 @@ def scan_region(
         raise ValueError("p grid must lie in [0, 1]")
     _check_time_range(DEFAULT_T_MIN, t_max)
     u_lo, u_hi = _u_range(DEFAULT_T_MIN, t_max)
-    order = np.argsort(a_grid, kind="stable")
-    a_sorted, rank = a_grid[order], np.argsort(order)
+    a2 = a_grid * a_grid
     verdicts = {}
     for m in SUPERMAPS:
-        # each row has backflow at the sorted a below lo and none from hi on
-        lo = np.zeros(len(p_grid), dtype=np.intp)
-        hi = np.full(len(p_grid), len(a_grid))
-        for _ in range(len(a_grid).bit_length()):
-            open_rows = lo < hi
-            mid = (lo + hi) // 2
-            coeffs = _bracket_coeffs(m, a_sorted[np.minimum(mid, len(a_grid) - 1)], p_grid)
-            backflow = np.logical_or.reduce(
-                [inside & (_horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
-            )
-            lo = np.where(open_rows & backflow, mid + 1, lo)
-            hi = np.where(open_rows & ~backflow, mid, hi)
-        verdicts[f"backflow_{m}"] = rank < lo[:, None]
+        b_x, b_z = _peak(m, p_grid, u_lo, u_hi)
+        verdicts[f"backflow_{m}"] = np.multiply.outer(b_z, 1.0 - a2) > np.multiply.outer(-b_x, a2)
     return RegionScan(a_grid, p_grid, **verdicts)

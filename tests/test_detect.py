@@ -538,11 +538,14 @@ class TestModeTable:
 
             monkeypatch.setattr(detect, name, counted)
 
-        for name in ("_terms", "_bracket_coeffs"):
+        for name in ("_terms", "_bracket_coeffs", "_peak"):
             count(name, getattr(detect, name), key=lambda args: args[0])
         count("_prefactor", detect._prefactor)
         scan_region(np.array([0.5]), np.array([1.0]))
-        assert calls == {"path:_bracket_coeffs": 1, "switch:_bracket_coeffs": 1}
+        # one peak lookup per mode, which reads B_x and B_z as the bracket at
+        # a = 1 and a = 0 in one call
+        assert calls == {"path:_peak": 1, "switch:_peak": 1, "path:_bracket_coeffs": 1, "switch:_bracket_coeffs": 1}
+        del calls["path:_peak"], calls["switch:_peak"]
         analytic_derivative(path_config(1.0), 0.5, 1.0)
         analytic_derivative(switch_config(1.0), 0.5, 1.0)
         # each derivative is the generic prefactor of the row's terms times
@@ -667,6 +670,53 @@ class TestScanRegion:
             assert not np.any(getattr(short, f"backflow_{mode}") & ~getattr(long, f"backflow_{mode}"))
         assert long.backflow_path[-1, 0] and long.backflow_switch[-1, 0]
 
+    @pytest.mark.parametrize("t_max", [0.75, 12.0, 400.0])
+    def test_tiny_p_scan_is_quiet(self, t_max):
+        # at this p the switch's bracket has spurious critical points near 2e86
+        # and -3e102, where u^4 overflows: the scan may evaluate the bracket
+        # only inside its range
+        a_grid, p_grid = np.array([1e-100, 0.5]), np.array([1.0496596229523014e-102])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scan = scan_region(a_grid, p_grid, t_max=t_max)
+        for mode in _CONFIGS:
+            assert np.array_equal(getattr(scan, f"backflow_{mode}"), _cell_verdicts(mode, a_grid, p_grid, t_max))
+
+    def test_path_peak_is_at_u_lo(self):
+        # the path's W is a positive constant (tests/test_symbolic.py), so its r
+        # falls in u: the scan reads B_x and B_z at u_lo wherever B_z > 0 there
+        p_grid = np.linspace(0.0, 1.0, 41)
+        for t_max in (0.75, 1.0, 12.0, 400.0):
+            u_lo, u_hi = detect._u_range(DEFAULT_T_MIN, t_max)
+            b_x, b_z = detect._peak("path", p_grid, u_lo, u_hi)
+            at_lo = [detect._horner(detect._bracket_coeffs("path", a_, p_grid), u_lo) for a_ in (1.0, 0.0)]
+            positive = at_lo[1] > 0.0
+            assert np.array_equal(b_x[positive], at_lo[0][positive])
+            assert np.array_equal(b_z[positive], at_lo[1][positive])
+            # no row without B_z > 0 at u_lo has it anywhere in the range
+            assert not (b_z[~positive] > 0.0).any()
+
+    def test_late_scan_reads_the_late_time_threshold(self):
+        # measured through the scan: with t_max 400 the window reaches
+        # u = 0, and the path's r = B_z / (B_z - B_x) falls in u, so its peak
+        # is the late-time value at every p; the switch's equals it from
+        # p ~ 0.79 on
+        a_grid = np.linspace(0.005, 0.995, 199)
+        for mode, p_grid in (("path", np.linspace(0.05, 1.0, 20)), ("switch", np.linspace(0.8, 1.0, 21))):
+            verdicts = getattr(scan_region(a_grid, p_grid, t_max=400.0), f"backflow_{mode}")
+            for p, row in zip(p_grid, verdicts):
+                assert np.array_equal(row, a_grid < asymptotic_threshold(_config(mode, p))), (mode, p)
+
+    def test_switch_backflow_above_its_late_time_threshold(self):
+        # at p = 0.1 the switch's r peaks at mid times, so a = 0.12 has
+        # backflow over [t_min, 400] above the late-time threshold 0.0933;
+        # its one window closes long before the late tail
+        assert asymptotic_threshold(switch_config(0.1)) < 0.12
+        assert scan_region(np.array([0.12]), np.array([0.1]), t_max=400.0).backflow_switch[0, 0]
+        report = detect_backflow(switch_config(0.1), 0.12, log_time_grid(DEFAULT_T_MIN, 400.0))
+        ((start, end),) = report.backflow_intervals
+        assert start == pytest.approx(1.187, abs=1e-3) and end == pytest.approx(1.929, abs=1e-3)
+
 
 def _cell_verdicts(mode, a_grid, p_grid, t_max):
     """Per-cell oracle of ``scan_region``: every cell of the grid decided on
@@ -675,9 +725,12 @@ def _cell_verdicts(mode, a_grid, p_grid, t_max):
     u_lo, u_hi = detect._u_range(DEFAULT_T_MIN, t_max)
     a, p = np.asarray(a_grid, dtype=float)[None, :], np.asarray(p_grid, dtype=float)[:, None]
     coeffs = detect._bracket_coeffs(mode, a, p)
-    verdicts = np.logical_or.reduce(
-        [inside & (detect._horner(coeffs, u) > 0.0) for u, inside in detect._breakpoints(coeffs, u_lo, u_hi)]
-    )
+    # a spurious candidate far outside the range can overflow the bracket (at
+    # p = 1.0496596229523014e-102, say); it is not inside, so it decides nothing
+    with np.errstate(over="ignore"):
+        verdicts = np.logical_or.reduce(
+            [inside & (detect._horner(coeffs, u) > 0.0) for u, inside in detect._breakpoints(coeffs, u_lo, u_hi)]
+        )
     return np.broadcast_to(verdicts, (p.size, a.size))
 
 
@@ -703,8 +756,10 @@ def _scan_grids(draw):
 
 
 class TestRowSearch:
-    """scan_region bisects each p row for its boundary in a; it must give
-    the per-cell verdict of every cell."""
+    """scan_region decides each p row by the bracket's sign at the one u where
+    B_z / (B_z - B_x) peaks; it must give the per-cell verdict of every cell
+    drawn here, late-time thresholds +- 1 ulp included.  Only a within a few
+    ulps of a row's boundary can tell the two apart."""
 
     @settings(max_examples=200, deadline=None)
     @given(grids=_scan_grids())
@@ -718,8 +773,8 @@ class TestRowSearch:
 
     @pytest.mark.parametrize("t_max", SCAN_T_MAX)
     def test_oracle_is_monotone_along_every_row(self, t_max):
-        # the search's premise: along a row of increasing a, backflow cells
-        # come first
+        # the per-cell oracle, too, gives each row of increasing a one run of
+        # backflow cells, up to a few ulps of its boundary
         a_grid = np.linspace(0.005, 0.995, 1000)
         p_grid = np.concatenate([np.linspace(0.0, 1.0, 60), [1e-300, 1e-12, 1e-6]])
         for mode in _CONFIGS:
@@ -739,7 +794,7 @@ class TestRowSearch:
                 # at float resolution the bracket near the boundary is rounding
                 # noise, and the verdict may flip back within a few ulps of it
                 # (3 at most, seen at t_max 0.75 and 1.09): only a grid with two
-                # a that close to a boundary can tell the search from the oracle
+                # a that close to a boundary can tell the scan from the oracle
                 near = _cell_verdicts(mode, np.arange(lo - 63, hi + 64).view(float), [p], t_max)[0]
                 assert near[:56].all() and not near[-56:].any(), (mode, p)
 

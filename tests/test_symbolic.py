@@ -20,12 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
 from backflow import control, detect  # noqa: E402
+from backflow.cli import main  # noqa: E402
 from conftest import pure_control_parts  # noqa: E402
 
 a, p, u, x = sp.symbols("a p u x", positive=True)
@@ -444,6 +446,28 @@ def test_x_part_of_the_bracket_is_negative(mode):
     assert maxima[0] < 0
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_peak_table_is_the_fold_of_a_palindromic_w(mode):
+    # W = B_x B_z' - B_z B_x' is -(B_z - B_x)^2 times the slope of
+    # r = B_z / (B_z - B_x) in u; it reads the same in both directions, and
+    # the table is W / u^m as a polynomial in w = u + 1/u
+    # B_x and B_z are the bracket at a = 1 and at a = 0
+    b_x, b_z = (table_bracket(mode).subs(a, a_) for a_ in (1, 0))
+    w_u = sp.Poly(sp.expand(b_x * sp.diff(b_z, u) - b_z * sp.diff(b_x, u)), u)
+    coeffs = w_u.all_coeffs()
+    assert all(_is_zero(c - d) for c, d in zip(coeffs, coeffs[::-1]))
+    table = detect._PEAK_TABLES[mode]
+    m = len(table) - 1
+    assert w_u.degree() == 2 * m
+    w = sp.Symbol("w")
+    folded = sum(_exact(detect._horner(c, p)) * w**k for k, c in enumerate(table))
+    assert _is_zero(folded.subs(w, u + 1 / u) * u**m - w_u.as_expr())
+    if mode == "path":
+        # W > 0, so the path's r falls in u and peaks at the range's low end u_lo
+        assert _is_zero(w_u.as_expr() - 2048 * (p + 1) * (p + 2))
+        assert sp.minimum(w_u.as_expr(), p, sp.Interval(0, 1)) > 0
+
+
 def exact_verdict(mode, a_, p_, t_max):
     """Whether a mode's bracket at the floats a_ and p_ is positive somewhere
     on the u range of [DEFAULT_T_MIN, t_max] that ``scan_region`` decides,
@@ -471,20 +495,23 @@ def exact_verdict(mode, a_, p_, t_max):
 
 
 @pytest.mark.parametrize(
-    "t_max, points",
+    "t_max, points, min_checked",
     [
-        pytest.param(1.0, 100, id="1.0"),
-        pytest.param(12.0, 100, id="12.0"),
+        # at 0.75 the switch's r peaks at an interior root of W, and the path
+        # has no backflow on most rows (251 checks); at 400, u_lo = 0
+        pytest.param(0.75, 100, 251, id="0.75"),
+        *(pytest.param(t_max, 100, 300, id=str(t_max)) for t_max in (1.0, 12.0, 400.0)),
         # the 10^6-cell scan: about 3,300 and 4,000 exact checks, 3 s each case
-        *(pytest.param(t_max, 1000, id=f"1000x1000-{t_max}", marks=pytest.mark.slow) for t_max in (1.0, 12.0)),
+        *(pytest.param(t_max, 1000, 3000, id=f"1000x1000-{t_max}", marks=pytest.mark.slow) for t_max in (1.0, 12.0)),
     ],
 )
-def test_scan_row_boundaries_are_exact(t_max, points):
+def test_scan_row_boundaries_are_exact(t_max, points, min_checked):
     # on the scan grid of the default range, each row's last a with backflow
     # and first a without, per mode, have the exact verdict the scan gives
-    # them; the search gives each row one run of backflow cells, and the exact
-    # verdict is monotone in a (test_x_part_of_the_bracket_is_negative), so
-    # these two cells certify every cell of the row
+    # them; the scan decides a row by one sign at the peak of its ratio, so it
+    # gives each row one run of backflow cells, and the exact verdict is
+    # monotone in a (test_x_part_of_the_bracket_is_negative), so these two
+    # cells certify every cell of the row
     a_grid, p_grid = np.linspace(0.005, 0.995, points), np.linspace(0.0, 1.0, points)
     scan = detect.scan_region(a_grid, p_grid, t_max=t_max)
     checked = 0
@@ -495,4 +522,20 @@ def test_scan_row_boundaries_are_exact(t_max, points):
                 if 0 <= j < len(a_grid):
                     assert exact_verdict(mode, a_grid[j], p_, t_max) is want, (mode, a_grid[j], p_)
                     checked += 1
-    assert checked >= 3 * points
+    assert checked >= min_checked
+
+
+def test_scan_within_ulps_of_a_switch_boundary_is_exact():
+    # three consecutive floats a at the switch's row boundary at p = 0.898...,
+    # t_max 0.75, where the float bracket of each cell on its own is not
+    # monotone in a: the scan's one sign per cell at the peak of the ratio
+    # gives the exact verdicts, one run from the smallest a
+    a_min, a_max, p_, t_max = 0.28828366874744277, 0.2882836687474429, 0.8983050847457628, 0.75
+    args = ["scan", "--a-min", repr(a_min), "--a-max", repr(a_max), "--a-points", "3"]
+    args += ["--p-min", repr(p_), "--p-max", repr(p_), "--p-points", "1", "--t-max", repr(t_max)]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    rows = [line.split(",") for line in result.output.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["true", "true", "false"]
+    for a_, row in zip(np.linspace(a_min, a_max, 3), rows):
+        for mode, verdict in zip(("path", "switch"), row[2:]):
+            assert exact_verdict(mode, a_, p_, t_max) is (verdict == "true"), (mode, a_)
