@@ -10,7 +10,7 @@ or a library consistency check).
 import json
 import random
 import sys
-from itertools import chain, starmap
+from itertools import chain, islice, repeat, starmap
 
 import click
 import numpy as np
@@ -72,34 +72,33 @@ def _emit(chunks, out) -> None:
         raise click.BadParameter(str(exc), param_hint="'--out'") from exc
 
 
+_HOLE = "\x00"  # a placeholder value: json writes it as "\u0000", which no payload holds
+_ITEM_START = "\n    "  # where json.dumps(..., indent=2) starts an item of a list member of the top-level object
+
+
 def _emit_json(payload, lists, out) -> None:
     """Write json.dumps({**payload, **lists}, indent=2, allow_nan=False) plus a
-    newline, a block at a time: the payload's members first, in one chunk,
-    then each list member of ``lists``, given as its items' ``_json_items``
-    text in blocks."""
+    newline.  json.dumps draws the document with one _HOLE item per list member;
+    ``lists`` gives each member's items' text in blocks, each a non-empty run
+    joined by ",\n    ", and every block but the first takes that separator."""
     try:  # strict JSON (RFC 8259) has no NaN or Infinity
-        head = json.dumps(payload, indent=2, allow_nan=False)[:-2]  # all but the closing "\n}"
+        text = json.dumps({**payload, **dict.fromkeys(lists, [_HOLE])}, indent=2, allow_nan=False)
     except ValueError as exc:
         raise click.UsageError(NON_FINITE_JSON) from exc
-    members = chain.from_iterable(starmap(_json_member, lists.items()))
-    _emit(chain([head], members, ["\n}\n"]), out)
+    head, *tails = text.split(json.dumps(_HOLE))
+    members = (
+        chain(islice(chain.from_iterable(zip(repeat("," + _ITEM_START), blocks)), 1, None), [tail])
+        for blocks, tail in zip(lists.values(), tails)
+    )
+    _emit(chain([head], chain.from_iterable(members), ["\n"]), out)
 
 
-def _json_member(key, blocks):
-    """A non-empty list member of the top-level object, from blocks of its
-    items' text."""
-    blocks = iter(blocks)
-    yield f",\n  {json.dumps(key)}: [\n    {next(blocks)}"
-    for block in blocks:
-        yield ",\n    " + block
-    yield "\n  ]"
-
-
-def _json_items(items) -> str:
-    """Items as json.dumps(..., indent=2) writes them in a list member of the
-    top-level object: at four spaces, joined by ",\n    ", without the first
-    item's indent."""
-    return json.dumps(items, indent=2, allow_nan=False)[4:-2].replace("\n", "\n  ")
+def _json_rows(item, blocks):
+    """Blocks of rows as list items' text: ``item`` is a JSON value holding a _HOLE for each value of a
+    row, in row order, filled with the row's values rounded to 15 digits (json writes a float's repr)."""
+    template = json.dumps(item, indent=2).replace("{", "{{").replace("}", "}}")
+    template = template.replace(json.dumps(_HOLE), "{!r}").replace("\n", _ITEM_START)
+    return (("," + _ITEM_START).join(template.format(*map(_round15, row)) for row in rows) for rows in blocks)
 
 
 def _runs(row):
@@ -116,7 +115,7 @@ def _write_series(fmt_name, out, payload, header, columns, comments=(), entry=No
     a block of rows at a time."""
     names = header.split(",")
     starts = range(0, len(columns[0]), ROW_BLOCK)
-    blocks = (list(zip(*(c[i : i + ROW_BLOCK].tolist() for c in columns))) for i in starts)
+    blocks = (zip(*(c[i : i + ROW_BLOCK].tolist() for c in columns)) for i in starts)
     if fmt_name == "csv":
         template = ",".join(["{:.15g}"] * len(names)) + "\n"
         head = "".join(f"{line}\n" for line in (*comments, header))
@@ -128,8 +127,7 @@ def _write_series(fmt_name, out, payload, header, columns, comments=(), entry=No
         if not all(np.isfinite(_round15(np.abs(c).max())) for c in columns):
             raise click.UsageError(NON_FINITE_JSON)
         entry = entry or (lambda values: dict(zip(names, values)))
-        series = ([entry([_round15(v) for v in row]) for row in rows] for rows in blocks)
-        _emit_json(payload, {"series": map(_json_items, series)}, out)
+        _emit_json(payload, {"series": _json_rows(entry([_HOLE] * len(names)), blocks)}, out)
 
 
 def _parse_input_state(text: str) -> np.ndarray:
@@ -373,8 +371,8 @@ def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
         _emit(_scan_csv(a_grid, p_grid, result), out)
     else:
         lists = dict(
-            a_grid=[_json_items([_round15(v) for v in a_grid.tolist()])],
-            p_grid=[_json_items([_round15(v) for v in p_grid.tolist()])],
+            a_grid=_json_rows(_HOLE, [zip(a_grid.tolist())]),
+            p_grid=_json_rows(_HOLE, [zip(p_grid.tolist())]),
             backflow_path=map(_json_verdicts, result.backflow_path),
             backflow_switch=map(_json_verdicts, result.backflow_switch),
         )

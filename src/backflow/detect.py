@@ -517,7 +517,7 @@ def asymptotic_threshold(config: ConfigLike) -> float:
     The path threshold dominates the switch threshold for every p in (0, 1].
     """
     mode, p, _ = _mode_and_p(config)
-    x0, z0 = (float(b[0]) for b in _peak(mode, np.array([p]), 0.0, 0.0))
+    x0, z0 = (_horner(c, p) for c in _BRACKET_TABLES[mode][0])
     # no late-time backflow where the ratio is not positive, -0 included
     return math.sqrt(max(0.0, z0 / (z0 - x0)))
 

@@ -4,6 +4,7 @@ import io
 import json
 import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -405,6 +406,76 @@ class TestValidate:
         assert "--t" in result.output
 
 
+_SERIES_COMMANDS = {
+    "evolve": ["evolve", "--p", "0.7", "--t-max", "5"],
+    "distance": ["distance", "--a", "0.4", "--p", "0.7", "--t-max", "5"],
+    "detect": ["detect", "--a", "0.4", "--p", "0.7"],
+}
+_SERIES_EXTRA = {
+    "evolve-switch-minus": ["evolve", "--mode", "switch", "--p", "0.7", "--outcome", "minus", "--t-max", "5", "--points", "21"],
+    "evolve-path-input": ["evolve", "--mode", "path", "--p", "0.3", "--input", "0.6,0.2,-0.1,0.4", "--t-max", "5", "--points", "21"],
+    "detect-switch-windows": ["detect", "--mode", "switch", "--a", "0.3", "--p", "0.7"],
+}
+
+
+def _series_case(case):
+    """The arguments of a pinned series case, and the ROW_BLOCK it runs with
+    (None: the module's own)."""
+    *name, fmt = case.split("-")
+    if "-".join(name) in _SERIES_EXTRA:
+        return [*_SERIES_EXTRA["-".join(name)], "--format", fmt], None
+    command, mode, points = name
+    row_block = 8 if command == "evolve" and points == "long" else None
+    count = {"short": "21", "long": "17" if row_block else "32769"}[points]
+    return [*_SERIES_COMMANDS[command], "--mode", mode, "--points", count, "--format", fmt], row_block
+
+
+_SERIES_DIGESTS = {
+    "evolve-bare-short-csv": (0, "35d21c2ffb1c4d829d8b668660a9baa2c6d4cba45bbcde0264de56f01935813a"),
+    "evolve-bare-short-json": (0, "6b778af5be600e5b193f0f6e621f7ac900d4c6bc8b6ded4bf92b4aee77e33027"),
+    "evolve-bare-long-csv": (0, "6e2409c5e1a633b2a0d3c5aa4775eb72410eb0cd34bfe06bd360681f0713811b"),
+    "evolve-bare-long-json": (0, "6cfc3f66d4cd8fea84003fa39df0bcf42d03eb46b3fcfd702030f3b7591b5b90"),
+    "evolve-path-short-csv": (0, "b3a2892072864f307926e562971ce216272ac8ff3fff31e564706a564c747784"),
+    "evolve-path-short-json": (0, "4e32f72a2b7edf0eed5037373c1eadccaf75596760b415a99022f8bee110a9ea"),
+    "evolve-path-long-csv": (0, "5e59c2e64da525587660e97fe109c475174b07eb3201891e8d8522bee6957141"),
+    "evolve-path-long-json": (0, "f416bc547b000abedec5ecfc37f0ae3f2f6540d37aff4f7a9241354259430de7"),
+    "evolve-switch-short-csv": (0, "70b414c3e0db37094ba3f8cc2e4868143a82716efd3b77db77e3da3fcebd743b"),
+    "evolve-switch-short-json": (0, "edbc1c6f9b026f4f6ca0038a98878f7fdb3b3150a9c4d5726ade75c2b6ea0b14"),
+    "evolve-switch-long-csv": (0, "e48591f02ba73a3f0b434b16602510b7e6f0fe2259e92ba05c4707f788ff68e4"),
+    "evolve-switch-long-json": (0, "37a066eff35910a9edf829349e9a8049a9903c3f54ef1b9c45e989090cdb3259"),
+    "distance-bare-short-csv": (0, "d1cd6471dc96da128c104566a5c76efa11a39671c800ae0db8f3166872d4af28"),
+    "distance-bare-short-json": (0, "1c9c8502c7281ef143e9bcb4f606d4032866c1e5870c3ec3e015324137d4ee8a"),
+    "distance-bare-long-csv": (0, "b0834ed399eeeb0f2d2d894146c831af4a5d93f8b0b26f2831035dfa79471bba"),
+    "distance-bare-long-json": (0, "9da6f2ea73154c96349efab6bb8b5cf27aba0385e8ba984efdfdabe1a8b22785"),
+    "distance-path-short-csv": (0, "66a2e888784dd915b53924da2c37c7b1e4e93b8282efaef67147f9c3a759dd0a"),
+    "distance-path-short-json": (0, "c753eed95197062fd29c83f25dea8e37a28dc4b610667ba65fa2a616eed61ecf"),
+    "distance-path-long-csv": (0, "da2374396a15e5b073db2783252ef35cf92e406ec711d81ffdbba626910f524b"),
+    "distance-path-long-json": (0, "3943aa9df099d2cfc764c0c2bd1199b50e914bfffc659b46e904c3be43a376a9"),
+    "distance-switch-short-csv": (0, "56a17e180cfda5855a26c134f6494e7cbbd21151d1b231465df40768a3ebada3"),
+    "distance-switch-short-json": (0, "ad4d881e1e1a2091e1d814f09bf14bff8e8d70b1cc5f71cdcfda4a323e777d8d"),
+    "distance-switch-long-csv": (0, "5fd144e9d17adf0e6f74071c7235aff30c532a1cf46c343f120f8d026e5d0945"),
+    "distance-switch-long-json": (0, "19aa82f1f8f4cc0aad53fbe2f8e146c1167bdf30a249b9dce616c0fff6e1d376"),
+    "detect-bare-short-csv": (0, "140b6a06797a226f928fea17e42aec559db9d13b3fa482c4186983487b057b67"),
+    "detect-bare-short-json": (0, "477ba11d2715077ab0c7639ff4d6cd4436fc82a369aba883bef4d600b2b3f975"),
+    "detect-bare-long-csv": (0, "13c44aba7ee1c45135ede256ca6999fd7a9407d51b20c793d91e55e5a76bd720"),
+    "detect-bare-long-json": (0, "cd552e770f6974ea2d0e56f6d91be85e68f0b6607ea472825b0d7a49b8257b02"),
+    "detect-path-short-csv": (1, "9fdabbefd357bcd7c4a7d00773b453533b86d5987107fb221996e5f12d8dda94"),
+    "detect-path-short-json": (1, "bb32fc59db438b89ab04f3ee5a269f2bd2e7d95ef3fdcac61d3cdb059ae66644"),
+    "detect-path-long-csv": (1, "e8d7c75b33ba4b9ee40e31cfd8af32976d30dc54e96b5ad6f91ae22f874f181f"),
+    "detect-path-long-json": (1, "8bf67f312354c63b92cb90b1df866cb95044d88efa95117ca03196020424c0bc"),
+    "detect-switch-short-csv": (1, "f62c53dd784b8b75834328aa9f2f6050a934690184a3ab70f1794676eb5ffa61"),
+    "detect-switch-short-json": (1, "04e258d6cd694a2541da9f51b09c0306131eb7150fed3351a6adf879878086b7"),
+    "detect-switch-long-csv": (1, "159232b15f4e995cdb11dd1407b3282f639079e1220f16956579c976a92b538a"),
+    "detect-switch-long-json": (1, "ca90923f7e93de904b87e3bcf2e269e45949abfd1665066574bedf71f757d8ad"),
+    "evolve-switch-minus-csv": (0, "21554eb0074c68018ccdc94df587a630673998538dec6c5cc2c7523b5a7a9183"),
+    "evolve-switch-minus-json": (0, "49286d6956d41e756bd23fb38381049a77bb56a87b5d66412b155e8da23e5423"),
+    "evolve-path-input-csv": (0, "5599365926e24a0236fa04df2904aaf62144bdedc5d72a56ec41adf1b1ca7315"),
+    "evolve-path-input-json": (0, "443e9d145c7cb5d71ee028b32cb70af2ebb487649e5d4cd3bf209e95c0a9364f"),
+    "detect-switch-windows-csv": (1, "03a2381119b94bd7e6bb1a91b5c97a0cb2d6df59ff1b9896f1dac0a5a8350ddb"),
+    "detect-switch-windows-json": (1, "032abffc3e84b032aac82ea955335020217075dea87e34b7ea106e25d9ba308f"),
+}
+
+
 class TestByteStability:
     def test_detect_deterministic(self, runner):
         args = ["detect", "--mode", "path", "--a", "0.65", "--points", "60"]
@@ -485,6 +556,22 @@ class TestByteStability:
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
         if "json" in args:
             strict_json(result.output)
+
+    # stdout sha256 recorded before the JSON writer drew its layouts from
+    # json.dumps: each series command in each mode, at 21 points and at
+    # 2 * 16384 + 1 points, which crosses two row blocks; evolve costs about
+    # 40 us a row, so it crosses its blocks with ROW_BLOCK set to 8
+    @pytest.mark.parametrize("case", sorted(_SERIES_DIGESTS))
+    def test_series_bytes_are_pinned(self, runner, monkeypatch, case):
+        args, row_block = _series_case(case)
+        if row_block:
+            monkeypatch.setattr(cli, "ROW_BLOCK", row_block)
+        result = runner.invoke(main, args)
+        assert result.stderr == ""
+        code, digest = _SERIES_DIGESTS[case]
+        assert (result.exit_code, hashlib.sha256(result.stdout.encode()).hexdigest()) == (code, digest)
+        if "json" in args:
+            strict_json(result.stdout)
 
     @pytest.mark.parametrize(
         "args",
@@ -579,6 +666,73 @@ class TestSeriesFormats:
 
     def test_scan_json_is_strict(self, runner):
         strict_json(invoke(runner, "scan", "--a-points", "20", "--p-points", "20", "--format", "json").stdout)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 400.0, 1e300, -1e300]),
+                    st.floats(1e15, 1e16, exclude_max=True),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                min_size=6,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        shaped=st.booleans(),
+        a=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_json_series_is_json_dumps(self, rows, shaped, a):
+        # the writer's output is json.dumps of the whole document, byte for
+        # byte, with rows on both sides of a block boundary (ROW_BLOCK 3);
+        # a value that rounds to inf at 15 digits is refused before any output
+        payload = {"command": "series", "a": a, "verdict": True, "intervals": [[0.5, 1.0]]}
+        header = "t,x,y,z,w,probability"
+        entry = (lambda r: {"t": r[0], "rho": [r[1:3], r[3:5]], "probability": r[5]}) if shaped else None
+        rounded = [[float(f"{v:.15g}") for v in row] for row in rows]
+        series = [entry(row) if shaped else dict(zip(header.split(","), row)) for row in rounded]
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
+            mp.setattr(cli, "ROW_BLOCK", 3)
+            try:
+                expected = json.dumps({**payload, "series": series}, indent=2, allow_nan=False) + "\n"
+            except ValueError:
+                with pytest.raises(click.UsageError, match="JSON output cannot carry a non-finite value"):
+                    cli._write_series("json", None, payload, header, np.array(rows).T, entry=entry)
+                expected = ""
+            else:
+                cli._write_series("json", None, payload, header, np.array(rows).T, entry=entry)
+        assert buf.getvalue() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a_ends=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2),
+        p_ends=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=2, max_size=2),
+        a_points=st.integers(1, 40),
+        p_points=st.integers(1, 8),
+        t_max=st.sampled_from(["0.75", "3", "12", "400"]),
+    )
+    def test_json_scan_is_json_dumps(self, a_ends, p_ends, a_points, p_points, t_max):
+        args = [
+            "scan", "--a-min", repr(a_ends[0]), "--a-max", repr(a_ends[1]), "--a-points", str(a_points),
+            "--p-min", repr(p_ends[0]), "--p-max", repr(p_ends[1]), "--p-points", str(p_points),
+            "--t-max", t_max, "--format", "json",
+        ]
+        result = CliRunner().invoke(main, args)
+        a_grid, p_grid = np.linspace(*a_ends, a_points), np.linspace(*p_ends, p_points)
+        scan = detect.scan_region(a_grid, p_grid, t_max=float(t_max))
+        document = {
+            "command": "scan",
+            "a_grid": [float(f"{v:.15g}") for v in a_grid.tolist()],
+            "p_grid": [float(f"{v:.15g}") for v in p_grid.tolist()],
+            "backflow_path": scan.backflow_path.tolist(),
+            "backflow_switch": scan.backflow_switch.tolist(),
+        }
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(document, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_series_spans_row_blocks(self, runner, extra):

@@ -578,6 +578,21 @@ class TestThresholds:
         assert asymptotic_threshold("bare") == 0.0
         assert empirical_threshold("bare") == 0.0
 
+    @pytest.mark.parametrize("mode", ["path", "switch"])
+    def test_reads_the_u0_row_as_the_peak_over_zero(self, mode):
+        # _peak over [0, 0] is the oracle: u = 0 leaves each bracket its u^0
+        # coefficient, so the row read alone must give the same bits at
+        # corner, subnormal, uniform and log-uniform p
+        rng = np.random.default_rng(31)
+        corners = [0.0, 1.0, 5e-324, 1e-300, 1e-200, 1e-160, 0.5, 0.7999999999999999]
+        p_grid = np.concatenate((corners, rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-320.0, 0.0, 500)))
+        b_x, b_z = detect._peak(mode, p_grid, 0.0, 0.0)
+        expected = [math.sqrt(max(0.0, z / (z - x))) for x, z in zip(b_x.tolist(), b_z.tolist())]
+        got = [asymptotic_threshold(_config(mode, p)) for p in p_grid.tolist()]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+        assert detect._peak("bare", np.array([0.0]), 0.0, 0.0)[1].tolist() == [0.0]
+        assert asymptotic_threshold("bare") == 0.0
+
     def test_path_dominates_switch(self):
         for p in np.linspace(0.05, 1.0, 20):
             assert asymptotic_threshold(path_config(p)) >= asymptotic_threshold(switch_config(p))
@@ -716,6 +731,54 @@ class TestScanRegion:
         report = detect_backflow(switch_config(0.1), 0.12, log_time_grid(DEFAULT_T_MIN, 400.0))
         ((start, end),) = report.backflow_intervals
         assert start == pytest.approx(1.187, abs=1e-3) and end == pytest.approx(1.929, abs=1e-3)
+
+
+def _a_star(mode, p, t_max):
+    """a*(p, t_max), below which [DEFAULT_T_MIN, t_max] shows backflow: the
+    root of r = B_z / (B_z - B_x) at the u where detect._peak finds it peaks,
+    or 0 where B_z > 0 nowhere in the window."""
+    b_x, b_z = (float(b[0]) for b in detect._peak(mode, np.array([p]), *detect._u_range(DEFAULT_T_MIN, t_max)))
+    return math.sqrt(b_z / (b_z - b_x)) if b_z > 0.0 else 0.0
+
+
+class TestWholeWindowThreshold:
+    """a*(p, t_max) read through detect._peak, pinned as measurements."""
+
+    @pytest.mark.parametrize("t_max", [0.75, 3.0, 12.0, 400.0])
+    @pytest.mark.parametrize("mode", ["path", "switch"])
+    def test_bounds_the_sampled_peak(self, mode, t_max):
+        # a* is at least the largest r on a 10^5-point t grid of step h, and
+        # above it by the grid's sampling error: missing the peak by up to h/2
+        # costs O(h^2) in r (measured: 0 for path, up to 2.8 h^2 for switch)
+        times, h = np.linspace(DEFAULT_T_MIN, t_max, 10**5, retstep=True)
+        u = np.exp(-2.0 * times)
+        for p in (1e-3, 0.1, 0.5, 1.0):
+            b_x, b_z = (detect._horner(detect._bracket_coeffs(mode, a, p), u) for a in (1.0, 0.0))
+            sampled = math.sqrt(np.divide(b_z, b_z - b_x, out=np.zeros_like(b_z), where=b_z > 0.0).max())
+            a_star = _a_star(mode, p, t_max)
+            assert a_star >= sampled, (p, a_star, sampled)
+            assert a_star - sampled <= 5.0 * h * h * a_star, (p, a_star, sampled)
+            if mode == "path":
+                assert a_star == sampled
+
+    @pytest.mark.parametrize("p, t_cross", [(1.0, 1.09), (0.5, 1.33), (0.1, 1.96), (0.01, 3.03), (1e-5, 6.45)])
+    def test_path_contains_switch_only_past_a_p_dependent_time(self, p, t_cross):
+        # the last t_max at which the switch's a* exceeds the path's grows
+        # by about ln(10) / 2 per decade of p
+        assert _a_star("path", p, t_cross - 0.05) < _a_star("switch", p, t_cross - 0.05)
+        assert _a_star("path", p, t_cross + 0.05) >= _a_star("switch", p, t_cross + 0.05)
+
+    def test_short_window_at_pure_control(self):
+        # the switch's z rise starts before the path's, at p = 1
+        assert _a_star("path", 1.0, 0.75) == 0.0
+        assert _a_star("switch", 1.0, 0.75) == pytest.approx(0.3200926632, abs=1e-10)
+
+    @pytest.mark.parametrize("p, whole, late", [(0.1, 0.1362, 0.0933), (1e-3, 0.0049, 0.0010)])
+    def test_switch_whole_window_exceeds_its_late_time_value(self, p, whole, late):
+        # the README's values: the switch's r peaks at mid times below p ~ 0.79
+        for t_max in (3.0, 12.0, 400.0):
+            assert round(_a_star("switch", p, t_max), 4) == whole
+        assert round(asymptotic_threshold(switch_config(p)), 4) == late
 
 
 def _cell_verdicts(mode, a_grid, p_grid, t_max):
