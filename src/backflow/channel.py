@@ -42,6 +42,11 @@ MAX_RK4_STEPS = 400_000
 RK4_BLOCK_STEPS = 1024
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A copy of the array over immutable bytes, so no caller can make it writeable again."""
+    return np.ndarray(array.shape, array.dtype, array.tobytes())
+
+
 def _decay(t):
     """u = e^{-2t} and v = 1 - u = -expm1(-2t), both in [0, 1], for t >= 0,
     scalar or array; v is exact at small t.  The one time check: a negative
@@ -148,8 +153,7 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
 
 # |0><1|, |1><0| and I: the lossy channel's operators before their weights;
 # read-only, since every phi_t_kraus call shares it
-_PHI_TEMPLATES = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], I2], dtype=complex)
-_PHI_TEMPLATES.flags.writeable = False
+_PHI_TEMPLATES = _read_only(np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], I2], dtype=complex))
 
 
 def phi_t_kraus(t: float) -> KrausChannel:

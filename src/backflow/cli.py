@@ -80,11 +80,10 @@ def _emit_json(payload, lists, out) -> None:
     """Write json.dumps({**payload, **lists}, indent=2, allow_nan=False) plus a
     newline.  json.dumps draws the document with one _HOLE item per list member;
     ``lists`` gives each member's items' text in blocks, each a non-empty run
-    joined by ",\n    ", and every block but the first takes that separator."""
-    try:  # strict JSON (RFC 8259) has no NaN or Infinity
-        text = json.dumps({**payload, **dict.fromkeys(lists, [_HOLE])}, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise click.UsageError(NON_FINITE_JSON) from exc
+    joined by ",\n    ", and every block but the first takes that separator.
+    Every payload value is checked finite first: strict JSON (RFC 8259) has
+    no NaN or Infinity, so one that is not raises ValueError (exit 2)."""
+    text = json.dumps({**payload, **dict.fromkeys(lists, [_HOLE])}, indent=2, allow_nan=False)
     head, *tails = text.split(json.dumps(_HOLE))
     members = (
         chain(islice(chain.from_iterable(zip(repeat("," + _ITEM_START), blocks)), 1, None), [tail])
@@ -167,38 +166,30 @@ def _config_for(mode: str, p: float, outcome: str = "plus"):
     return mode
 
 
-def _finite_nonnegative(ctx, param, value):
-    """Option callback: NaN, infinite or negative values are usage errors."""
-    for v in value if isinstance(value, tuple) else (value,):
-        if not (np.isfinite(v) and v >= 0):
-            raise click.BadParameter(f"must be finite and >= 0, got {v}")
-    return value
+def _refuse(*rules):
+    """An option callback from (bad, message) rules, checked in order, each
+    over every value of the option (one, or several for a repeated option):
+    the first value ``bad`` holds for is a usage error, ``message`` formatted
+    with it."""
+    def callback(ctx, param, value):
+        for bad, message in rules:
+            for v in value if isinstance(value, tuple) else (value,):
+                if bad(v):
+                    raise click.BadParameter(message.format(v))
+        return value
+    return callback
 
 
-def _ode_times(ctx, param, value):
-    """Option callback: ODE oracle times must also lie at or below
-    DECAYED_TIME, past which the Kraus channel no longer changes."""
-    for v in _finite_nonnegative(ctx, param, value):
-        if not v <= DECAYED_TIME:
-            raise click.BadParameter(
-                f"must be at most {DECAYED_TIME:g}, past which the channel no longer changes, got {v}"
-            )
-    return value
-
-
-def _unit_interval(ctx, param, value):
-    """Option callback: values outside [0, 1], NaN included, are usage errors,
-    in every mode, including bare, which does not use them."""
-    if not 0.0 <= value <= 1.0:
-        raise click.BadParameter(f"must lie in [0, 1], got {value}")
-    return value
-
-
-def _points(ctx, param, value):
-    """Option callback: more than MAX_POINTS is a usage error, before any grid is built."""
-    if value > MAX_POINTS:
-        raise click.BadParameter(f"must be at most 10^6, got {value}")
-    return value
+_NOT_FINITE_NONNEGATIVE = (lambda v: not (np.isfinite(v) and v >= 0), "must be finite and >= 0, got {}")
+# ODE oracle times past DECAYED_TIME, where the Kraus channel no longer changes
+_ode_times = _refuse(
+    _NOT_FINITE_NONNEGATIVE,
+    (lambda v: not v <= DECAYED_TIME, f"must be at most {DECAYED_TIME:g}, past which the channel no longer changes, got {{}}"),
+)
+# NaN included, in every mode, including bare, which does not use p
+_unit_interval = _refuse((lambda v: not 0.0 <= v <= 1.0, "must lie in [0, 1], got {}"))
+# more than MAX_POINTS, refused before any grid is built
+_points = _refuse((lambda v: v > MAX_POINTS, "must be at most 10^6, got {}"))
 
 
 def _time_axis(t, t_min, t_max, points) -> np.ndarray:
@@ -294,7 +285,7 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
 @click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True, callback=_points)
-@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative, help="Marginal when the peak derivative is within 10*eps of zero.")
+@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_refuse(_NOT_FINITE_NONNEGATIVE), help="Marginal when the peak derivative is within 10*eps of zero.")
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.pass_context

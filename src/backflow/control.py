@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .channel import KrausChannel, _decay, apply, phi_t_kraus
+from .channel import KrausChannel, _decay, _read_only, apply, phi_t_kraus
 from .qmat import (
     KET_MINUS,
     KET_PLUS,
@@ -159,9 +159,7 @@ def build_supermap(config: ControlConfig, t: float) -> KrausChannel:
 
 @lru_cache(maxsize=1)
 def _joint_kraus(config: ControlConfig, t: float) -> KrausChannel:
-    channel = SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
-    channel.ops.flags.writeable = False
-    return channel
+    return KrausChannel(_read_only(SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes).ops))
 
 
 def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):

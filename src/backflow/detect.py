@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .channel import _decay
+from .channel import _decay, _read_only
 from .control import BLOCH_ROWS, SUPERMAPS, ConfigLike, _mode_and_p
 from .qmat import KET_0, pure_state
 
@@ -68,9 +68,7 @@ def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     _check_time_range(t_min, t_max)
     if points < 2:
         raise ValueError("need at least two grid points")
-    grid = np.exp(np.linspace(np.log(t_min), np.log(t_max), points))
-    grid.flags.writeable = False
-    return grid
+    return _read_only(np.exp(np.linspace(np.log(t_min), np.log(t_max), points)))
 
 
 def _check_time_range(t_min: float, t_max: float) -> None:
@@ -309,22 +307,6 @@ def _cubic_candidates(d3, d2, d1, d0):
         )
 
 
-def _breakpoints(coeffs, u_lo, u_hi):
-    """(point, inside) pairs: both ends of [u_lo, u_hi], and every candidate
-    critical point of the bracket flagged with whether it lies strictly
-    inside.  The bracket is monotone between consecutive inside points, so
-    it is positive somewhere in the range iff it is positive at one of them.
-    A linear bracket has no critical point; up to a quartic, they are the
-    roots of its derivative, padded to a cubic.  The coefficients are numpy
-    arrays or numpy scalars, so a zero leading one divides to inf or NaN."""
-    pairs = [(u_lo, True), (u_hi, True)]
-    if len(coeffs) > 2:
-        slopes = [k * c for k, c in enumerate(coeffs)][:0:-1]
-        padding = [0.0 * slopes[0]] * (4 - len(slopes))
-        pairs += [(r, (r > u_lo) & (r < u_hi)) for r in _cubic_candidates(*padding, *slopes)]
-    return pairs
-
-
 def _root(coeffs, lo, hi, f_lo, f_hi):
     """The bracket's root in [lo, hi], where it is monotone and changes sign:
     Newton steps from the secant guess, bisecting whenever a step would leave
@@ -353,8 +335,15 @@ def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:
     order, with exact roots as inner endpoints: one root per monotone piece
     whose ends differ in sign."""
     u_lo, u_hi = _u_range(t_lo, t_hi)
-    candidates = _breakpoints(np.array(coeffs, dtype=float), u_lo, u_hi)
-    points = sorted(float(u) for u, inside in candidates if inside)
+    points = [u_lo, u_hi]
+    # the bracket is monotone between its critical points; a linear one has
+    # none, and up to a quartic they are the roots of its derivative, padded
+    # to a cubic; as numpy scalars, a zero leading slope divides to inf or NaN
+    if len(coeffs) > 2:
+        slopes = [k * c for k, c in enumerate(np.array(coeffs, dtype=float))][:0:-1]
+        candidates = _cubic_candidates(*[0.0 * slopes[0]] * (4 - len(slopes)), *slopes)
+        points += [float(u) for u in candidates if u_lo < u < u_hi]
+    points.sort()
     values = [_horner(coeffs, u) for u in points]
     # edges in descending time, since u = e^{-2t} runs backwards
     edges = [t_hi] if values[0] > 0.0 else []
@@ -424,10 +413,7 @@ def _kept_grid_work(key: bytes):
     allowance = LIPSCHITZ_BOUND * np.minimum(steps, 1.0) + 1e-12
     u, v = _decay(times)
     step = (2j * COMPLEX_STEP) * u
-    work = allowance, u - step, v + step
-    for array in work:
-        array.flags.writeable = False
-    return (times, *work)
+    return (times, *map(_read_only, (allowance, u - step, v + step)))
 
 
 def detect_backflow(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import backflow.channel as channel
 import backflow.control as control
 import backflow.detect as detect
 from backflow.control import (
@@ -180,6 +181,23 @@ class TestReuse:
         other_p = build_supermap(path_config(0.25), 2.0)
         assert other_p is not later and np.array_equal(other_p.ops, later.ops)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "shared",
+        [
+            lambda: [log_time_grid()],
+            lambda: [build_supermap(switch_config(0.5), 1.0).ops],
+            lambda: list(detect._grid_work(log_time_grid())),
+            lambda: [channel._PHI_TEMPLATES],
+        ],
+        ids=["log_time_grid", "supermap_ops", "grid_work", "phi_templates"],
+    )
+    def test_shared_arrays_cannot_be_made_writeable(self, shared):
+        for array in shared():
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+        # so a caller cannot stretch the default grid of a later report
+        assert detect_backflow("bare", 0.5).times[-1] == 12.0
 
     def test_log_time_grid_is_read_only_and_takes_0d_bounds(self):
         grid = log_time_grid(1e-2, 12.0, 50)

@@ -337,6 +337,10 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="dt"):
             integrate_canonical(gen, rho, 1.0, dt=0.0)
 
+    def test_rejects_a_non_qubit_state(self):
+        with pytest.raises(ValueError, match="integrate_canonical expects qubit states"):
+            integrate_canonical(eternal_nm_generator(), np.eye(4) / 4, 1.0)
+
     def test_batched_states(self, rng):
         gen = eternal_nm_generator()
         stack = np.stack([random_density(rng) for _ in range(4)])

@@ -906,6 +906,43 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"{option} must be finite" in result.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["evolve", "--mode", "bare", "--input", "1,0,x,0", "--t", "1"], "--input must be four comma-separated reals: could not convert string to float: 'x'"),
+            (["evolve", "--mode", "bare", "--input", "1,0,0", "--t", "1"], "--input must have exactly four entries: rho11,re12,im12,rho22"),
+            (["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "0"], "--points must be positive"),
+            (["scan", "--a-points", "0"], "grid sizes must be positive"),
+        ],
+        ids=["input-not-numeric", "input-three-entries", "points-zero", "scan-a-points-zero"],
+    )
+    def test_malformed_input_and_empty_grids_are_usage_errors(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(f"\nError: {message}\n")
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (lambda d: d + np.nan, "distance or derivative series is not finite"),
+            (lambda d: d + 1.0, "distance series escaped [0, 1]"),
+            # the distance halves at the middle of the grid
+            (lambda d: d * np.where(np.arange(d.size) < d.size // 2, 1.0, 0.5), "distance series is not continuous at the grid resolution"),
+        ],
+        ids=["not-finite", "outside-unit-interval", "jump"],
+    )
+    def test_failed_series_check_exits_4(self, runner, monkeypatch, perturb, message):
+        original = detect._distance
+        monkeypatch.setattr(detect, "_distance", lambda a, terms: perturb(original(a, terms)))
+        with pytest.raises(RuntimeError) as info:
+            detect.detect_backflow("bare", 0.5)
+        assert str(info.value) == message
+        result = runner.invoke(main, ["detect", "--mode", "bare", "--a", "0.5"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
     def test_failed_derivative_check_exits_4(self, runner, monkeypatch):
         # a prefactor off by 0.1% fails detect_backflow's complex-step check
         original = detect._prefactor

@@ -186,6 +186,12 @@ class TestPathKraus:
         short = AmplitudeVectors(alpha=(1.0,), beta=(1.0,))
         with pytest.raises(ValueError, match="length"):
             path_kraus(phi, phi, short)
+        # beta matches the first channel's three operators, alpha not the second's one
+        first_only = AmplitudeVectors(alpha=(1.0, 0.0, 0.0), beta=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="alpha length 3 must match second channel's 1 operators"):
+            path_kraus(phi, KrausChannel((I2,)), first_only)
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 4"):
+            path_kraus(phi, KrausChannel((np.eye(4),)), first_only)
 
 
 class TestControlledOutput:

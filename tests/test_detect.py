@@ -668,6 +668,9 @@ class TestScanRegion:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             scan_region(np.array([0.0, 0.5]), np.array([0.5]))
+        verdicts = np.zeros((3, 2), dtype=bool)
+        with pytest.raises(ValueError, match=r"verdict matrices must have shape \(len\(p_grid\), len\(a_grid\)\)"):
+            detect.RegionScan(np.zeros(2), np.zeros(3), verdicts, verdicts.T)
         with pytest.raises(ValueError):
             scan_region(np.array([0.5]), np.array([1.5]))
         for t_max in (DEFAULT_T_MIN, np.inf, np.nan):
@@ -781,6 +784,17 @@ class TestWholeWindowThreshold:
         assert round(asymptotic_threshold(switch_config(p)), 4) == late
 
 
+def _breakpoints(coeffs, u_lo, u_hi):
+    """(point, inside) pairs: both ends of [u_lo, u_hi], and each candidate
+    critical point of the bracket (a root of its derivative, padded to a
+    cubic) flagged with whether it lies strictly inside.  The coefficients
+    are numpy arrays or numpy scalars, so a zero leading one divides to inf
+    or NaN."""
+    slopes = [k * c for k, c in enumerate(coeffs)][:0:-1]
+    candidates = detect._cubic_candidates(*[0.0 * slopes[0]] * (4 - len(slopes)), *slopes)
+    return [(u_lo, True), (u_hi, True), *((u, (u > u_lo) & (u < u_hi)) for u in candidates)]
+
+
 def _cell_verdicts(mode, a_grid, p_grid, t_max):
     """Per-cell oracle of ``scan_region``: every cell of the grid decided on
     its own, from the bracket at both ends of [DEFAULT_T_MIN, t_max] and at
@@ -792,7 +806,7 @@ def _cell_verdicts(mode, a_grid, p_grid, t_max):
     # p = 1.0496596229523014e-102, say); it is not inside, so it decides nothing
     with np.errstate(over="ignore"):
         verdicts = np.logical_or.reduce(
-            [inside & (detect._horner(coeffs, u) > 0.0) for u, inside in detect._breakpoints(coeffs, u_lo, u_hi)]
+            [inside & (detect._horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
         )
     return np.broadcast_to(verdicts, (p.size, a.size))
 
@@ -967,7 +981,7 @@ class TestExactWindows:
             coeffs = detect._bracket_coeffs("switch", a, p)
             crit = np.roots(np.polyder(np.array(coeffs[::-1])))
             crit = crit[np.abs(crit.imag) <= 1e-9].real
-            found = np.array([float(u) for u, inside in detect._breakpoints(np.float64(coeffs), u_lo, u_hi) if inside])
+            found = np.array([float(u) for u, inside in _breakpoints(np.float64(coeffs), u_lo, u_hi) if inside])
             assert np.all(np.isfinite(found))
             poly = np.array(coeffs[::-1])
             for r in crit[(crit > u_lo) & (crit < u_hi)]:

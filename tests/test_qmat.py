@@ -216,6 +216,12 @@ class TestProjectControl:
         with pytest.raises(PostSelectionImpossibleError):
             project_control(np.full((4, 4), np.nan), KET_PLUS)
 
+    def test_rejects_wrong_shapes(self):
+        with pytest.raises(ValueError, match="project_control expects a 4x4 joint operator"):
+            project_control(np.eye(2) / 2, KET_PLUS)
+        with pytest.raises(ValueError, match="control_vec must be a 2-vector"):
+            project_control(np.eye(4) / 4, np.array([1.0, 0.0, 0.0]))
+
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(ValueError, match="normalized"):
             project_control(np.eye(4) / 4, np.array([1.0, 1.0]))

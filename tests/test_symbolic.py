@@ -539,3 +539,11 @@ def test_scan_within_ulps_of_a_switch_boundary_is_exact():
     for a_, row in zip(np.linspace(a_min, a_max, 3), rows):
         for mode, verdict in zip(("path", "switch"), row[2:]):
             assert exact_verdict(mode, a_, p_, t_max) is (verdict == "true"), (mode, a_)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="B_z at the peak and a^2 both underflow to 0.0")
+def test_scan_is_exact_where_b_z_and_a_squared_underflow():
+    # a* is about 2.8e-226 at p = 1e-300, so a = 1e-250 has backflow; the
+    # scan's one sign at the peak reads 0.0 > 0.0 (the README's tiny-p limit)
+    verdict = bool(detect.scan_region([1e-250], [1e-300], t_max=200.0).backflow_switch[0, 0])
+    assert verdict is exact_verdict("switch", 1e-250, 1e-300, 200.0)
