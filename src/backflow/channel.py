@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmat import I2, check_density_operator, dagger
+from .qmat import I2, _unstack, check_density_operator, dagger
 
 COMPLETENESS_TOL = 1e-12
 CHOI_PSD_TOL = 1e-10
@@ -54,7 +54,7 @@ def _decay(t):
     and keeps -2t finite.  The Bloch rows are polynomials in (u, v), so a
     complex step enters through u (1 - 2ih) and v + 2ihu, not complex t."""
     valid = np.asarray(t) >= 0.0
-    if not valid.all():
+    if not (valid if valid.ndim == 0 else valid.all()):  # a numpy bool tests faster as itself
         # the first refused time, and how many there are among several
         bad = ~valid
         count = f" ({bad.sum()} of {bad.size} times)" if bad.size > 1 else ""
@@ -65,7 +65,7 @@ def _decay(t):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Kraus operators stacked in one complex (k, d, d) array, k >= 1.
+    """Kraus operators stacked in one complex (k, d, d) array, k >= 1, or a stack of sets (..., k, d, d).
 
     Any sequence of k equal-dimension square matrices is accepted and stacked
     on construction; ``ops[i]`` is the i-th operator.
@@ -78,77 +78,80 @@ class KrausChannel:
             ops = np.asarray(self.ops, dtype=complex)
         except ValueError:
             raise ValueError("Kraus operators must be square and equal-dimension") from None
-        if ops.shape[:1] == (0,):
+        if ops.shape[-3:][:1] == (0,):
             raise ValueError("KrausChannel needs at least one operator")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
             raise ValueError("Kraus operators must be square and equal-dimension")
         object.__setattr__(self, "ops", ops)
 
     @property
     def dim(self) -> int:
-        return self.ops.shape[1]
+        return self.ops.shape[-1]
 
 
 @dataclass(frozen=True)
 class CptpReport:
-    """Completeness and complete-positivity diagnostics for a Kraus set."""
+    """Completeness and complete-positivity diagnostics for a Kraus set, or per set of a stack."""
 
     completeness_residual: float
     choi_min_eigenvalue: float
 
     @property
-    def passed(self) -> bool:
-        return (
-            self.completeness_residual <= COMPLETENESS_TOL
-            and self.choi_min_eigenvalue >= -CHOI_PSD_TOL
-        )
+    def passed(self):
+        return (self.completeness_residual <= COMPLETENESS_TOL) & (self.choi_min_eigenvalue >= -CHOI_PSD_TOL)
 
 
-def completeness_residual(channel: KrausChannel) -> float:
-    """Max-entry deviation of sum_i K_i^dag K_i from the identity.
+def _columns(ops: np.ndarray) -> np.ndarray:
+    """Each Kraus set as one (k*d, d) column block."""
+    return ops.reshape(ops.shape[:-3] + (ops.shape[-3] * ops.shape[-1], ops.shape[-1]))
 
-    The operators stacked as one (k*d, d) column block W give the sum as the
-    single product W^dag W, from which a fresh identity is subtracted.
-    """
-    w = channel.ops.reshape(-1, channel.dim)
-    return float(np.abs(w.conj().T @ w - np.eye(channel.dim)).max())
+
+def completeness_residual(channel: KrausChannel):
+    """Max-entry deviation of sum_i K_i^dag K_i from the identity, per Kraus
+    set: the column block W gives the sum as the single product W^dag W, whose
+    diagonal (each (d + 1)-th entry, read flat) takes 1 off in place."""
+    w = _columns(channel.ops)
+    gram = w.conj().swapaxes(-1, -2) @ w
+    gram.reshape(gram.shape[:-2] + (w.shape[-1] ** 2,))[..., :: w.shape[-1] + 1] -= 1.0
+    return _unstack(np.abs(gram).max(axis=(-2, -1)))
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_i |K_i>><<K_i| with row-major vectorization.
+    """Choi matrix sum_i |K_i>><<K_i| with row-major vectorization, per Kraus set.
 
     Built from the unnormalized maximally entangled pairing, so the trace
     equals the channel dimension for a trace-preserving channel.
     """
-    w = channel.ops.reshape(len(channel.ops), -1)
-    return w.T @ w.conj()
+    w = channel.ops.reshape(channel.ops.shape[:-2] + (channel.dim**2,))
+    return w.swapaxes(-1, -2) @ w.conj()
 
 
 def validate_cptp(channel: KrausChannel) -> CptpReport:
-    """Report completeness residual and Choi minimum eigenvalue; a Kraus set
-    with a non-finite entry fails with both fields NaN."""
-    if not np.isfinite(channel.ops).all():
-        return CptpReport(np.nan, np.nan)
-    res = completeness_residual(channel)
-    lam_min = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
-    return CptpReport(res, lam_min)
+    """Report completeness residual and Choi minimum eigenvalue, per Kraus set;
+    a set with a non-finite entry fails with both fields NaN."""
+    finite = np.isfinite(channel.ops).all(axis=(-3, -2, -1))
+    # a non-finite set is zeroed first: LAPACK refuses a non-finite Choi matrix
+    safe = channel if finite.all() else KrausChannel(np.where(finite[..., None, None, None], channel.ops, 0.0))
+    lam_min = np.linalg.eigvalsh(choi_matrix(safe)).min(axis=-1)
+    return CptpReport(*(_unstack(np.where(finite, x, np.nan)) for x in (completeness_residual(safe), lam_min)))
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_i K_i rho K_i^dag.
-
-    Refuses channels whose Kraus set fails the completeness condition, so a
-    valid density operator always maps to a valid density operator.
-    """
+    """Channel action sum_i K_i rho K_i^dag, stacks of sets and states
+    broadcast.  Refuses channels whose Kraus sets fail the completeness
+    condition, so a valid density operator always maps to a valid one."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError(f"state dimension {rho.shape} does not match channel dim {channel.dim}")
+    d = channel.dim
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"state dimension {rho.shape} does not match channel dim {d}")
     res = completeness_residual(channel)
-    if not res <= COMPLETENESS_TOL:
-        raise ValueError(f"channel is not trace preserving (residual {res:.3e})")
+    worst = res if isinstance(res, float) else res.max(initial=0.0)
+    if not worst <= COMPLETENESS_TOL:
+        raise ValueError(f"channel is not trace preserving (residual {worst:.3e})")
     # [K_1 rho ... K_k rho] times the K_i^dag stacked as one (k*d, d) column
     ops = channel.ops
-    return (ops @ rho).swapaxes(0, 1).reshape(channel.dim, -1) @ dagger(ops).reshape(-1, channel.dim)
+    left = (ops @ rho[..., None, :, :]).swapaxes(-3, -2)
+    return left.reshape(left.shape[:-3] + (d, ops.shape[-3] * d)) @ _columns(dagger(ops))
 
 
 # |0><1|, |1><0| and I: the lossy channel's operators before their weights;
@@ -156,13 +159,14 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
 _PHI_TEMPLATES = _read_only(np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], I2], dtype=complex))
 
 
-def phi_t_kraus(t: float) -> KrausChannel:
+def phi_t_kraus(t) -> KrausChannel:
     """The lossy channel at time t >= 0 as three Kraus operators: |0><1| and
-    |1><0| weighted sqrt((1 - u) / 2), I weighted sqrt((1 + u) / 2), u = e^{-2t}."""
+    |1><0| weighted sqrt((1 - u) / 2), I weighted sqrt((1 + u) / 2), u = e^{-2t};
+    a 1-d array of times gives their stack."""
     u, _ = _decay(t)
     k_flip = np.sqrt((1.0 - u) / 2.0)
-    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)])
-    return KrausChannel(weights[:, None, None] * _PHI_TEMPLATES)
+    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)]).T
+    return KrausChannel(weights[..., None, None] * _PHI_TEMPLATES)
 
 
 def eternal_nm_generator() -> Callable:

@@ -103,58 +103,55 @@ ConfigLike = Union[str, ControlConfig]
 
 
 def _on_control_diagonal(block0: np.ndarray, block1: np.ndarray) -> np.ndarray:
-    """Stack of block0 (x) |0><0| + block1 (x) |1><1| over two (..., d, d) stacks.
+    """Stack of block0 (x) |0><0| + block1 (x) |1><1| over two (..., k, l, d, d)
+    stacks, pair (i, j) as operator i * l + j.
 
     The blocks fill a (..., d, 2, d, 2) array, so the flattened joint index is
     system-major, the order ``kron`` and ``project_control`` use.
     """
-    d = block0.shape[-1]
+    *lead, k, l, d, _ = block0.shape
     joint = np.zeros(block0.shape[:-2] + (d, 2, d, 2), dtype=complex)
     joint[..., 0, :, 0] = block0
     joint[..., 1, :, 1] = block1
-    return joint.reshape(-1, 2 * d, 2 * d)
+    return joint.reshape(*lead, k * l, 2 * d, 2 * d)
 
 
 def switch_kraus(e: KrausChannel, f: KrausChannel) -> KrausChannel:
     """Order-superposition supermap S_ij = E_i F_j (x) |0><0| + F_j E_i (x) |1><1|.
 
-    Operator i * len(f.ops) + j of the result is S_ij.
+    Operator i * len(F) + j of the result is S_ij, per pair of stacked sets.
     """
     if e.dim != f.dim:
         raise ValueError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    ei, fj = e.ops[:, None], f.ops[None, :]
-    ops = _on_control_diagonal(ei @ fj, fj @ ei)
-    return KrausChannel(ops)
+    ei, fj = e.ops[..., None, :, :], f.ops[..., None, :, :, :]
+    return KrausChannel(_on_control_diagonal(ei @ fj, fj @ ei))
 
 
 def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> KrausChannel:
     """Channel-choice supermap N_ij = alpha_j E_i (x) |0><0| + beta_i F_j (x) |1><1|.
 
-    Operator i * len(f.ops) + j of the result is N_ij.
+    Operator i * len(F) + j of the result is N_ij, per pair of stacked sets.
     """
     if e.dim != f.dim:
         raise ValueError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    if len(amps.beta) != len(e.ops):
-        raise ValueError(
-            f"beta length {len(amps.beta)} must match first channel's {len(e.ops)} operators"
-        )
-    if len(amps.alpha) != len(f.ops):
-        raise ValueError(
-            f"alpha length {len(amps.alpha)} must match second channel's {len(f.ops)} operators"
-        )
+    k, l = e.ops.shape[-3], f.ops.shape[-3]
+    if len(amps.beta) != k:
+        raise ValueError(f"beta length {len(amps.beta)} must match first channel's {k} operators")
+    if len(amps.alpha) != l:
+        raise ValueError(f"alpha length {len(amps.alpha)} must match second channel's {l} operators")
     alpha = np.array(amps.alpha)[None, :, None, None]
     beta = np.array(amps.beta)[:, None, None, None]
-    ops = _on_control_diagonal(alpha * e.ops[:, None], beta * f.ops[None, :])
-    return KrausChannel(ops)
+    return KrausChannel(_on_control_diagonal(alpha * e.ops[..., None, :, :], beta * f.ops[..., None, :, :, :]))
 
 
-def build_supermap(config: ControlConfig, t: float) -> KrausChannel:
-    """Joint Kraus set for two copies of the lossy channel at time t.
-
-    The last result is kept and returned again for an equal config and t,
-    so the probes of one query share one build; its operators are read-only.
-    """
-    return _joint_kraus(config, float(t))
+def build_supermap(config: ControlConfig, t) -> KrausChannel:
+    """Joint Kraus set for two copies of the lossy channel at time t, or their
+    stack over a 1-d array of times.  The last result for a scalar t is kept
+    and returned again for an equal config and t, so the probes of one query
+    share one build; its operators are read-only."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return _joint_kraus(config, float(t))
+    return SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
 
 
 @lru_cache(maxsize=1)
@@ -162,20 +159,23 @@ def _joint_kraus(config: ControlConfig, t: float) -> KrausChannel:
     return KrausChannel(_read_only(SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes).ops))
 
 
-def controlled_output(config: ControlConfig, rho0: np.ndarray, t: float):
-    """Post-selected output state and outcome probability at time t.
+def controlled_output(config: ControlConfig, rho0: np.ndarray, t):
+    """Post-selected output state and outcome probability at time t, or their
+    stacks over a 1-d array of times and a broadcasting stack of states.
 
     Applies the configured supermap to rho0 (x) omega, projects the control
     on the configured outcome and renormalizes.  Propagates
-    PostSelectionImpossibleError when the outcome probability vanishes.
+    PostSelectionImpossibleError when an outcome probability vanishes.
     """
-    check_density_operator(rho0)
+    rho0 = np.asarray(rho0, dtype=complex)
+    for state in rho0.reshape((-1,) + rho0.shape[-2:]) if rho0.ndim > 2 else (rho0,):
+        check_density_operator(state)
     joint_channel = build_supermap(config, t)
     half_p = config.p / 2
-    joint_state = kron(rho0, np.array([[0.5, half_p], [half_p, 0.5]], dtype=complex))
+    joint_state = kron(rho0, ((0.5, half_p), (half_p, 0.5)))
     evolved = apply(joint_channel, joint_state)
-    block, prob = project_control(evolved, OUTCOMES[config.postselect_outcome])
-    return block / prob, prob
+    block, prob = project_control(evolved, OUTCOMES[config.postselect_outcome], t)
+    return block / (prob if isinstance(prob, float) else prob[..., None, None]), prob
 
 
 def _switch_row(p, u, v):
@@ -217,11 +217,11 @@ def _mode_and_p(config: ConfigLike) -> Tuple[str, float, str]:
     return config.mode, config.p, f"{config.mode}(p={config.p:g})"
 
 
-def closed_form_output(config: ConfigLike, rho0: np.ndarray, t: float) -> np.ndarray:
+def closed_form_output(config: ConfigLike, rho0: np.ndarray, t) -> np.ndarray:
     """Output state at time t >= 0 of a configuration ('bare' or
     ControlConfig) from its Bloch row; equals ``controlled_output`` for a
-    supermap and the Kraus channel for 'bare'.  The row's entry map takes
-    any 2x2 input sigma, with l+- = (l_x +- l_y) / 2:
+    supermap and the Kraus channel for 'bare', over stacks too.  The row's
+    entry map takes any 2x2 input sigma, with l+- = (l_x +- l_y) / 2:
 
         [ tr/2 + l_z (s11 - s22)/2    l+ s12 + l- s21 ]
         [ l+ s21 + l- s12             tr/2 - l_z (s11 - s22)/2 ]
@@ -229,16 +229,17 @@ def closed_form_output(config: ConfigLike, rho0: np.ndarray, t: float) -> np.nda
     mode, p, _ = _mode_and_p(config)
     u, v = _decay(t)
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
+    if rho0.shape[-2:] != (2, 2):
         raise ValueError("closed-form outputs expect a qubit state")
-    s11, s12, s21, s22 = rho0[0, 0], rho0[0, 1], rho0[1, 0], rho0[1, 1]
+    # [()] makes one state's entries numpy scalars, whose arithmetic is fast
+    s11, s12, s21, s22 = rho0[..., 0, 0][()], rho0[..., 0, 1][()], rho0[..., 1, 0][()], rho0[..., 1, 1][()]
     delta, n_x, n_y, n_z = BLOCH_ROWS[mode](p, u, v)
     half_trace, half_z = 0.5 * (s11 + s22), 0.5 * n_z / delta * (s11 - s22)
     plus, minus = 0.5 * (n_x + n_y) / delta, 0.5 * (n_x - n_y) / delta
-    return np.array(
-        [[half_trace + half_z, plus * s12 + minus * s21], [plus * s21 + minus * s12, half_trace - half_z]],
-        dtype=complex,
-    )
+    out = np.empty(np.shape(half_z) + (2, 2), dtype=complex)  # half_z reads state and row: the stack's shape
+    out[..., 0, 0], out[..., 0, 1] = half_trace + half_z, plus * s12 + minus * s21
+    out[..., 1, 0], out[..., 1, 1] = plus * s21 + minus * s12, half_trace - half_z
+    return out
 
 
 class _Supermap(NamedTuple):

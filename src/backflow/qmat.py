@@ -33,6 +33,11 @@ class PostSelectionImpossibleError(ValueError):
     """Raised when a post-selection outcome has (numerically) zero probability."""
 
 
+def _unstack(x):
+    """A numpy result with no stack axes as a Python float, else the array."""
+    return x if x.ndim else float(x)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, batch-friendly over leading axes."""
     return m.swapaxes(-1, -2).conj()
@@ -52,21 +57,21 @@ def pure_state(amplitudes) -> np.ndarray:
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a complex vector."""
-    return np.sqrt(np.vdot(v, v).real)
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor major (system (x) control).
+    """Kronecker product with the first factor major (system (x) control), per pair of stacked matrices.
 
     One broadcast outer product: each entry is the single product a[i, j] *
     b[k, l], as in ``np.kron``, without its general-rank machinery.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]:
         raise ValueError("kron expects two square matrices")
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+    product = a[..., None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
 
 
 # A 2x2 matrix [[a, b], [c, d]] is read as Python complex numbers: for a
@@ -136,19 +141,20 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return 0.5 * (abs(low) + abs(high))
 
 
-def project_control(joint: np.ndarray, control_vec: np.ndarray):
+def project_control(joint: np.ndarray, control_vec: np.ndarray, times=None):
     """Partial inner product <v| joint |v> over the control factor.
 
-    ``joint`` is a 4x4 operator on system (x) control (system-major index);
-    ``control_vec`` is a normalized 2-vector.  Returns the unnormalized 2x2
-    system block and its trace, which is the outcome probability.  Raises
-    PostSelectionImpossibleError when that probability falls below the
-    post-selection floor; the block must not be normalized in that case.
+    ``joint`` is a 4x4 operator on system (x) control (system-major index),
+    or a stack; ``control_vec`` is a normalized 2-vector.  Returns the
+    unnormalized 2x2 system block and its trace, which is the outcome
+    probability.  Raises PostSelectionImpossibleError when that probability
+    falls below the post-selection floor (over a stack, naming the first
+    entry's time in ``times``); the block must not be normalized in that case.
     Raises ValueError when an entry of the block is not finite, which a NaN
     off the system diagonal would otherwise carry past the trace.
     """
     joint = np.asarray(joint, dtype=complex)
-    if joint.shape != (4, 4):
+    if joint.shape[-2:] != (4, 4):
         raise ValueError("project_control expects a 4x4 joint operator")
     v = np.asarray(control_vec, dtype=complex)
     if v.shape != (2,):
@@ -156,13 +162,13 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray):
     if not abs(_norm(v) - 1.0) <= 1e-10:
         raise ValueError("control_vec must be normalized")
     # indices (s1, c1, s2, c2): contract c2 with v, then c1 with v*
-    block = v.conj() @ (joint.reshape(2, 2, 2, 2) @ v)
-    entries = block.ravel().tolist()
-    prob = (entries[0] + entries[3]).real
-    if not prob >= POSTSELECT_FLOOR:
-        raise PostSelectionImpossibleError(
-            f"post-selection impossible: outcome probability {prob:.3e}"
-        )
-    if not all(map(cmath.isfinite, entries)):
+    block = v.conj() @ (joint.reshape(joint.shape[:-2] + (2, 2, 2, 2)) @ v)
+    prob = (block[..., 0, 0][()] + block[..., 1, 1][()]).real  # [()]: numpy scalars for one block
+    ok = prob >= POSTSELECT_FLOOR
+    if not (ok if ok.ndim == 0 else ok.all()):  # a numpy bool tests faster as itself
+        # the first failing entry, and over several its time and their count
+        at = f" at t = {np.broadcast_to(times, ok.shape)[~ok][0]} ({(~ok).sum()} of {ok.size} times)" if ok.size > 1 else ""
+        raise PostSelectionImpossibleError(f"post-selection impossible: outcome probability {np.asarray(prob)[~ok][0]:.3e}{at}")
+    if not all(map(cmath.isfinite, block.ravel().tolist())):
         raise ValueError("projected control block is not finite")
-    return block, prob
+    return block, _unstack(prob)

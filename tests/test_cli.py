@@ -96,6 +96,18 @@ class TestEvolve:
             main, ["evolve", "--mode", "switch", "--p", "1", "--outcome", "minus", "--t", "0"]
         )
         assert result.exit_code == 3
+        assert result.stderr == "error: post-selection impossible: outcome probability 0.000e+00\n"
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, where",
+        [("0.5", "0", "at t = 0.0 (1 of 3 times)"), ("0", "0", "at t = 0.0 (3 of 3 times)")],
+    )
+    def test_post_selection_failure_names_first_time(self, runner, t_min, t_max, where):
+        # over several times the error names the first failing one and counts them
+        args = ["evolve", "--mode", "switch", "--p", "1", "--outcome", "minus", "--t-min", t_min, "--t-max", t_max, "--points", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3 and result.stdout == ""
+        assert result.stderr == f"error: post-selection impossible: outcome probability 0.000e+00 {where}\n"
 
     def test_requires_some_time_flag(self, runner):
         result = runner.invoke(main, ["evolve", "--mode", "bare"])
@@ -318,13 +330,11 @@ class TestValidate:
             assert f"{suite}: PASS" in result.output
 
     def test_injected_defect_fails(self, runner, monkeypatch):
-        # the lossy channel at t = 1 with its identity operator perturbed
+        # the lossy channel at t = 1 with its identity operator perturbed,
+        # inside the stack of times the suite builds
         def perturbed(t):
-            channel = phi_t_kraus(t)
-            if t != 1.0:
-                return channel
-            ops = channel.ops.copy()
-            ops[2] += 0.05 * np.eye(2)
+            ops = phi_t_kraus(t).ops.copy()
+            ops[np.asarray(t) == 1.0, 2] += 0.05 * np.eye(2)
             return KrausChannel(ops)
 
         monkeypatch.setattr(cli, "phi_t_kraus", perturbed)
@@ -349,10 +359,8 @@ class TestValidate:
             out = original(*args, **kwargs)
             if isinstance(out, KrausChannel):
                 # the lossy channel at t = 1 only, as in test_injected_defect_fails
-                if args[0] != 1.0:
-                    return out
                 out = KrausChannel(out.ops.copy())
-                out.ops[0, 0, 0] = np.nan
+                out.ops[np.asarray(args[0]) == 1.0, 0, 0, 0] = np.nan
                 return out
             out = np.array(out)
             out.flat[0] = np.nan
@@ -365,8 +373,8 @@ class TestValidate:
         assert "validation FAILED" in result.output
 
     def test_closed_form_suite_builds_each_supermap_once(self, runner, monkeypatch):
-        # 4 times x 3 p x 2 modes: each config's states run back to back, so
-        # the one-entry supermap memo serves all of them from one build
+        # 3 p x 2 modes: each config's supermap is built once, as one stack
+        # over the 4 times, and serves all 3 states
         control._joint_kraus.cache_clear()
         builds = []
         for name in ("path_kraus", "switch_kraus"):
@@ -374,7 +382,23 @@ class TestValidate:
             monkeypatch.setattr(control, name, lambda *args, original=original: builds.append(1) or original(*args))
         result = runner.invoke(main, ["validate", "--suite", "closed-form"])
         assert result.exit_code == 0
-        assert len(builds) == 4 * 3 * 2
+        assert len(builds) == 3 * 2
+
+    @pytest.mark.parametrize("suite", ["all", "cptp", "ode", "closed-form", "derivatives", "ode-long"])
+    def test_stdout_is_pinned(self, runner, suite):
+        # the literal stdout, recorded before the suites ran on stacks of
+        # times and states: every printed residual digit is kept
+        args = ["--suite", "ode", "--t", "0.5", "--t", "50"] if suite == "ode-long" else ["--suite", suite]
+        lines = {
+            "cptp": "cptp: PASS (worst completeness residual 4.441e-16, worst Choi eigenvalue -3.131e-16)\n",
+            "ode": "ode: PASS (worst Kraus-vs-RK4 trace distance 2.157e-14)\n",
+            "closed-form": "closed-form: PASS (worst closed-form vs supermap deviation 2.220e-16)\n",
+            "derivatives": "derivatives: PASS (worst FD residual 6.955e-08)\n",
+        }
+        expected = "".join(lines.values()) if suite == "all" else lines[suite.replace("-long", "")]
+        result = runner.invoke(main, ["validate", *args])
+        assert result.exit_code == 0
+        assert result.stdout == expected + "all checks passed\n"
 
     def test_ode_suite_single_time(self, runner):
         # 400 is the largest time accepted
@@ -559,8 +583,8 @@ class TestByteStability:
 
     # stdout sha256 recorded before the JSON writer drew its layouts from
     # json.dumps: each series command in each mode, at 21 points and at
-    # 2 * 16384 + 1 points, which crosses two row blocks; evolve costs about
-    # 40 us a row, so it crosses its blocks with ROW_BLOCK set to 8
+    # 2 * 16384 + 1 points, which crosses row blocks; evolve's long cases
+    # cross theirs at 17 points with ROW_BLOCK set to 8
     @pytest.mark.parametrize("case", sorted(_SERIES_DIGESTS))
     def test_series_bytes_are_pinned(self, runner, monkeypatch, case):
         args, row_block = _series_case(case)
