@@ -162,11 +162,12 @@ _PHI_TEMPLATES = _read_only(np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.
 def phi_t_kraus(t) -> KrausChannel:
     """The lossy channel at time t >= 0 as three Kraus operators: |0><1| and
     |1><0| weighted sqrt((1 - u) / 2), I weighted sqrt((1 + u) / 2), u = e^{-2t};
-    a 1-d array of times gives their stack."""
+    an array of times gives their stack, of shape t.shape + (3, 2, 2)."""
     u, _ = _decay(t)
     k_flip = np.sqrt((1.0 - u) / 2.0)
-    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)]).T
-    return KrausChannel(weights[..., None, None] * _PHI_TEMPLATES)
+    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)])
+    # the operator axis last, after the time axes in their order
+    return KrausChannel(weights.transpose((*range(1, weights.ndim), 0))[..., None, None] * _PHI_TEMPLATES)
 
 
 def eternal_nm_generator() -> Callable:

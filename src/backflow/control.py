@@ -146,9 +146,9 @@ def path_kraus(e: KrausChannel, f: KrausChannel, amps: AmplitudeVectors) -> Krau
 
 def build_supermap(config: ControlConfig, t) -> KrausChannel:
     """Joint Kraus set for two copies of the lossy channel at time t, or their
-    stack over a 1-d array of times.  The last result for a scalar t is kept
-    and returned again for an equal config and t, so the probes of one query
-    share one build; its operators are read-only."""
+    stack over an array of times, time axes first.  The last result for a
+    scalar t is kept and returned again for an equal config and t, so the
+    probes of one query share one build; its operators are read-only."""
     if isinstance(t, float) or np.ndim(t) == 0:
         return _joint_kraus(config, float(t))
     return SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
@@ -161,7 +161,7 @@ def _joint_kraus(config: ControlConfig, t: float) -> KrausChannel:
 
 def controlled_output(config: ControlConfig, rho0: np.ndarray, t):
     """Post-selected output state and outcome probability at time t, or their
-    stacks over a 1-d array of times and a broadcasting stack of states.
+    stacks over an array of times and a broadcasting stack of states.
 
     Applies the configured supermap to rho0 (x) omega, projects the control
     on the configured outcome and renormalizes.  Propagates

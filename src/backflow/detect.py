@@ -25,6 +25,7 @@ each real part is the real operation's, fused or not, and Im / h is exact.
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -310,7 +311,9 @@ def _cubic_candidates(d3, d2, d1, d0):
 def _root(coeffs, lo, hi, f_lo, f_hi):
     """The bracket's root in [lo, hi], where it is monotone and changes sign:
     Newton steps from the secant guess, bisecting whenever a step would leave
-    the shrinking range."""
+    the shrinking range.  From above the tiny root of a flat bracket, such
+    as c u - 256 u^3, each step shrinks u by a factor of only about 2/3;
+    when the steps run out, ``_bisect_floats`` closes the range."""
     slopes = [k * c for k, c in enumerate(coeffs)][1:]
     positive_lo = f_lo > 0.0
     u = lo - f_lo * (hi - lo) / (f_hi - f_lo)
@@ -327,7 +330,24 @@ def _root(coeffs, lo, hi, f_lo, f_hi):
         if abs(step - u) <= 1e-15 * u:
             return step
         u = step if lo < step < hi else 0.5 * (lo + hi)
-    return u
+    return _bisect_floats(coeffs, lo, hi, positive_lo)
+
+
+def _bisect_floats(coeffs, lo, hi, positive_lo):
+    """The bracket's sign change in [lo, hi], 0 <= lo <= hi, to two adjacent
+    floats: the range halved in the order of the floats, whose bit patterns
+    increase with their value, so at most 64 halvings.  Returns the low end."""
+    lo, hi = (struct.unpack("<q", struct.pack("<d", end))[0] for end in (lo, hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f = _horner(coeffs, struct.unpack("<d", struct.pack("<q", mid))[0])
+        if f == 0.0:
+            lo = hi = mid
+        elif (f > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
 
 
 def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:

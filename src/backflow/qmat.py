@@ -19,12 +19,8 @@ PSD_TOL = 1e-10
 POSTSELECT_FLOOR = 1e-12
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 KET_0 = np.array([1.0, 0.0], dtype=complex)
-KET_1 = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -87,12 +83,6 @@ def _entries(m, name: str) -> list:
     return m.ravel().tolist()
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity of a 2x2, max |M - M^dagger|;
-    NaN when an entry of M - M^dagger is NaN."""
-    return _qubit_residual(*_entries(m, "hermiticity_residual"))
-
-
 def _qubit_residual(a: complex, b: complex, c: complex, d: complex) -> float:
     """max |M - M^dagger| from the entries numpy would form: the diagonal
     ones carry a NaN or inf real part as NaN, and entry (1, 0) has the size
@@ -149,7 +139,8 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray, times=None):
     unnormalized 2x2 system block and its trace, which is the outcome
     probability.  Raises PostSelectionImpossibleError when that probability
     falls below the post-selection floor (over a stack, naming the first
-    entry's time in ``times``); the block must not be normalized in that case.
+    entry's time in ``times`` when given); the block must not be normalized
+    in that case.
     Raises ValueError when an entry of the block is not finite, which a NaN
     off the system diagonal would otherwise carry past the trace.
     """
@@ -166,8 +157,10 @@ def project_control(joint: np.ndarray, control_vec: np.ndarray, times=None):
     prob = (block[..., 0, 0][()] + block[..., 1, 1][()]).real  # [()]: numpy scalars for one block
     ok = prob >= POSTSELECT_FLOOR
     if not (ok if ok.ndim == 0 else ok.all()):  # a numpy bool tests faster as itself
-        # the first failing entry, and over several its time and their count
-        at = f" at t = {np.broadcast_to(times, ok.shape)[~ok][0]} ({(~ok).sum()} of {ok.size} times)" if ok.size > 1 else ""
+        # the first failing entry, and over several their count, after its time when times are given
+        at = f" ({(~ok).sum()} of {ok.size} times)" if ok.size > 1 else ""
+        if at and times is not None:
+            at = f" at t = {np.broadcast_to(times, ok.shape)[~ok][0]}{at}"
         raise PostSelectionImpossibleError(f"post-selection impossible: outcome probability {np.asarray(prob)[~ok][0]:.3e}{at}")
     if not all(map(cmath.isfinite, block.ravel().tolist())):
         raise ValueError("projected control block is not finite")

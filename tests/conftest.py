@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+# the Paulis and |1>, which only the tests need
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+KET_1 = np.array([0.0, 1.0], dtype=complex)
+
 
 def random_density(rng, dim=2):
     """Random full-rank density matrix via a Ginibre factor."""

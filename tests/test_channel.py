@@ -20,16 +20,12 @@ from backflow.control import SUPERMAPS
 from backflow.qmat import (
     I2,
     KET_0,
-    KET_1,
     KET_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     dagger,
     pure_state,
     trace_distance,
 )
-from conftest import random_density
+from conftest import KET_1, SIGMA_X, SIGMA_Y, SIGMA_Z, random_density
 
 LN2_HALF = 0.5 * np.log(2.0)
 

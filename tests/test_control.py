@@ -20,16 +20,13 @@ from backflow.control import (
 from backflow.qmat import (
     I2,
     KET_0,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     PostSelectionImpossibleError,
     kron,
     project_control,
     pure_state,
     trace_distance,
 )
-from conftest import random_density, reference_trace_distance
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_density, reference_trace_distance
 
 P0 = pure_state(KET_0)
 P1 = np.diag([0.0, 1.0]).astype(complex)

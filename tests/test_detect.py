@@ -783,6 +783,16 @@ class TestWholeWindowThreshold:
             assert round(_a_star("switch", p, t_max), 4) == whole
         assert round(asymptotic_threshold(switch_config(p)), 4) == late
 
+    @pytest.mark.parametrize("t_max", [12.0, 400.0])
+    def test_switch_slope_at_small_p(self, t_max):
+        # a* of the switch goes as p^{3/4} as p -> 0: the local log-log slope
+        # over p * 1.1^{+-1} is 0.75000 at 1e-12, 0.74978 at 1e-6 and 0.728 at
+        # 1e-2, and a* / p^{3/4} tends to 0.8774 (a*^2 to 0.770 p^{3/2})
+        for p in (1e-12, 1e-10, 1e-8, 1e-6):
+            slope = math.log(_a_star("switch", 1.1 * p, t_max) / _a_star("switch", p / 1.1, t_max)) / (2.0 * math.log(1.1))
+            assert abs(slope - 0.75) <= 1e-3, (p, slope)
+            assert _a_star("switch", p, t_max) / p**0.75 == pytest.approx(0.8774, abs=5e-4)
+
 
 def _breakpoints(coeffs, u_lo, u_hi):
     """(point, inside) pairs: both ends of [u_lo, u_hi], and each candidate
@@ -1050,6 +1060,39 @@ class TestExactWindows:
                     for s0, s1 in _intervals_above(times, report.derivative, report.eps):
                         assert any(t0 <= s0 and s1 <= t1 for t0, t1 in windows)
         assert seen > 20
+
+
+class TestFlatBracketRoots:
+    """Near a tiny root the switch's bracket behaves like c u - 256 u^3, from
+    which Newton's method shrinks u by only about 2/3 a step; when its steps
+    run out, _root bisects the floats between its last ends."""
+
+    def test_window_starts_at_the_exact_root(self):
+        # Newton's last iterate started this window at t = 40.70; the exact
+        # root (sympy, at the exact a and p) is at t = 54.4024876111535
+        report = detect_backflow(switch_config(1.245257901104921e-94), 1.2902291926294362e-181, log_time_grid(t_max=372.0))
+        (window,) = report.backflow_intervals
+        assert window == (pytest.approx(54.40248761115353, rel=1e-13), report.times[-1])
+
+    def test_the_bisection_closes_what_newton_leaves(self, monkeypatch):
+        # every root it returns is a sign change between adjacent floats; on
+        # this grid only the switch at t_max 50 and 400 needs it
+        bisect, capped = detect._bisect_floats, []
+
+        def counted(coeffs, lo, hi, positive_lo):
+            root = bisect(coeffs, lo, hi, positive_lo)
+            f, f_next = detect._horner(coeffs, root), detect._horner(coeffs, float(np.nextafter(root, 1.0)))
+            assert f == 0.0 or ((f > 0.0) == positive_lo and (f_next > 0.0) != positive_lo), (coeffs, root)
+            capped.append(t_max)
+            return root
+
+        monkeypatch.setattr(detect, "_bisect_floats", counted)
+        for a in 10.0 ** -np.linspace(4.0, 200.0, 40):
+            for p in 10.0 ** -np.linspace(4.0, 300.0, 40):
+                for t_max in (12.0, 50.0, 400.0):
+                    for mode in _CONFIGS:
+                        detect._windows(detect._bracket_coeffs(mode, a, p), DEFAULT_T_MIN, t_max)
+        assert (capped.count(12.0), capped.count(50.0), capped.count(400.0)) == (0, 57, 342)
 
 
 def _two_pass_series(mode, a, p, times):

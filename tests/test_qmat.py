@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from backflow.qmat import (
     KET_0,
-    KET_1,
     KET_MINUS,
     KET_PLUS,
     I2,
     PostSelectionImpossibleError,
+    _qubit_residual,
     check_density_operator,
-    hermiticity_residual,
     kron,
     project_control,
     pure_state,
@@ -21,7 +20,7 @@ from backflow.qmat import (
 )
 from backflow.channel import KrausChannel, apply, phi_t_kraus
 from backflow.control import SUPERMAPS, path_kraus, switch_kraus
-from conftest import random_density, random_pure, reference_residual, reference_trace_distance
+from conftest import KET_1, random_density, random_pure, reference_residual, reference_trace_distance
 
 
 def two_by_two_eigvals(m):
@@ -83,8 +82,9 @@ class TestTraceDistance:
         # a larger matrix is refused for its shape before its entries are read
         with pytest.raises(ValueError, match="expects a 2x2 matrix"):
             trace_distance(np.diag([np.nan, 0.0, 0.0]), np.zeros((3, 3)))
-        assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)) == 1.0
-        assert np.isnan(hermiticity_residual(np.diag([np.nan, 0.0]).astype(complex)))
+        # the residual under both refusals: the entries' exact gap, and NaN
+        assert _qubit_residual(0j, 1 + 0j, 0j, 0j) == 1.0
+        assert np.isnan(_qubit_residual(complex(np.nan), 0j, 0j, 0j))
 
     def test_symmetry_and_triangle(self, rng):
         for _ in range(20):
@@ -442,7 +442,6 @@ NOT_QUBIT = {
 
 # each helper as a call on one argument, by the name its refusal gives
 QUBIT_HELPERS = [
-    ("hermiticity_residual", hermiticity_residual),
     ("check_density_operator", check_density_operator),
     ("trace_distance", lambda m: trace_distance(m, I2 / 2)),
     ("trace_distance", lambda m: trace_distance(I2 / 2, m)),
@@ -450,8 +449,8 @@ QUBIT_HELPERS = [
 
 
 class TestQubitContract:
-    """hermiticity_residual, check_density_operator and trace_distance take
-    2x2 matrices only; any other shape is a ValueError naming the helper."""
+    """check_density_operator and trace_distance take 2x2 matrices only; any
+    other shape is a ValueError naming the helper."""
 
     @pytest.mark.parametrize("bad, shape", list(NOT_QUBIT.values()), ids=list(NOT_QUBIT))
     def test_non_qubit_argument_refused(self, bad, shape):

@@ -14,7 +14,7 @@ from backflow.control import (
     closed_form_output,
     controlled_output,
 )
-from backflow.qmat import PostSelectionImpossibleError, pure_state
+from backflow.qmat import KET_PLUS, PostSelectionImpossibleError, project_control, pure_state
 
 # 0, the smallest subnormal, ordinary times, and 372-400, where e^{-2t}
 # underflows to 0 and the channel stops changing
@@ -141,6 +141,32 @@ def test_an_empty_stack_of_times_gives_empty_results():
         out, prob = controlled_output(ControlConfig("switch", 1.0, postselect_outcome=outcome), rho, times)
         assert out.shape == (0, 2, 2) and prob.shape == (0,)
     assert validate_cptp(phi_t_kraus(times)).passed.shape == (0,)
+
+
+def test_times_of_two_axes_come_first_in_their_order():
+    # a grid of times keeps its axes first, in their order, through every
+    # layer, so the supermap route and the closed form agree in shape too
+    times = np.array([[0.0, 0.5, 1.0], [2.0, 5.0, 400.0]])
+    rho = random_states(4, 1)[0]
+    assert_same_bits(phi_t_kraus(times).ops, [[phi_t_kraus(t).ops for t in row] for row in times])
+    for mode in SUPERMAPS:
+        config = ControlConfig(mode, 0.5)
+        out, prob = controlled_output(config, rho, times)
+        looped = [[controlled_output(config, rho, t) for t in row] for row in times]
+        assert_same_bits(out, [[o for o, _ in row] for row in looped])
+        assert_same_bits(prob, [[q for _, q in row] for row in looped])
+        assert_same_bits(closed_form_output(config, rho, times), [[closed_form_output(config, rho, t) for t in row] for row in times])
+
+
+def test_a_stack_without_times_names_no_time():
+    joint = np.zeros((3, 4, 4), dtype=complex)
+    joint[0] = np.eye(4) / 4
+    with pytest.raises(PostSelectionImpossibleError) as info:
+        project_control(joint, KET_PLUS)
+    assert str(info.value) == "post-selection impossible: outcome probability 0.000e+00 (2 of 3 times)"
+    with pytest.raises(PostSelectionImpossibleError) as info:
+        project_control(joint, KET_PLUS, np.array([1.0, 2.0, 3.0]))
+    assert str(info.value) == "post-selection impossible: outcome probability 0.000e+00 at t = 2.0 (2 of 3 times)"
 
 
 def test_scalar_calls_keep_their_shapes_and_types():

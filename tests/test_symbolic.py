@@ -468,28 +468,41 @@ def test_peak_table_is_the_fold_of_a_palindromic_w(mode):
         assert sp.minimum(w_u.as_expr(), p, sp.Interval(0, 1)) > 0
 
 
-def exact_verdict(mode, a_, p_, t_max):
-    """Whether a mode's bracket at the floats a_ and p_ is positive somewhere
-    on the u range of [DEFAULT_T_MIN, t_max] that ``scan_region`` decides,
-    in exact arithmetic: the coefficients from ``_BRACKET_TABLES`` at the
-    exact values of a_ and p_, the range from the exact values of the floats
-    ``_u_range`` gives.  The bracket changes sign only at the roots of its
-    factors of odd multiplicity; with none strictly inside the range, it has
-    the sign of their product, with its leading coefficient, at the middle."""
+def exact_bracket(mode, a_, p_):
+    """A mode's bracket at the floats a_ and p_ in exact arithmetic, as a
+    polynomial in u over the rationals: the coefficients from
+    ``_BRACKET_TABLES`` at the exact values of a_ and p_."""
     a2, p_exact = Fraction(a_) ** 2, Fraction(p_)
     coeffs = [
         a2 * detect._horner([Fraction(c) for c in x], p_exact) + (1 - a2) * detect._horner([Fraction(c) for c in z], p_exact)
         for x, z in detect._BRACKET_TABLES[mode]
     ]
-    bracket = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], u, domain=sp.QQ)
-    if bracket.is_zero:
-        return False
-    lo, hi = (sp.Rational(*end.as_integer_ratio()) for end in detect._u_range(detect.DEFAULT_T_MIN, t_max))
+    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], u, domain=sp.QQ)
+
+
+def odd_part(bracket):
+    """The product of a nonzero bracket's factors of odd multiplicity, with
+    its leading coefficient: it changes sign exactly where the bracket does."""
     lead, factors = bracket.sqf_list()
     odd = sp.Poly(lead, u, domain=sp.QQ)
     for factor, multiplicity in factors:
         if multiplicity % 2:
             odd *= factor
+    return odd
+
+
+def exact_verdict(mode, a_, p_, t_max):
+    """Whether a mode's bracket at the floats a_ and p_ is positive somewhere
+    on the u range of [DEFAULT_T_MIN, t_max] that ``scan_region`` decides,
+    in exact arithmetic: ``exact_bracket``, over the range from the exact
+    values of the floats ``_u_range`` gives.  The bracket changes sign only
+    at the roots of its odd part; with none strictly inside the range, it
+    has the sign of that part at the middle."""
+    bracket = exact_bracket(mode, a_, p_)
+    if bracket.is_zero:
+        return False
+    lo, hi = (sp.Rational(*end.as_integer_ratio()) for end in detect._u_range(detect.DEFAULT_T_MIN, t_max))
+    odd = odd_part(bracket)
     inside = odd.count_roots(lo, hi) - (odd.eval(lo) == 0) - (odd.eval(hi) == 0)
     return bool(inside > 0 or odd.eval((lo + hi) / 2) > 0)
 
@@ -547,3 +560,41 @@ def test_scan_is_exact_where_b_z_and_a_squared_underflow():
     # scan's one sign at the peak reads 0.0 > 0.0 (the README's tiny-p limit)
     verdict = bool(detect.scan_region([1e-250], [1e-300], t_max=200.0).backflow_switch[0, 0])
     assert verdict is exact_verdict("switch", 1e-250, 1e-300, 200.0)
+
+
+# the inner window ends certified: below t = 118, u^3 = e^{-6t} is a normal
+# number; past it Horner's bracket can go subnormal at tiny a and p (the
+# README's late-tail limit), and its float roots need not be exact
+CERTIFIED_T = 118.0
+WINDOW_END_CASES = [
+    (mode, a_, p_, t_max)
+    for mode in control.SUPERMAPS
+    for a_ in (1e-181, 1e-60, 1e-20, 1e-6, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6)
+    for p_ in (1e-94, 1e-30, 1e-8, 1e-3, 0.05, 0.2, 0.5, 0.9, 1.0)
+    for t_max in (0.75, 2.0, 12.0, 50.0, CERTIFIED_T)
+] + [
+    # the README's two switch windows, (0.73859, 0.75) and (1.18669, 1.92924)
+    ("switch", 0.3, 1.0, 0.75),
+    ("switch", 0.12, 0.1, detect.DEFAULT_T_MAX),
+    # a flat bracket that Newton's method alone left at t = 40.70, for the root at t = 54.40
+    ("switch", 1.2902291926294362e-181, 1.245257901104921e-94, 372.0),
+]
+
+
+def test_window_ends_are_exact_roots():
+    # each inner end t_e of detect_backflow's intervals below CERTIFIED_T
+    # holds exactly one sign change of the exact bracket within the relative
+    # band 4 eps (1 + t_e) of u_e = e^{-2 t_e}, eps = 2^-52: the root found in
+    # floats, and u_e rebuilt from t_e, each carry about (2 t_e + 1) ulps of
+    # rounding; 2 eps (1 + t_e) already holds every end, 1 eps (1 + t_e) not
+    checked = 0
+    for mode, a_, p_, t_max in WINDOW_END_CASES:
+        report = detect.detect_backflow(control.ControlConfig(mode, p_), a_, detect.log_time_grid(detect.DEFAULT_T_MIN, t_max))
+        ends = [t for window in report.backflow_intervals for t in window if report.times[0] < t < min(report.times[-1], CERTIFIED_T)]
+        odd = odd_part(exact_bracket(mode, a_, p_)) if ends else None
+        for t_e in ends:
+            u_e, band = Fraction(np.exp(-2.0 * t_e)), 4 * Fraction(2.0**-52) * (1 + Fraction(t_e))
+            lo, hi = (sp.Rational(x.numerator, x.denominator) for x in (u_e * (1 - band), u_e * (1 + band)))
+            assert odd.count_roots(lo, hi) == 1, (mode, a_, p_, t_max, t_e)
+            checked += 1
+    assert checked == 458
