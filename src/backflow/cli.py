@@ -176,13 +176,13 @@ def _config_for(mode: str, p: float, outcome: str = "plus"):
 
 def _refuse(*rules):
     """An option callback from (bad, message) rules, checked in order, each
-    over every value of the option (one, or several for a repeated option):
-    the first value ``bad`` holds for is a usage error, ``message`` formatted
-    with it."""
+    over every value of the option (one, or several for a repeated option;
+    None, an option not given, passes): the first value ``bad`` holds for is
+    a usage error, ``message`` formatted with it."""
     def callback(ctx, param, value):
         for bad, message in rules:
             for v in value if isinstance(value, tuple) else (value,):
-                if bad(v):
+                if v is not None and bad(v):
                     raise click.BadParameter(message.format(v))
         return value
     return callback
@@ -196,8 +196,10 @@ _ode_times = _refuse(
 )
 # NaN included, in every mode, including bare, which does not use p
 _unit_interval = _refuse((lambda v: not 0.0 <= v <= 1.0, "must lie in [0, 1], got {}"))
-# more than MAX_POINTS, refused before any grid is built
-_points = _refuse((lambda v: v > MAX_POINTS, "must be at most 10^6, got {}"))
+# a series' points or a scan axis' values, 1 (2 for detect's log grid) to MAX_POINTS, refused before any grid is built
+_COUNT = click.IntRange(1, MAX_POINTS)
+# detect's --eps, and the bounds of a linear time range, checked whether or not --t is given
+_finite_nonnegative = _refuse(_NOT_FINITE_NONNEGATIVE)
 
 
 def _time_axis(t, t_min, t_max, points) -> np.ndarray:
@@ -205,11 +207,6 @@ def _time_axis(t, t_min, t_max, points) -> np.ndarray:
         return np.array([t], dtype=float)
     if t_max is None:
         raise click.UsageError("provide either --t or --t-max")
-    if points < 1:
-        raise click.UsageError("--points must be positive")
-    for name, value in (("--t-min", t_min), ("--t-max", t_max)):
-        if not np.isfinite(value):
-            raise click.UsageError(f"{name} must be finite, got {value}")
     return np.linspace(t_min, t_max, points)
 
 
@@ -244,9 +241,9 @@ def main():
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval, help="Control purity parameter.")
 @click.option("--outcome", type=click.Choice(list(OUTCOMES)), default="plus", show_default=True)
 @click.option("--t", type=float, default=None, help="Single evaluation time.")
-@click.option("--t-min", type=float, default=0.0, show_default=True)
-@click.option("--t-max", type=float, default=None)
-@click.option("--points", type=int, default=201, show_default=True, callback=_points)
+@click.option("--t-min", type=float, default=0.0, show_default=True, callback=_finite_nonnegative)
+@click.option("--t-max", type=float, default=None, callback=_finite_nonnegative)
+@click.option("--points", type=_COUNT, default=201, show_default=True)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, out):
@@ -275,9 +272,9 @@ def evolve(mode, a, input_text, p, outcome, t, t_min, t_max, points, fmt_name, o
 @click.option("--a", type=float, required=True)
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t", type=float, default=None)
-@click.option("--t-min", type=float, default=0.0, show_default=True)
-@click.option("--t-max", type=float, default=None)
-@click.option("--points", type=int, default=201, show_default=True, callback=_points)
+@click.option("--t-min", type=float, default=0.0, show_default=True, callback=_finite_nonnegative)
+@click.option("--t-max", type=float, default=None, callback=_finite_nonnegative)
+@click.option("--points", type=_COUNT, default=201, show_default=True)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
@@ -295,8 +292,8 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
-@click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True, callback=_points)
-@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_refuse(_NOT_FINITE_NONNEGATIVE), help="Marginal when the peak derivative is within 10*eps of zero.")
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=DEFAULT_GRID_POINTS, show_default=True)
+@click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative, help="Marginal when the peak derivative is within 10*eps of zero.")
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.pass_context
@@ -353,17 +350,15 @@ def _json_verdicts(row) -> str:
 @main.command()
 @click.option("--a-min", type=float, default=0.005, show_default=True)
 @click.option("--a-max", type=float, default=0.995, show_default=True)
-@click.option("--a-points", type=int, default=100, show_default=True)
+@click.option("--a-points", type=_COUNT, default=100, show_default=True)
 @click.option("--p-min", type=float, default=0.0, show_default=True)
 @click.option("--p-max", type=float, default=1.0, show_default=True)
-@click.option("--p-points", type=int, default=100, show_default=True)
+@click.option("--p-points", type=_COUNT, default=100, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):
     """Backflow verdicts over an (a, p) grid, rows ordered p-major."""
-    if a_points < 1 or p_points < 1:
-        raise click.UsageError("grid sizes must be positive")
     if a_points * p_points > MAX_POINTS:
         raise click.UsageError("grid exceeds 10^6 cells")
     a_grid = np.linspace(a_min, a_max, a_points)

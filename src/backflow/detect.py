@@ -74,7 +74,7 @@ def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
 
 def _check_time_range(t_min: float, t_max: float) -> None:
     if not 0.0 < t_min < t_max < np.inf:
-        raise ValueError("need 0 < t_min < t_max < inf")
+        raise ValueError(f"need 0 < t_min < t_max < inf, got t_min = {t_min}, t_max = {t_max}")
 
 
 def central_difference(fn, t, h=FD_STEP):

@@ -163,8 +163,12 @@ class TestDistance:
         result = runner.invoke(main, ["distance", "--mode", "path", "--a", "0.5", "--t-min", "-1", "--t-max", "1"])
         assert result.exit_code == 2
         assert result.stdout == ""
-        # the first refused time and the count, not the whole grid
-        assert result.stderr == "Error: time must be non-negative, got -1.0 (100 of 201 times)\n"
+        # the option refuses its bound before any grid is built
+        assert result.stderr.endswith("\nError: Invalid value for '--t-min': must be finite and >= 0, got -1.0\n")
+        # the library refuses the same grid with the first refused time and the count, not the whole grid
+        with pytest.raises(ValueError) as info:
+            detect.probe_distance(cli._config_for("path", 1.0), 0.5, np.linspace(-1.0, 1.0, 201))
+        assert str(info.value) == "time must be non-negative, got -1.0 (100 of 201 times)"
 
     def test_series_length(self, runner):
         result = invoke(
@@ -210,7 +214,6 @@ class TestDetect:
         [
             (["--t-min", "0"], "0 < t_min < t_max"),
             (["--t-min", "5", "--t-max", "1"], "0 < t_min < t_max"),
-            (["--points", "1"], "two grid points"),
         ],
     )
     def test_bad_time_grid_is_usage_error(self, runner, grid, message):
@@ -805,6 +808,31 @@ class TestSeriesFormats:
 _SUBNORMAL_A = [(mode, a) for mode in ("bare", "path", "switch") for a in ("1e-310", "1e-320", "5e-324")]
 
 
+# every count option with a value out of its range or not an integer, and each
+# linear time bound not finite or negative, with and without --t
+_SERIES_BASES = {"evolve": ["evolve", "--mode", "bare"], "distance": ["distance", "--mode", "bare", "--a", "0.5"]}
+_TIME_FLAGS = {"t": ["--t", "1"], "range": ["--t-max", "1"]}
+_OPTION_REFUSALS = [
+    *(
+        pytest.param([*base, *flag, "--points", value], "--points", id=f"{name}-{kind}--points={value}")
+        for name, base in _SERIES_BASES.items() for kind, flag in _TIME_FLAGS.items() for value in ("0", "-1", "1000001", "1.5")
+    ),
+    *(
+        pytest.param([*base, option, value], option, id=f"{base[0]}{option}={value}")
+        for base, option in ((["scan"], "--a-points"), (["scan"], "--p-points"), (["detect", "--mode", "path", "--a", "0.5"], "--points"))
+        for value in ("0", "-1", "1000001", "1.5")
+    ),
+    pytest.param(["detect", "--mode", "path", "--a", "0.5", "--points", "1"], "--points", id="detect--points=1"),
+    *(
+        pytest.param([*base, *flag, option, value], option, id=f"{name}-{kind}{option}={value}")
+        for name, base in _SERIES_BASES.items()
+        for option, flags in (("--t-min", _TIME_FLAGS), ("--t-max", {**_TIME_FLAGS, "range": []}))
+        for kind, flag in flags.items()
+        for value in ("nan", "inf", "-1")
+    ),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "args, code",
@@ -925,18 +953,19 @@ class TestExitCodes:
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_time_bound_is_a_usage_error(self, runner, args, option):
-        # refused before np.linspace, whose NaN would reach the time check
+        # refused at the option, before np.linspace, whose NaN would reach the time check
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert f"{option} must be finite" in result.output
+        assert result.stdout == ""
+        assert f"\nError: Invalid value for '{option}': must be finite and >= 0, got " in result.stderr
 
     @pytest.mark.parametrize(
         "args, message",
         [
             (["evolve", "--mode", "bare", "--input", "1,0,x,0", "--t", "1"], "--input must be four comma-separated reals: could not convert string to float: 'x'"),
             (["evolve", "--mode", "bare", "--input", "1,0,0", "--t", "1"], "--input must have exactly four entries: rho11,re12,im12,rho22"),
-            (["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "0"], "--points must be positive"),
-            (["scan", "--a-points", "0"], "grid sizes must be positive"),
+            (["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "0"], "Invalid value for '--points': 0 is not in the range 1<=x<=1000000."),
+            (["scan", "--a-points", "0"], "Invalid value for '--a-points': 0 is not in the range 1<=x<=1000000."),
         ],
         ids=["input-not-numeric", "input-three-entries", "points-zero", "scan-a-points-zero"],
     )
@@ -945,6 +974,14 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.endswith(f"\nError: {message}\n")
+
+    @pytest.mark.parametrize("args, option", _OPTION_REFUSALS)
+    def test_each_option_refuses_its_bad_values(self, runner, args, option):
+        # the option's own rule refuses the value, whether or not --t is given
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"\nError: Invalid value for '{option}': " in result.stderr
 
     @pytest.mark.parametrize(
         "perturb, message",

@@ -316,6 +316,14 @@ class TestDetectBackflow:
         with pytest.raises(ValueError, match="increasing"):
             detect_backflow("bare", 0.5, times=np.array([1.0, 0.5]))
 
+    def test_log_time_grid_refuses_a_bad_range_or_count(self):
+        # the refusal names both bounds, so a caller that sets only one sees the other
+        with pytest.raises(ValueError) as info:
+            detect.log_time_grid(t_min=5.0, t_max=1.0)
+        assert str(info.value) == "need 0 < t_min < t_max < inf, got t_min = 5.0, t_max = 1.0"
+        with pytest.raises(ValueError, match="need at least two grid points"):
+            detect.log_time_grid(points=1)
+
     @pytest.mark.parametrize(
         "times",
         [[np.nan, 0.1, 1.0], [0.1, np.nan, 1.0], [0.1, 1.0, np.nan], [0.1, 1.0, np.inf]],
