@@ -72,6 +72,9 @@ class KrausChannel:
     """
 
     ops: np.ndarray
+    # not a field: apply's worst completeness residual and adjoint column
+    # block, recorded on first use when ops lie over immutable bytes
+    _checked = None
 
     def __post_init__(self):
         try:
@@ -136,6 +139,21 @@ def validate_cptp(channel: KrausChannel) -> CptpReport:
     return CptpReport(*(_unstack(np.where(finite, x, np.nan)) for x in (completeness_residual(safe), lam_min)))
 
 
+def _checked_adjoint(channel: KrausChannel) -> tuple:
+    """The worst completeness residual of a channel's Kraus sets and, when it
+    passes, their adjoints K_i^dag as (k*d, d) column blocks.  Recorded with
+    a channel whose ops lie over immutable bytes (``_read_only``), so such a
+    set is checked once; any other set is checked on every call."""
+    if channel._checked is not None:
+        return channel._checked
+    res = completeness_residual(channel)
+    worst = res if isinstance(res, float) else res.max(initial=0.0)
+    checked = worst, (_columns(dagger(channel.ops)) if worst <= COMPLETENESS_TOL else None)
+    if isinstance(channel.ops.base, bytes):
+        object.__setattr__(channel, "_checked", checked)
+    return checked
+
+
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_i K_i rho K_i^dag, stacks of sets and states
     broadcast.  Refuses channels whose Kraus sets fail the completeness
@@ -144,14 +162,13 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     d = channel.dim
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"state dimension {rho.shape} does not match channel dim {d}")
-    res = completeness_residual(channel)
-    worst = res if isinstance(res, float) else res.max(initial=0.0)
+    worst, adjoint = _checked_adjoint(channel)
     if not worst <= COMPLETENESS_TOL:
         raise ValueError(f"channel is not trace preserving (residual {worst:.3e})")
     # [K_1 rho ... K_k rho] times the K_i^dag stacked as one (k*d, d) column
     ops = channel.ops
     left = (ops @ rho[..., None, :, :]).swapaxes(-3, -2)
-    return left.reshape(left.shape[:-3] + (d, ops.shape[-3] * d)) @ _columns(dagger(ops))
+    return left.reshape(left.shape[:-3] + (d, ops.shape[-3] * d)) @ adjoint
 
 
 # |0><1|, |1><0| and I: the lossy channel's operators before their weights;
@@ -159,15 +176,21 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
 _PHI_TEMPLATES = _read_only(np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], I2], dtype=complex))
 
 
+def _phi_weights(t) -> np.ndarray:
+    """The real weights of ``_PHI_TEMPLATES`` at time t >= 0: sqrt((1 - u) / 2)
+    twice and sqrt((1 + u) / 2), u = e^{-2t}; the operator axis last, after
+    the axes of an array of times."""
+    u, _ = _decay(t)
+    k_flip = np.sqrt((1.0 - u) / 2.0)
+    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)])
+    return weights.transpose((*range(1, weights.ndim), 0))
+
+
 def phi_t_kraus(t) -> KrausChannel:
     """The lossy channel at time t >= 0 as three Kraus operators: |0><1| and
     |1><0| weighted sqrt((1 - u) / 2), I weighted sqrt((1 + u) / 2), u = e^{-2t};
     an array of times gives their stack, of shape t.shape + (3, 2, 2)."""
-    u, _ = _decay(t)
-    k_flip = np.sqrt((1.0 - u) / 2.0)
-    weights = np.array([k_flip, k_flip, np.sqrt((1.0 + u) / 2.0)])
-    # the operator axis last, after the time axes in their order
-    return KrausChannel(weights.transpose((*range(1, weights.ndim), 0))[..., None, None] * _PHI_TEMPLATES)
+    return KrausChannel(_phi_weights(t)[..., None, None] * _PHI_TEMPLATES)
 
 
 def eternal_nm_generator() -> Callable:

@@ -194,8 +194,10 @@ _ode_times = _refuse(
     _NOT_FINITE_NONNEGATIVE,
     (lambda v: not v <= DECAYED_TIME, f"must be at most {DECAYED_TIME:g}, past which the channel no longer changes, got {{}}"),
 )
-# NaN included, in every mode, including bare, which does not use p
+# NaN included, in every mode, including bare, which does not use p; and a scan's p range
 _unit_interval = _refuse((lambda v: not 0.0 <= v <= 1.0, "must lie in [0, 1], got {}"))
+# a scan's probe range, as scan_region takes it
+_probe_interval = _refuse((lambda v: not 0.0 < v <= 1.0, "must lie in (0, 1], got {}"))
 # a series' points or a scan axis' values, 1 (2 for detect's log grid) to MAX_POINTS, refused before any grid is built
 _COUNT = click.IntRange(1, MAX_POINTS)
 # detect's --eps, and the bounds of a linear time range, checked whether or not --t is given
@@ -348,11 +350,11 @@ def _json_verdicts(row) -> str:
 
 
 @main.command()
-@click.option("--a-min", type=float, default=0.005, show_default=True)
-@click.option("--a-max", type=float, default=0.995, show_default=True)
+@click.option("--a-min", type=float, default=0.005, show_default=True, callback=_probe_interval)
+@click.option("--a-max", type=float, default=0.995, show_default=True, callback=_probe_interval)
 @click.option("--a-points", type=_COUNT, default=100, show_default=True)
-@click.option("--p-min", type=float, default=0.0, show_default=True)
-@click.option("--p-max", type=float, default=1.0, show_default=True)
+@click.option("--p-min", type=float, default=0.0, show_default=True, callback=_unit_interval)
+@click.option("--p-max", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--p-points", type=_COUNT, default=100, show_default=True)
 @click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .channel import KrausChannel, _decay, _read_only, apply, phi_t_kraus
+from .channel import _PHI_TEMPLATES, KrausChannel, _decay, _phi_weights, _read_only, apply
 from .qmat import (
     KET_MINUS,
     KET_PLUS,
@@ -151,12 +151,39 @@ def build_supermap(config: ControlConfig, t) -> KrausChannel:
     probes of one query share one build; its operators are read-only."""
     if isinstance(t, float) or np.ndim(t) == 0:
         return _joint_kraus(config, float(t))
-    return SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes)
+    return _scaled_template(config, t)
 
 
 @lru_cache(maxsize=1)
 def _joint_kraus(config: ControlConfig, t: float) -> KrausChannel:
-    return KrausChannel(_read_only(SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes).ops))
+    return KrausChannel(_read_only(_scaled_template(config, t).ops))
+
+
+@lru_cache(maxsize=8)
+def _template(mode: str, amplitudes: Optional[AmplitudeVectors]) -> np.ndarray:
+    """The mode's builder applied to the lossy channel's unweighted operators
+    ``_PHI_TEMPLATES``, as read-only float parts indexed
+    [i, j, system, control, system', control', real/imaginary]."""
+    k, d = _PHI_TEMPLATES.shape[-3:-1]
+    ops = SUPERMAPS[mode].kraus(KrausChannel(_PHI_TEMPLATES), amplitudes).ops
+    return _read_only(ops).view(float).reshape(k, k, d, 2, d, 2, 2)
+
+
+def _scaled_template(config: ControlConfig, t) -> KrausChannel:
+    """The joint Kraus set at t from the cached template: the channel's
+    operators are the templates times real weights, so each joint operator's
+    control blocks are the template's times the mode's block weights.  The
+    real and imaginary parts are scaled apart, as a complex weight would turn
+    a template's (0, -0) into (0, +0); so the result equals the builder on
+    ``phi_t_kraus(t)`` bit for bit, up to the sign of a zero where a weight
+    is 0."""
+    w = _phi_weights(t)
+    blocks = np.empty(w.shape[:-1] + (w.shape[-1], w.shape[-1], 2))  # [..., i, j, control]
+    blocks[..., 0], blocks[..., 1] = SUPERMAPS[config.mode].block_weights(w[..., :, None], w[..., None, :])
+    # [..., i, j, system, control, system', control', part]
+    parts = _template(config.mode, config.amplitudes) * blocks[..., None, :, None, None, None]
+    k, l, d = parts.shape[-7], parts.shape[-6], parts.shape[-5]
+    return KrausChannel(parts.reshape(parts.shape[:-7] + (k * l, 2 * d, 4 * d)).view(complex))
 
 
 def controlled_output(config: ControlConfig, rho0: np.ndarray, t):
@@ -172,10 +199,15 @@ def controlled_output(config: ControlConfig, rho0: np.ndarray, t):
         check_density_operator(state)
     joint_channel = build_supermap(config, t)
     half_p = config.p / 2
-    joint_state = kron(rho0, ((0.5, half_p), (half_p, 0.5)))
+    joint_state = kron(rho0, np.array([0.5, half_p, half_p, 0.5], dtype=complex).reshape(2, 2))
     evolved = apply(joint_channel, joint_state)
     block, prob = project_control(evolved, OUTCOMES[config.postselect_outcome], t)
     return block / (prob if isinstance(prob, float) else prob[..., None, None]), prob
+
+
+def _path_row(p, u, v):
+    pv, n_xy = p * v, 2.0 * (1.0 + u)
+    return 4.0 + pv, n_xy + pv, n_xy - pv, 4.0 * u - pv
 
 
 def _switch_row(p, u, v):
@@ -193,8 +225,8 @@ def _switch_row(p, u, v):
 # t >= 0; each row is analytic in (u, v); the bare channel ignores p.
 BLOCH_ROWS = {
     "bare": lambda p, u, v: (2.0, 1.0 + u, 1.0 + u, 2.0 * u),
-    "path": lambda p, u, v: (4.0 + p * v, 2.0 * (1.0 + u) + p * v, 2.0 * (1.0 + u) - p * v, 4.0 * u - p * v),
-    "switch": lambda p, u, v: _switch_row(p, u, v),
+    "path": _path_row,
+    "switch": _switch_row,
 }
 
 
@@ -245,6 +277,9 @@ def closed_form_output(config: ConfigLike, rho0: np.ndarray, t) -> np.ndarray:
 class _Supermap(NamedTuple):
     kraus: Callable  # (phi, amplitudes) -> joint Kraus set over two copies of phi
     amplitudes: Optional[AmplitudeVectors]  # what a config takes by default
+    # (w_i, w_j) -> the real factors of operator (i, j)'s control-0 and
+    # control-1 blocks when the copies' operators are w_i T_i and w_j T_j
+    block_weights: Callable
 
 
 _R = 1.0 / np.sqrt(2.0)
@@ -253,8 +288,12 @@ _R = 1.0 / np.sqrt(2.0)
 # The path default puts equal weight on the two exchange operators and none on
 # the identity one; frozen and built from tuples, it is one instance for all.
 SUPERMAPS = {
+    # alpha_j E_i on control 0 and beta_i F_j on control 1
     "path": _Supermap(
-        lambda phi, amps: path_kraus(phi, phi, amps), AmplitudeVectors(alpha=(_R, _R, 0.0), beta=(_R, _R, 0.0))
+        lambda phi, amps: path_kraus(phi, phi, amps),
+        AmplitudeVectors(alpha=(_R, _R, 0.0), beta=(_R, _R, 0.0)),
+        lambda w_i, w_j: (w_i, w_j),
     ),
-    "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), None),
+    # E_i F_j on control 0 and F_j E_i on control 1
+    "switch": _Supermap(lambda phi, amps: switch_kraus(phi, phi), None, lambda w_i, w_j: (w_i * w_j,) * 2),
 }

@@ -53,6 +53,9 @@ def probe_pair(a: float):
     return pure_state(KET_0), pure_state(np.array([a, b]))
 
 
+_DEFAULT_GRID = (DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_GRID_POINTS)
+
+
 def log_time_grid(
     t_min: float = DEFAULT_T_MIN,
     t_max: float = DEFAULT_T_MAX,
@@ -60,8 +63,10 @@ def log_time_grid(
 ) -> np.ndarray:
     """Logarithmically spaced time grid; backflow windows open late, so log
     spacing keeps both the early dip and the late window resolved.  Kept
-    for the last argument triple, so the grid is read-only."""
-    return _log_grid(float(t_min), float(t_max), operator.index(points))
+    for the last argument triple, and the default grid always, so the grid
+    is read-only."""
+    args = (float(t_min), float(t_max), operator.index(points))
+    return _default_grid_work()[1][0] if args == _DEFAULT_GRID else _log_grid(*args)
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,41 +115,46 @@ _UNSCALED_A = 2.0 ** -500
 
 def _scale(a, p, u):
     """Power of two s at which a closed-form radicand S is evaluated as
-    r = S / s^2, so sqrt(S) = s sqrt(r).
+    r = S / s^2, so sqrt(S) = s sqrt(r); None where s = 1.
 
     Once a, p and u are all below about 1e-154, S underflows to 0 while r
     does not: s is then the power of two with s / 2 <= max(a, p, |u|) < s,
     elementwise, so one scaled term is at least 1/2 in size; below 2^-1022,
     s stays 2^-1021, since numpy's complex division by a subnormal overflows.
-    While a >= 2^-500, S is normal and s = 1.  Scaling by a power of two is
-    exact, so s sqrt(r) equals sqrt(S) bit for bit wherever S is normal.  s
-    is real and reads u only through |u|, which the complex step
-    u (1 - 2ih) leaves unchanged in double precision, so the forms stay
-    analytic in (u, v), the pair through which the complex step enters."""
+    While a >= 2^-500, S is normal and s = 1, whose exact array passes the
+    forms skip.  Scaling by a power of two is exact, so
+    s sqrt(r) equals sqrt(S) bit for bit wherever S is normal.  s is real
+    and reads u only through |u|, which the complex step u (1 - 2ih) leaves
+    unchanged in double precision, so the forms stay analytic in (u, v), the
+    pair through which the complex step enters."""
     unscaled = a >= _UNSCALED_A
     if unscaled.all() if isinstance(unscaled, np.ndarray) else unscaled:
-        return 1.0
+        return None
     return np.ldexp(1.0, np.maximum(np.frexp(np.maximum(np.maximum(a, p), np.abs(u)))[1], -1021))
 
 
 def _terms(mode: str, a: float, p: float, u, v):
-    """u, the scale s, Delta and r = S / s^2 of a mode's row at the decay
-    pair (u, v), so sqrt(S) = s sqrt(r)."""
+    """u, the scale s (None for 1), Delta and r = S / s^2 of a mode's row at
+    the decay pair (u, v), so sqrt(S) = s sqrt(r)."""
     delta, n_x, _, n_z = BLOCH_ROWS[mode](p, u, v)
     s = _scale(a, p, u)
+    if s is None:
+        return u, s, delta, (a * n_x) ** 2 + (1.0 - a * a) * n_z ** 2
     return u, s, delta, (a / s * n_x) ** 2 + (1.0 - a * a) * (n_z / s) ** 2
 
 
 def _distance(a: float, terms):
     """D = b s sqrt(r) / Delta, from a mode's terms."""
     _, s, delta, r = terms
-    return np.sqrt((1.0 - a * a) * r) * s / delta
+    root = np.sqrt((1.0 - a * a) * r)
+    return (root if s is None else root * s) / delta
 
 
 def _prefactor(a: float, terms):
     """Positive prefactor b u / (Delta^2 s sqrt(r)) of a mode's dD/dt."""
     u, s, delta, r = terms
-    return np.sqrt(1.0 - a * a) * u / (delta * delta * (s * np.sqrt(r)))
+    root = np.sqrt(r)
+    return np.sqrt(1.0 - a * a) * u / (delta * delta * (root if s is None else s * root))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +419,14 @@ def _grid_work(times):
     """The checked work of a detection grid, a 1-d float64 array: the grid
     itself, the Lipschitz allowance of each step and the complex-step pair
     u - 2ihu, v + 2ihu of the decay pair u, v, all read-only.  Kept for the
-    last grid, by its bytes, at any length; the grid returned is rebuilt
-    from those bytes, so it cannot be made writeable."""
+    last grid, by its bytes, at any length, and for the default grid always;
+    the grid returned is rebuilt from those bytes, so it cannot be made
+    writeable."""
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("times must be a 1-d grid with at least two points")
-    return _kept_grid_work(times.tobytes())
+    key = times.tobytes()
+    default_key, default_work = _default_grid_work()
+    return default_work if key == default_key else _kept_grid_work(key)
 
 
 @functools.lru_cache(maxsize=1)
@@ -434,6 +447,15 @@ def _kept_grid_work(key: bytes):
     u, v = _decay(times)
     step = (2j * COMPLEX_STEP) * u
     return (times, *map(_read_only, (allowance, u - step, v + step)))
+
+
+@functools.cache
+def _default_grid_work():
+    """The default grid's bytes and checked work, built on first use and kept
+    beside the one-slot memos, so a query on another grid does not evict
+    them."""
+    key = _log_grid.__wrapped__(*_DEFAULT_GRID).tobytes()
+    return key, _kept_grid_work.__wrapped__(key)
 
 
 def detect_backflow(
@@ -468,7 +490,8 @@ def detect_backflow(
     # one pass at t + ih: a product of two imaginary parts is of order h^2,
     # which rounds to 0, so the real parts are the terms at t bit for bit
     shifted = _terms(mode, a, p, u_shifted, v_shifted)
-    terms = tuple(term.real for term in shifted)
+    u, s, delta, r = shifted
+    terms = u.real, s, delta.real, r.real  # s is real
     coeffs = _bracket_coeffs(mode, a, p)
     dist = _distance(a, terms)
     deriv = _prefactor(a, terms) * _horner(coeffs, terms[0])

@@ -9,7 +9,11 @@ from hypothesis.extra import numpy as hnp
 import backflow.channel as channel
 import backflow.control as control
 import backflow.detect as detect
+from backflow.channel import KrausChannel, _read_only, apply, phi_t_kraus
 from backflow.control import (
+    SUPERMAPS,
+    AmplitudeVectors,
+    ControlConfig,
     _decay,
     build_supermap,
     path_config,
@@ -25,6 +29,7 @@ from backflow.detect import (
 def _clear_caches():
     detect._kept_grid_work.cache_clear()
     detect._log_grid.cache_clear()
+    detect._default_grid_work.cache_clear()
 
 
 def _times():
@@ -93,7 +98,8 @@ class TestReuse:
             last = log_time_grid(t_max=5.0 + i, points=50 + i)
             detect_backflow(switch_config(0.5), 0.3, last)
         memos = (detect._kept_grid_work, detect._log_grid)
-        # each memo keeps its last input only, and serves it again
+        # each memo keeps its last input only, and serves it again; the
+        # default grid is kept beside them
         assert [memo.cache_info().currsize for memo in memos] == [1, 1]
         hits = [memo.cache_info().hits for memo in memos]
         assert log_time_grid(t_max=54.0, points=99) is last
@@ -123,8 +129,24 @@ class TestReuse:
         first = detect_backflow(config, 0.3)
         detect_backflow(config, 0.3, log_time_grid(t_max=400.0))
         _assert_reports_equal(detect_backflow(config, 0.3), first)
+        # the default grid's work is kept, so only the longer grid is a miss
         info = detect._kept_grid_work.cache_info()
-        assert (info.hits, info.misses) == (0, 3)
+        assert (info.hits, info.misses) == (0, 1)
+        assert detect._default_grid_work.cache_info().misses == 1
+
+    @pytest.mark.parametrize("config", ["bare", path_config(0.6), switch_config(0.6)])
+    def test_default_grid_kept_across_over_range_grids(self, config):
+        # two over-range grids in a row would evict the default from a
+        # two-slot memo; the kept default serves the same bits as a fresh build
+        detect_backflow(config, 0.3)
+        for t_max in (40.0, 400.0, 97.5):
+            detect_backflow(config, 0.3, log_time_grid(t_max=t_max))
+        kept = detect_backflow(config, 0.3)
+        assert kept.times is log_time_grid() is detect._grid_work(np.array(log_time_grid()))[0]
+        _clear_caches()
+        _assert_reports_equal(kept, detect_backflow(config, 0.3))
+        # a caller's copy of the default grid is served the kept work by content
+        _assert_reports_equal(kept, detect_backflow(config, 0.3, np.array(kept.times)))
 
     def test_kept_grid_work_is_read_only(self):
         grid = np.array(log_time_grid(t_max=20.0, points=97))
@@ -161,26 +183,33 @@ class TestReuse:
 
     def test_supermap_reused_for_the_same_config_and_time(self, monkeypatch):
         control._joint_kraus.cache_clear()
+        control._template.cache_clear()
         calls = []
         original = control.path_kraus
         monkeypatch.setattr(control, "path_kraus", lambda *args: calls.append(1) or original(*args))
+
+        def builds():
+            return control._joint_kraus.cache_info().misses
+
         config = path_config(0.5)
         first = build_supermap(config, 1.0)
         assert build_supermap(config, 1.0) is first
         assert not first.ops.flags.writeable
         with pytest.raises(ValueError):
             first.ops[0, 0, 0] = 1.0
-        assert len(calls) == 1
+        assert builds() == 1
         # an equal new config is served from the memo
         assert build_supermap(path_config(0.5), 1.0) is first
-        assert len(calls) == 1
+        assert builds() == 1
         # another time, or another p, is built again
         later = build_supermap(config, 2.0)
         assert later is not first and not np.array_equal(later.ops, first.ops)
-        assert len(calls) == 2
+        assert builds() == 2
         other_p = build_supermap(path_config(0.25), 2.0)
         assert other_p is not later and np.array_equal(other_p.ops, later.ops)
-        assert len(calls) == 3
+        assert builds() == 3
+        # every build scaled the one path template, whose builder ran once
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "shared",
@@ -189,8 +218,9 @@ class TestReuse:
             lambda: [build_supermap(switch_config(0.5), 1.0).ops],
             lambda: list(detect._grid_work(log_time_grid())),
             lambda: [channel._PHI_TEMPLATES],
+            lambda: [control._template(mode, SUPERMAPS[mode].amplitudes) for mode in SUPERMAPS],
         ],
-        ids=["log_time_grid", "supermap_ops", "grid_work", "phi_templates"],
+        ids=["log_time_grid", "supermap_ops", "grid_work", "phi_templates", "supermap_templates"],
     )
     def test_shared_arrays_cannot_be_made_writeable(self, shared):
         for array in shared():
@@ -208,3 +238,103 @@ class TestReuse:
             log_time_grid(1e-2, 12.0, 50.0)
         with pytest.raises(ValueError):
             log_time_grid(np.array(np.nan), 12.0)
+
+
+# 0, the smallest subnormal, a time where 1 - u rounds to 1 - 0, where
+# e^{-2t} underflows to 0, the cap and far past it
+_TEMPLATE_TIME = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 372.6, 400.0, 1e300]),
+    st.floats(0.0, 20.0),
+    st.floats(0.0, 1e300),
+)
+_TEMPLATE_TIMES = st.lists(_TEMPLATE_TIME, min_size=1, max_size=6).map(np.array)
+
+
+def _builder_ops(config, t):
+    """The supermap's builder on the lossy channel at t: the general route."""
+    return SUPERMAPS[config.mode].kraus(phi_t_kraus(t), config.amplitudes).ops
+
+
+def _random_amplitudes(seed):
+    """Normalized complex amplitude vectors, some with real entries whose
+    imaginary parts are -0."""
+    rng = np.random.default_rng(seed)
+
+    def vector():
+        v = rng.normal(size=3) + 1j * rng.normal(size=3) if rng.random() < 0.5 else rng.normal(size=3) - 0j
+        return tuple(v / np.linalg.norm(v))
+
+    return AmplitudeVectors(vector(), vector())
+
+
+class TestSupermapTemplate:
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.sampled_from(list(SUPERMAPS)), p=st.floats(0.0, 1.0), times=_TEMPLATE_TIMES)
+    def test_template_route_equals_the_builders_bit_for_bit(self, mode, p, times):
+        # the switch and the default path, stacked and scalar
+        config = ControlConfig(mode, p)
+        stacked, want = build_supermap(config, times).ops, _builder_ops(config, times)
+        assert (stacked.shape, stacked.dtype) == (want.shape, want.dtype)
+        assert stacked.tobytes() == want.tobytes()
+        for t in times:
+            assert build_supermap(config, float(t)).ops.tobytes() == _builder_ops(config, t).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), times=_TEMPLATE_TIMES)
+    def test_random_path_amplitudes_equal_the_builder(self, seed, times):
+        # bit for bit where the flip weight is positive; where it is 0, a
+        # zero's sign may differ, the value not
+        config = path_config(0.5, _random_amplitudes(seed))
+        got, want = build_supermap(config, times).ops, _builder_ops(config, times)
+        flip_is_zero = channel._phi_weights(times)[:, 0] == 0.0
+        for t_got, t_want, zero in zip(got, want, flip_is_zero):
+            assert np.array_equal(t_got, t_want) if zero else t_got.tobytes() == t_want.tobytes()
+        assert np.array_equal(build_supermap(config, float(times[0])).ops, want[0])
+
+    def test_template_is_derived_once_per_mode_and_amplitudes(self, monkeypatch):
+        control._template.cache_clear()
+        calls = []
+        original = control.switch_kraus
+        monkeypatch.setattr(control, "switch_kraus", lambda *args: calls.append(1) or original(*args))
+        for t in (0.5, np.array([1.0, 2.0]), 3.0):
+            build_supermap(switch_config(0.5), t)
+        assert len(calls) == 1
+
+
+class TestCheckedOnce:
+    RHO = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+
+    def _count_checks(self, monkeypatch):
+        calls = []
+        original = channel.completeness_residual
+        monkeypatch.setattr(channel, "completeness_residual", lambda c: calls.append(1) or original(c))
+        return calls
+
+    def test_immutable_set_is_checked_once(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        ops = phi_t_kraus(np.array([0.3, 2.0])).ops
+        want = apply(KrausChannel(ops), self.RHO)
+        immutable = KrausChannel(_read_only(ops))
+        for _ in range(3):
+            assert apply(immutable, self.RHO).tobytes() == want.tobytes()
+        assert len(calls) == 2
+        # a writeable set, or a view of the immutable one, is checked on every call
+        for kraus in (KrausChannel(ops), KrausChannel(immutable.ops[::-1])):
+            calls.clear()
+            apply(kraus, self.RHO)
+            apply(kraus, self.RHO)
+            assert len(calls) == 2
+
+    def test_immutable_non_tp_set_is_refused_on_every_call(self):
+        kraus = KrausChannel(_read_only(np.array([np.sqrt(0.5) * np.eye(2)], dtype=complex)))
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^channel is not trace preserving \(residual 5\.000e-01\)$"):
+                apply(kraus, self.RHO)
+
+    def test_writeable_set_edited_between_calls_is_checked_again(self):
+        ops = np.array(phi_t_kraus(1.0).ops)
+        kraus = KrausChannel(ops)
+        apply(kraus, self.RHO)
+        ops[2] *= 2.0
+        with pytest.raises(ValueError, match="not trace preserving"):
+            apply(kraus, self.RHO)

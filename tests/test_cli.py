@@ -377,15 +377,20 @@ class TestValidate:
 
     def test_closed_form_suite_builds_each_supermap_once(self, runner, monkeypatch):
         # 3 p x 2 modes: each config's supermap is built once, as one stack
-        # over the 4 times, and serves all 3 states
+        # over the 4 times, and serves all 3 states; every build scales its
+        # mode's template, which the mode's builder derives once
         control._joint_kraus.cache_clear()
-        builds = []
+        control._template.cache_clear()
+        builds, builders = [], []
+        original_build = control.build_supermap
+        monkeypatch.setattr(control, "build_supermap", lambda *args: builds.append(1) or original_build(*args))
         for name in ("path_kraus", "switch_kraus"):
             original = getattr(control, name)
-            monkeypatch.setattr(control, name, lambda *args, original=original: builds.append(1) or original(*args))
+            monkeypatch.setattr(control, name, lambda *args, original=original: builders.append(1) or original(*args))
         result = runner.invoke(main, ["validate", "--suite", "closed-form"])
         assert result.exit_code == 0
         assert len(builds) == 3 * 2
+        assert len(builders) == 2
 
     @pytest.mark.parametrize("suite", ["all", "cptp", "ode", "closed-form", "derivatives", "ode-long"])
     def test_stdout_is_pinned(self, runner, suite):
@@ -808,27 +813,47 @@ class TestSeriesFormats:
 _SUBNORMAL_A = [(mode, a) for mode in ("bare", "path", "switch") for a in ("1e-310", "1e-320", "5e-324")]
 
 
-# every count option with a value out of its range or not an integer, and each
-# linear time bound not finite or negative, with and without --t
+# every count option with a value out of its range or not an integer, each
+# linear time bound not finite or negative, with and without --t, and each
+# bound of a scan's ranges: the arguments, the option named, and the text
+# its rule gives after the option's name (a count's comes from click)
 _SERIES_BASES = {"evolve": ["evolve", "--mode", "bare"], "distance": ["distance", "--mode", "bare", "--a", "0.5"]}
 _TIME_FLAGS = {"t": ["--t", "1"], "range": ["--t-max", "1"]}
+_NOT_FINITE = "must be finite and >= 0, got "
+# 10^15 points would be a 7 PiB grid: refused before numpy tries to allocate it
+_BAD_COUNTS = ("0", "-1", "1000001", "1.5", "1000000000000000")
 _OPTION_REFUSALS = [
     *(
-        pytest.param([*base, *flag, "--points", value], "--points", id=f"{name}-{kind}--points={value}")
-        for name, base in _SERIES_BASES.items() for kind, flag in _TIME_FLAGS.items() for value in ("0", "-1", "1000001", "1.5")
+        pytest.param([*base, *flag, "--points", value], "--points", "", id=f"{name}-{kind}--points={value}")
+        for name, base in _SERIES_BASES.items() for kind, flag in _TIME_FLAGS.items() for value in _BAD_COUNTS
     ),
     *(
-        pytest.param([*base, option, value], option, id=f"{base[0]}{option}={value}")
+        pytest.param([*base, option, value], option, "", id=f"{base[0]}{option}={value}")
         for base, option in ((["scan"], "--a-points"), (["scan"], "--p-points"), (["detect", "--mode", "path", "--a", "0.5"], "--points"))
         for value in ("0", "-1", "1000001", "1.5")
     ),
-    pytest.param(["detect", "--mode", "path", "--a", "0.5", "--points", "1"], "--points", id="detect--points=1"),
+    pytest.param(["detect", "--mode", "path", "--a", "0.5", "--points", "1"], "--points", "", id="detect--points=1"),
+    pytest.param(["detect", "--mode", "bare", "--a", "0.5", "--points", "1000000000000000"], "--points", "", id="detect-bare--points=1000000000000000"),
     *(
-        pytest.param([*base, *flag, option, value], option, id=f"{name}-{kind}{option}={value}")
+        pytest.param([*base, *flag, option, value], option, _NOT_FINITE, id=f"{name}-{kind}{option}={value}")
         for name, base in _SERIES_BASES.items()
         for option, flags in (("--t-min", _TIME_FLAGS), ("--t-max", {**_TIME_FLAGS, "range": []}))
         for kind, flag in flags.items()
         for value in ("nan", "inf", "-1")
+    ),
+    # the supermap modes read the same rules, before np.linspace, whose NaN would reach the time check
+    pytest.param(["distance", "--mode", "path", "--a", "0.5", "--t-max", "inf", "--points", "5"], "--t-max", _NOT_FINITE, id="distance-path--t-max=inf"),
+    pytest.param(["evolve", "--mode", "path", "--t-max", "inf"], "--t-max", _NOT_FINITE, id="evolve-path--t-max=inf"),
+    pytest.param(["evolve", "--mode", "switch", "--t-min", "-inf", "--t-max", "1"], "--t-min", _NOT_FINITE, id="evolve-switch--t-min=-inf"),
+    *(
+        pytest.param(["scan", option, value, "--a-points", "3", "--p-points", "3"], option, f"must lie in {interval}, got ", id=f"scan{option}={value}")
+        for option, interval, values in (
+            ("--a-min", "(0, 1]", ("0", "-0.5", "1.5", "nan")),
+            ("--a-max", "(0, 1]", ("0", "1.5", "nan")),
+            ("--p-min", "[0, 1]", ("-0.1", "1.5", "nan")),
+            ("--p-max", "[0, 1]", ("-0.1", "1.5", "nan")),
+        )
+        for value in values
     ),
 ]
 
@@ -924,42 +949,6 @@ class TestExitCodes:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
-        "args",
-        [
-            ["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "1000000000000000"],
-            ["detect", "--mode", "bare", "--a", "0.5", "--points", "1000000000000000"],
-            ["evolve", "--mode", "bare", "--t-max", "1", "--points", "1000000000000000"],
-            # the limit is the scan's 10^6 cells
-            ["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "1000001"],
-        ],
-        ids=["distance", "detect", "evolve", "distance-one-over"],
-    )
-    def test_unbounded_points_is_a_usage_error(self, runner, args):
-        # refused before numpy tries to allocate the 7 PiB grid
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "Invalid value for '--points'" in result.stderr
-        assert result.stdout == ""
-
-    @pytest.mark.parametrize(
-        "args, option",
-        [
-            (["distance", "--mode", "path", "--a", "0.5", "--t-max", "inf", "--points", "5"], "--t-max"),
-            (["evolve", "--mode", "path", "--t-max", "inf"], "--t-max"),
-            (["evolve", "--mode", "switch", "--t-min", "-inf", "--t-max", "1"], "--t-min"),
-            (["distance", "--mode", "bare", "--a", "0.5", "--t-min", "nan", "--t-max", "1"], "--t-min"),
-        ],
-    )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_time_bound_is_a_usage_error(self, runner, args, option):
-        # refused at the option, before np.linspace, whose NaN would reach the time check
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert f"\nError: Invalid value for '{option}': must be finite and >= 0, got " in result.stderr
-
-    @pytest.mark.parametrize(
         "args, message",
         [
             (["evolve", "--mode", "bare", "--input", "1,0,x,0", "--t", "1"], "--input must be four comma-separated reals: could not convert string to float: 'x'"),
@@ -975,13 +964,15 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr.endswith(f"\nError: {message}\n")
 
-    @pytest.mark.parametrize("args, option", _OPTION_REFUSALS)
-    def test_each_option_refuses_its_bad_values(self, runner, args, option):
+    @pytest.mark.parametrize("args, option, text", _OPTION_REFUSALS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_each_option_refuses_its_bad_values(self, runner, args, option, text):
         # the option's own rule refuses the value, whether or not --t is given
         result = runner.invoke(main, args)
         assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
-        assert f"\nError: Invalid value for '{option}': " in result.stderr
+        assert f"\nError: Invalid value for '{option}': {text}" in result.stderr
 
     @pytest.mark.parametrize(
         "perturb, message",

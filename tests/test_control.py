@@ -398,9 +398,10 @@ class TestSupermapTable:
 
     def test_builders_called_through_module_globals(self, monkeypatch):
         # wrappers installed on the module (as a tracer does) must see every
-        # call the supermap table makes; the memo is cleared so no earlier
-        # build of these configs is served instead
+        # call the supermap table makes; the memos are cleared so no earlier
+        # build of these configs, or template of these modes, is served instead
         control._joint_kraus.cache_clear()
+        control._template.cache_clear()
         calls = {}
         for name in ("path_kraus", "switch_kraus"):
             original = getattr(control, name)
