@@ -964,6 +964,33 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr.endswith(f"\nError: {message}\n")
 
+    # the table's rows check each refusal's opening text; these two pin the
+    # whole error line of a count just past its limit and of a NaN time bound
+    @pytest.mark.parametrize(
+        "args",
+        [["distance", "--mode", "bare", "--a", "0.5", "--t-max", "1", "--points", "1000001"]],
+        ids=["distance-one-over"],
+    )
+    def test_unbounded_points_is_a_usage_error(self, runner, args):
+        # the limit is the scan's 10^6 cells
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.endswith("\nError: Invalid value for '--points': 1000001 is not in the range 1<=x<=1000000.\n")
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [pytest.param(["distance", "--mode", "bare", "--a", "0.5", "--t-min", "nan", "--t-max", "1"], "--t-min", id="args3---t-min")],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_time_bound_is_a_usage_error(self, runner, args, option):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.endswith(f"\nError: Invalid value for '{option}': must be finite and >= 0, got nan\n")
+
     @pytest.mark.parametrize("args, option, text", _OPTION_REFUSALS)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_each_option_refuses_its_bad_values(self, runner, args, option, text):
