@@ -202,6 +202,9 @@ _probe_interval = _refuse((lambda v: not 0.0 < v <= 1.0, "must lie in (0, 1], go
 _COUNT = click.IntRange(1, MAX_POINTS)
 # detect's --eps, and the bounds of a linear time range, checked whether or not --t is given
 _finite_nonnegative = _refuse(_NOT_FINITE_NONNEGATIVE)
+# the bounds of detect's log time grid, and scan's window end, past its start DEFAULT_T_MIN
+_finite_positive = _refuse((lambda v: not (np.isfinite(v) and v > 0.0), "must be finite and > 0, got {}"))
+_past_t_min = _refuse((lambda v: not (np.isfinite(v) and v > DEFAULT_T_MIN), f"must be finite and > {DEFAULT_T_MIN:g}, got {{}}"))
 
 
 def _time_axis(t, t_min, t_max, points) -> np.ndarray:
@@ -292,8 +295,8 @@ def distance(mode, a, p, t, t_min, t_max, points, fmt_name, out):
 @click.option("--mode", type=click.Choice(list(BLOCH_ROWS)), required=True)
 @click.option("--a", type=float, required=True)
 @click.option("--p", type=float, default=1.0, show_default=True, callback=_unit_interval)
-@click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True)
-@click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
+@click.option("--t-min", type=float, default=DEFAULT_T_MIN, show_default=True, callback=_finite_positive)
+@click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True, callback=_finite_positive)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=DEFAULT_GRID_POINTS, show_default=True)
 @click.option("--eps", type=float, default=BACKFLOW_EPS, show_default=True, callback=_finite_nonnegative, help="Marginal when the peak derivative is within 10*eps of zero.")
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
@@ -356,7 +359,7 @@ def _json_verdicts(row) -> str:
 @click.option("--p-min", type=float, default=0.0, show_default=True, callback=_unit_interval)
 @click.option("--p-max", type=float, default=1.0, show_default=True, callback=_unit_interval)
 @click.option("--p-points", type=_COUNT, default=100, show_default=True)
-@click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True)
+@click.option("--t-max", type=float, default=DEFAULT_T_MAX, show_default=True, callback=_past_t_min)
 @click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def scan(a_min, a_max, a_points, p_min, p_max, p_points, t_max, fmt_name, out):

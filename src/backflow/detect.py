@@ -11,8 +11,8 @@ Every closed form reads the mode's row of Bloch multipliers in
 v = 1 - u = -expm1(-2t), so each stays finite and accurate for all t >= 0.
 The row is each mode's only formula.  Each derivative is a strictly
 positive prefactor times a bracket, a polynomial in u whose coefficients
-are derived from the row once, at import, so the sign of dD/dt is the sign
-of the bracket and backflow windows are the stretches between its real
+``poly`` derives from the row once, at import, so the sign of dD/dt is the
+sign of the bracket and backflow windows are the stretches between its real
 roots where it is positive; the late-time thresholds come from the same
 coefficients.  All formulas are vectorized over numpy arrays and analytic
 in (u, v), so ``detect_backflow`` checks every derivative against the
@@ -25,7 +25,6 @@ each real part is the real operation's, fused or not, and Im / h is exact.
 import functools
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -33,6 +32,7 @@ import numpy as np
 
 from .channel import _decay, _read_only
 from .control import BLOCH_ROWS, SUPERMAPS, ConfigLike, _mode_and_p
+from .poly import _bracket_coeffs, _horner, _peak, _u0_pair, _u_range, _windows
 from .qmat import KET_0, pure_state
 
 BACKFLOW_EPS = 1e-9
@@ -56,11 +56,7 @@ def probe_pair(a: float):
 _DEFAULT_GRID = (DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_GRID_POINTS)
 
 
-def log_time_grid(
-    t_min: float = DEFAULT_T_MIN,
-    t_max: float = DEFAULT_T_MAX,
-    points: int = DEFAULT_GRID_POINTS,
-) -> np.ndarray:
+def log_time_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Logarithmically spaced time grid; backflow windows open late, so log
     spacing keeps both the early dip and the late window resolved.  Kept
     for the last argument triple, and the default grid always, so the grid
@@ -157,101 +153,6 @@ def _prefactor(a: float, terms):
     return np.sqrt(1.0 - a * a) * u / (delta * delta * (root if s is None else s * root))
 
 
-# ---------------------------------------------------------------------------
-# the bracket, derived from each mode's row: with primes in u,
-# 2 S Delta' - S' Delta = a^2 B_x + b^2 B_z for B_j = 2 n_j (n_j Delta' - n_j' Delta)
-# ---------------------------------------------------------------------------
-
-class _PolyPU(dict):
-    """A polynomial in (p, u) as {(i, j): coefficient of p^i u^j}, with the
-    +, -, * a Bloch row uses and d/du.  The rows have small integer
-    coefficients, so every product and sum here is exact."""
-
-    @staticmethod
-    def of(x) -> "_PolyPU":
-        """x itself, or a number as a constant polynomial."""
-        return x if isinstance(x, _PolyPU) else _PolyPU({(0, 0): float(x)})
-
-    def __add__(self, other):
-        out = _PolyPU(self)
-        for key, c in _PolyPU.of(other).items():
-            out[key] = out.get(key, 0.0) + c
-        return out
-
-    def __sub__(self, other):
-        return self + -1.0 * other
-
-    def __rsub__(self, other):
-        return -1.0 * self + other
-
-    def __mul__(self, other):
-        out = _PolyPU()
-        for (i, j), c in self.items():
-            for (k, l), d in _PolyPU.of(other).items():
-                out[i + k, j + l] = out.get((i + k, j + l), 0.0) + c * d
-        return out
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def d_du(self) -> "_PolyPU":
-        return _PolyPU({(i, j - 1): j * c for (i, j), c in self.items() if j})
-
-    def in_p(self, j: int) -> tuple:
-        """The coefficient of u^j, ascending in p, without trailing zeros."""
-        coeffs = {i: c for (i, jj), c in self.items() if jj == j and c}
-        return tuple(coeffs.get(i, 0.0) for i in range(max(coeffs, default=-1) + 1)) or (0.0,)
-
-
-def _bracket_table(row):
-    """The (B_x, B_z) pairs of a Bloch row, one per power of u, ascending;
-    each B_j as its coefficients ascending in p."""
-    p, u = _PolyPU({(1, 0): 1.0}), _PolyPU({(0, 1): 1.0})
-    # an entry free of p and u, such as the bare Delta, becomes a polynomial too
-    delta, n_x, _, n_z = (_PolyPU.of(entry) for entry in row(p, u, 1.0 - u))
-    d_delta = delta.d_du()
-    b_x, b_z = (2.0 * n * (n * d_delta - n.d_du() * delta) for n in (n_x, n_z))
-    u_degree = max((j for b in (b_x, b_z) for (_, j), c in b.items() if c), default=0)
-    return tuple((b_x.in_p(j), b_z.in_p(j)) for j in range(u_degree + 1))
-
-
-_BRACKET_TABLES = {mode: _bracket_table(row) for mode, row in BLOCH_ROWS.items()}
-
-
-def _peak_table(table):
-    """W / u^m as a polynomial in w = u + 1/u, ascending, for W = B_x B_z' - B_z B_x' of a bracket table
-    (primes in u; r = B_z / (B_z - B_x) has the slope -W / (B_z - B_x)^2), a palindrome of degree 2m in u."""
-    b_x, b_z = (_PolyPU({(i, j): c for j, pair in enumerate(table) for i, c in enumerate(pair[k])}) for k in (0, 1))
-    w_u = b_x * b_z.d_du() - b_z * b_x.d_du()
-    coeffs = [w_u.in_p(j) for j in range(1 + max((j for (_, j), c in w_u.items() if c), default=0))]
-    assert len(coeffs) % 2 and coeffs == coeffs[::-1], "W is not a palindrome in u"
-    # u^k + u^-k as polynomials in w (in the u slot): 2, w, then w (u^k + u^-k) - (u^(k-1) + u^(1-k))
-    m, w = len(coeffs) // 2, _PolyPU({(0, 1): 1.0})
-    sums = [_PolyPU.of(2.0), w]
-    while len(sums) <= m:
-        sums.append(w * sums[-1] - sums[-2])
-    folded = sum(_PolyPU({(i, 0): c for i, c in enumerate(coeffs[m + k])}) * (sums[k] if k else 1.0) for k in range(m + 1))
-    return tuple(folded.in_p(k) for k in range(m + 1))
-
-
-_PEAK_TABLES = {mode: _peak_table(table) for mode, table in _BRACKET_TABLES.items()}
-
-
-def _horner(coeffs, x):
-    """A polynomial at x by Horner's rule, coefficients ascending."""
-    value = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        value = value * x + c
-    return value
-
-
-def _bracket_coeffs(mode: str, a, p):
-    """A mode's bracket coefficients at (a, p), ascending in u: a^2 B_x + b^2 B_z,
-    each table evaluated at p.  a and p may be broadcasting arrays."""
-    a2 = a * a
-    b2 = 1.0 - a2
-    return tuple(a2 * _horner(x, p) + b2 * _horner(z, p) for x, z in _BRACKET_TABLES[mode])
-
-
 def _derivative_parts(mode: str, a: float, p: float, t):
     """Positive prefactor and sign-carrying bracket of a mode's dD/dt at t;
     the bracket is its polynomial evaluated at u = e^{-2t}."""
@@ -280,112 +181,6 @@ def analytic_derivative(config: ConfigLike, a: float, t):
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
-
-def _u_range(t_lo: float, t_hi: float) -> Tuple[float, float]:
-    """[t_lo, t_hi] as a range of u = e^{-2t}; u underflows to 0 past t ~ 372."""
-    return math.exp(-2.0 * t_hi), math.exp(-2.0 * t_lo)
-
-
-def _cubic_candidates(d3, d2, d1, d0):
-    """Candidates that include every real root of d3 u^3 + d2 u^2 + d1 u + d0,
-    elementwise over numpy arrays or numpy scalars.
-
-    Branch-free: the three trigonometric-form values (all roots when three
-    are real), Cardano's value (the root when one is real) and the two
-    roots of d2 u^2 + d1 u + d0 (the roots as d3 -> 0, where the cubic
-    forms lose their precision).  A formula that does not apply gives inf,
-    NaN or a spurious value; callers only ever use a candidate as one more
-    point at which to evaluate.
-    """
-    with np.errstate(all="ignore"):
-        shift = d2 / (3.0 * d3)
-        c, d = d1 / d3, d0 / d3
-        pp = c - 3.0 * shift * shift
-        qq = shift * (2.0 * shift * shift - c) + d
-        disc = 0.25 * qq * qq + pp * pp * pp / 27.0
-        s = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(disc), qq))
-        m = 2.0 * np.sqrt(-pp / 3.0)
-        # np.clip is slow on numpy scalars
-        phi = np.arccos(np.minimum(np.maximum(3.0 * qq / (pp * m), -1.0), 1.0)) / 3.0
-        q = -0.5 * (d1 + np.copysign(np.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
-        return (
-            m * np.cos(phi) - shift,
-            m * np.cos(phi - 2.0 * np.pi / 3.0) - shift,
-            m * np.cos(phi + 2.0 * np.pi / 3.0) - shift,
-            s - pp / (3.0 * s) - shift,
-            q / d2,
-            d0 / q,
-        )
-
-
-def _root(coeffs, lo, hi, f_lo, f_hi):
-    """The bracket's root in [lo, hi], where it is monotone and changes sign:
-    Newton steps from the secant guess, bisecting whenever a step would leave
-    the shrinking range.  From above the tiny root of a flat bracket, such
-    as c u - 256 u^3, each step shrinks u by a factor of only about 2/3;
-    when the steps run out, ``_bisect_floats`` closes the range."""
-    slopes = [k * c for k, c in enumerate(coeffs)][1:]
-    positive_lo = f_lo > 0.0
-    u = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    for _ in range(200):
-        f = _horner(coeffs, u)
-        if f == 0.0:
-            return u
-        if (f > 0.0) == positive_lo:
-            lo = u
-        else:
-            hi = u
-        slope = _horner(slopes, u)
-        step = u - f / slope if slope else 0.5 * (lo + hi)
-        if abs(step - u) <= 1e-15 * u:
-            return step
-        u = step if lo < step < hi else 0.5 * (lo + hi)
-    return _bisect_floats(coeffs, lo, hi, positive_lo)
-
-
-def _bisect_floats(coeffs, lo, hi, positive_lo):
-    """The bracket's sign change in [lo, hi], 0 <= lo <= hi, to two adjacent
-    floats: the range halved in the order of the floats, whose bit patterns
-    increase with their value, so at most 64 halvings.  Returns the low end."""
-    lo, hi = (struct.unpack("<q", struct.pack("<d", end))[0] for end in (lo, hi))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        f = _horner(coeffs, struct.unpack("<d", struct.pack("<q", mid))[0])
-        if f == 0.0:
-            lo = hi = mid
-        elif (f > 0.0) == positive_lo:
-            lo = mid
-        else:
-            hi = mid
-    return struct.unpack("<d", struct.pack("<q", lo))[0]
-
-
-def _windows(coeffs, t_lo: float, t_hi: float) -> List[Tuple[float, float]]:
-    """The stretches of [t_lo, t_hi] where the bracket is positive, in time
-    order, with exact roots as inner endpoints: one root per monotone piece
-    whose ends differ in sign."""
-    u_lo, u_hi = _u_range(t_lo, t_hi)
-    points = [u_lo, u_hi]
-    # the bracket is monotone between its critical points; a linear one has
-    # none, and up to a quartic they are the roots of its derivative, padded
-    # to a cubic; as numpy scalars, a zero leading slope divides to inf or NaN
-    if len(coeffs) > 2:
-        slopes = [k * c for k, c in enumerate(np.array(coeffs, dtype=float))][:0:-1]
-        candidates = _cubic_candidates(*[0.0 * slopes[0]] * (4 - len(slopes)), *slopes)
-        points += [float(u) for u in candidates if u_lo < u < u_hi]
-    points.sort()
-    values = [_horner(coeffs, u) for u in points]
-    # edges in descending time, since u = e^{-2t} runs backwards
-    edges = [t_hi] if values[0] > 0.0 else []
-    for i in range(1, len(points)):
-        if (values[i] > 0.0) != (values[i - 1] > 0.0):
-            u = _root(coeffs, points[i - 1], points[i], values[i - 1], values[i])
-            edges.append(t_hi if u <= u_lo else min(t_hi, max(t_lo, -0.5 * math.log(u))))
-    if values[-1] > 0.0:
-        edges.append(t_lo)
-    edges.reverse()
-    return list(zip(edges[::2], edges[1::2]))
-
 
 @dataclass(frozen=True)
 class BackflowReport:
@@ -458,12 +253,7 @@ def _default_grid_work():
     return key, _kept_grid_work.__wrapped__(key)
 
 
-def detect_backflow(
-    config: ConfigLike,
-    a: float,
-    times: Optional[np.ndarray] = None,
-    eps: float = BACKFLOW_EPS,
-) -> BackflowReport:
+def detect_backflow(config: ConfigLike, a: float, times: Optional[np.ndarray] = None, eps: float = BACKFLOW_EPS) -> BackflowReport:
     """Distance and derivative series, and the exact backflow intervals.
 
     The distance comes from the closed form of the configuration, the
@@ -510,9 +300,7 @@ def detect_backflow(
     slope = _distance(a, shifted).imag / COMPLEX_STEP
     fd_residual = float(np.abs(slope - deriv).max())
     if not fd_residual <= FD_CHECK_TOL:
-        raise RuntimeError(
-            f"analytic derivative disagrees with the complex-step derivative ({fd_residual:.3e})"
-        )
+        raise RuntimeError(f"analytic derivative disagrees with the complex-step derivative ({fd_residual:.3e})")
 
     intervals = _windows(coeffs, float(times[0]), float(times[-1]))
     return BackflowReport(
@@ -546,25 +334,9 @@ def asymptotic_threshold(config: ConfigLike) -> float:
     The path threshold dominates the switch threshold for every p in (0, 1].
     """
     mode, p, _ = _mode_and_p(config)
-    x0, z0 = (_horner(c, p) for c in _BRACKET_TABLES[mode][0])
+    x0, z0 = _u0_pair(mode, p)
     # no late-time backflow where the ratio is not positive, -0 included
     return math.sqrt(max(0.0, z0 / (z0 - x0)))
-
-
-def _peak(mode: str, p, u_lo: float, u_hi: float):
-    """B_x and B_z (the bracket at a = 1 and at a = 0) at the u* in [u_lo, u_hi] where r = B_z / (B_z - B_x)
-    peaks over the points with B_z > 0, or at u_lo if there are none, for a 1-d p array.  u* is an end of
-    the range or a root w >= 2 of the mode's peak table, a polynomial in w = u + 1/u, that lies inside it."""
-    folded = [_horner(c, p) for c in _PEAK_TABLES[mode]][::-1]
-    with np.errstate(all="ignore"):
-        # the root u <= 1 of u^2 - w u + 1, without the cancellation of (w - sqrt(w^2 - 4)) / 2
-        roots = [2.0 / (w + np.sqrt(w * w - 4.0)) for w in _cubic_candidates(*[0.0 * p] * (4 - len(folded)), *folded)]
-    # a root outside the range clips to an end, and a NaN has no B_z > 0
-    u = np.clip([np.full_like(p, u_lo), np.full_like(p, u_hi), *roots], u_lo, u_hi)
-    b_x, b_z = _horner(_bracket_coeffs(mode, np.array([[[1.0]], [[0.0]]]), p), u)
-    ratio = np.divide(b_z, b_z - b_x, out=np.full_like(b_z, -1.0), where=b_z > 0.0)
-    peak = ratio.argmax(axis=0)[None]
-    return np.take_along_axis(b_x, peak, 0)[0], np.take_along_axis(b_z, peak, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -582,11 +354,7 @@ class RegionScan:
             raise ValueError("verdict matrices must have shape (len(p_grid), len(a_grid))")
 
 
-def scan_region(
-    a_grid,
-    p_grid,
-    t_max: float = DEFAULT_T_MAX,
-) -> RegionScan:
+def scan_region(a_grid, p_grid, t_max: float = DEFAULT_T_MAX) -> RegionScan:
     """Backflow verdicts for both configurations over an (a, p) grid.
 
     A cell has backflow when its bracket is positive somewhere in [DEFAULT_T_MIN, t_max], the detect_backflow

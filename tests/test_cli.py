@@ -212,7 +212,6 @@ class TestDetect:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            (["--t-min", "0"], "0 < t_min < t_max"),
             (["--t-min", "5", "--t-max", "1"], "0 < t_min < t_max"),
         ],
     )
@@ -814,9 +813,10 @@ _SUBNORMAL_A = [(mode, a) for mode in ("bare", "path", "switch") for a in ("1e-3
 
 
 # every count option with a value out of its range or not an integer, each
-# linear time bound not finite or negative, with and without --t, and each
-# bound of a scan's ranges: the arguments, the option named, and the text
-# its rule gives after the option's name (a count's comes from click)
+# linear time bound not finite or negative, with and without --t, each log
+# time grid bound, and each bound of a scan's ranges: the arguments, the
+# option named, and the text its rule gives after the option's name (a
+# count's comes from click)
 _SERIES_BASES = {"evolve": ["evolve", "--mode", "bare"], "distance": ["distance", "--mode", "bare", "--a", "0.5"]}
 _TIME_FLAGS = {"t": ["--t", "1"], "range": ["--t-max", "1"]}
 _NOT_FINITE = "must be finite and >= 0, got "
@@ -845,6 +845,16 @@ _OPTION_REFUSALS = [
     pytest.param(["distance", "--mode", "path", "--a", "0.5", "--t-max", "inf", "--points", "5"], "--t-max", _NOT_FINITE, id="distance-path--t-max=inf"),
     pytest.param(["evolve", "--mode", "path", "--t-max", "inf"], "--t-max", _NOT_FINITE, id="evolve-path--t-max=inf"),
     pytest.param(["evolve", "--mode", "switch", "--t-min", "-inf", "--t-max", "1"], "--t-min", _NOT_FINITE, id="evolve-switch--t-min=-inf"),
+    # detect's log grid bounds, and scan's window end, which must pass its start DEFAULT_T_MIN
+    *(
+        pytest.param(["detect", "--mode", "path", "--a", "0.5", option, value], option, "must be finite and > 0, got ", id=f"detect{option}={value}")
+        for option in ("--t-min", "--t-max")
+        for value in ("0", "-1", "nan", "inf")
+    ),
+    *(
+        pytest.param(["scan", "--t-max", value], "--t-max", "must be finite and > 0.01, got ", id=f"scan--t-max={value}")
+        for value in ("0.001", "0.01", "-1", "nan", "inf")
+    ),
     *(
         pytest.param(["scan", option, value, "--a-points", "3", "--p-points", "3"], option, f"must lie in {interval}, got ", id=f"scan{option}={value}")
         for option, interval, values in (

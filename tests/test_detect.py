@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import backflow.detect as detect
+import backflow.poly as poly
 from backflow.channel import apply, phi_t_kraus
 from backflow.detect import (
     BACKFLOW_EPS,
@@ -67,9 +68,9 @@ def empirical_threshold(config, a_step=5e-4):
     a_values = np.arange(a_step, 1.0, a_step)
     u = math.exp(-2.0 * DEFAULT_T_MAX)
     coeffs = detect._bracket_coeffs(mode, a_values, p)
-    positive = detect._horner(coeffs, u) > 0.0
+    positive = poly._horner(coeffs, u) > 0.0
     if not positive.any():
-        return float(0.5 * a_step) if detect._horner(detect._bracket_coeffs(mode, 0.0, p), u) > 0.0 else 0.0
+        return float(0.5 * a_step) if poly._horner(detect._bracket_coeffs(mode, 0.0, p), u) > 0.0 else 0.0
     last_true = int(np.nonzero(positive)[0].max())
     if last_true + 1 >= len(a_values):
         return float(a_values[-1])
@@ -544,7 +545,10 @@ class TestModeTable:
                 calls[label] = calls.get(label, 0) + 1
                 return original(*args)
 
-            monkeypatch.setattr(detect, name, counted)
+            # the scan's peak lookup reads the bracket inside poly, so each
+            # name poly binds is counted there too
+            for module in (detect, poly) if hasattr(poly, name) else (detect,):
+                monkeypatch.setattr(module, name, counted)
 
         for name in ("_terms", "_bracket_coeffs", "_peak"):
             count(name, getattr(detect, name), key=lambda args: args[0])
@@ -715,7 +719,7 @@ class TestScanRegion:
         for t_max in (0.75, 1.0, 12.0, 400.0):
             u_lo, u_hi = detect._u_range(DEFAULT_T_MIN, t_max)
             b_x, b_z = detect._peak("path", p_grid, u_lo, u_hi)
-            at_lo = [detect._horner(detect._bracket_coeffs("path", a_, p_grid), u_lo) for a_ in (1.0, 0.0)]
+            at_lo = [poly._horner(detect._bracket_coeffs("path", a_, p_grid), u_lo) for a_ in (1.0, 0.0)]
             positive = at_lo[1] > 0.0
             assert np.array_equal(b_x[positive], at_lo[0][positive])
             assert np.array_equal(b_z[positive], at_lo[1][positive])
@@ -764,7 +768,7 @@ class TestWholeWindowThreshold:
         times, h = np.linspace(DEFAULT_T_MIN, t_max, 10**5, retstep=True)
         u = np.exp(-2.0 * times)
         for p in (1e-3, 0.1, 0.5, 1.0):
-            b_x, b_z = (detect._horner(detect._bracket_coeffs(mode, a, p), u) for a in (1.0, 0.0))
+            b_x, b_z = (poly._horner(detect._bracket_coeffs(mode, a, p), u) for a in (1.0, 0.0))
             sampled = math.sqrt(np.divide(b_z, b_z - b_x, out=np.zeros_like(b_z), where=b_z > 0.0).max())
             a_star = _a_star(mode, p, t_max)
             assert a_star >= sampled, (p, a_star, sampled)
@@ -808,8 +812,8 @@ def _breakpoints(coeffs, u_lo, u_hi):
     cubic) flagged with whether it lies strictly inside.  The coefficients
     are numpy arrays or numpy scalars, so a zero leading one divides to inf
     or NaN."""
-    slopes = [k * c for k, c in enumerate(coeffs)][:0:-1]
-    candidates = detect._cubic_candidates(*[0.0 * slopes[0]] * (4 - len(slopes)), *slopes)
+    slopes = [k * c for k, c in enumerate(coeffs)][1:]
+    candidates = poly._cubic_candidates(slopes, 0.0 * slopes[-1])
     return [(u_lo, True), (u_hi, True), *((u, (u > u_lo) & (u < u_hi)) for u in candidates)]
 
 
@@ -824,7 +828,7 @@ def _cell_verdicts(mode, a_grid, p_grid, t_max):
     # p = 1.0496596229523014e-102, say); it is not inside, so it decides nothing
     with np.errstate(over="ignore"):
         verdicts = np.logical_or.reduce(
-            [inside & (detect._horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
+            [inside & (poly._horner(coeffs, u) > 0.0) for u, inside in _breakpoints(coeffs, u_lo, u_hi)]
         )
     return np.broadcast_to(verdicts, (p.size, a.size))
 
@@ -1033,7 +1037,7 @@ class TestExactWindows:
         # candidates survive; each bracket here is positive at both
         # ends of the range, or negative at both, and changes sign inside
         times = log_time_grid()
-        windows = detect._windows(coeffs, times[0], times[-1])
+        windows = poly._windows(coeffs, times[0], times[-1])
         expected = _reference_windows(coeffs, times[0], times[-1])
         assert len(windows) == len(expected) >= 1
         assert np.allclose(windows, expected, rtol=1e-12, atol=0.0)
@@ -1085,21 +1089,21 @@ class TestFlatBracketRoots:
     def test_the_bisection_closes_what_newton_leaves(self, monkeypatch):
         # every root it returns is a sign change between adjacent floats; on
         # this grid only the switch at t_max 50 and 400 needs it
-        bisect, capped = detect._bisect_floats, []
+        bisect, capped = poly._bisect_floats, []
 
         def counted(coeffs, lo, hi, positive_lo):
             root = bisect(coeffs, lo, hi, positive_lo)
-            f, f_next = detect._horner(coeffs, root), detect._horner(coeffs, float(np.nextafter(root, 1.0)))
+            f, f_next = poly._horner(coeffs, root), poly._horner(coeffs, float(np.nextafter(root, 1.0)))
             assert f == 0.0 or ((f > 0.0) == positive_lo and (f_next > 0.0) != positive_lo), (coeffs, root)
             capped.append(t_max)
             return root
 
-        monkeypatch.setattr(detect, "_bisect_floats", counted)
+        monkeypatch.setattr(poly, "_bisect_floats", counted)
         for a in 10.0 ** -np.linspace(4.0, 200.0, 40):
             for p in 10.0 ** -np.linspace(4.0, 300.0, 40):
                 for t_max in (12.0, 50.0, 400.0):
                     for mode in _CONFIGS:
-                        detect._windows(detect._bracket_coeffs(mode, a, p), DEFAULT_T_MIN, t_max)
+                        poly._windows(detect._bracket_coeffs(mode, a, p), DEFAULT_T_MIN, t_max)
         assert (capped.count(12.0), capped.count(50.0), capped.count(400.0)) == (0, 57, 342)
 
 

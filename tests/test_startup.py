@@ -14,7 +14,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-NOT_AT_IMPORT = ("numpy.polynomial", "numpy.random")
+# the bracket tables are Python ints, so no command needs fractions, which loads decimal
+NOT_AT_IMPORT = ("numpy.polynomial", "numpy.random", "fractions", "decimal")
 NOT_IN_VALIDATE = ("numpy.random",)
 
 

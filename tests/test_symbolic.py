@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
-from backflow import control, detect  # noqa: E402
+from backflow import control, detect, poly  # noqa: E402
 from backflow.cli import main  # noqa: E402
 from conftest import pure_control_parts  # noqa: E402
 
@@ -258,7 +258,7 @@ def test_table_bracket_is_c_times_the_hand_bracket(mode):
 
 def z_packed_bracket_table(row):
     """The (B_x, B_z) table of a Bloch row by numpy Polynomials, kept as an
-    oracle for ``detect._bracket_table``: a polynomial in (p, u) is held as
+    oracle for ``poly._bracket_table``: a polynomial in (p, u) is held as
     one in z, with p^i u^j -> z^(i + 8j), exact while no product reaches
     degree 8 in p."""
     from numpy.polynomial import Polynomial
@@ -290,25 +290,37 @@ def row_with_p_squared(p, u, v):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_bracket_tables_equal_the_z_packed_derivation(mode):
-    assert detect._BRACKET_TABLES[mode] == z_packed_bracket_table(control.BLOCH_ROWS[mode])
+    assert poly._BRACKET_TABLES[mode] == z_packed_bracket_table(control.BLOCH_ROWS[mode])
 
 
 def test_exact_polynomial_product_and_d_du():
-    poly = detect._PolyPU
-    p_, u_ = poly({(1, 0): 1.0}), poly({(0, 1): 1.0})
+    pu = poly._PolyPU
+    p_, u_ = pu({(1, 0): 1}), pu({(0, 1): 1})
     # (1 + p u)(1 - p u) = 1 - p^2 u^2, whose p u terms cancel to zero entries
     product = (1.0 + p_ * u_) * (1.0 - p_ * u_)
     assert {key: c for key, c in product.items() if c} == {(0, 0): 1.0, (2, 2): -1.0}
     assert {key: c for key, c in product.d_du().items() if c} == {(2, 1): -2.0}
-    assert (product.in_p(2), product.in_p(1), product.in_p(0)) == ((0.0, 0.0, -1.0), (0.0,), (1.0,))
+    assert product.by_u() == ((1,), (0,), (0, 0, -1))
     # the n_z entry of row_with_p_squared: 4u^2 - p^2 (1 + u)(1 - u) = 4u^2 - p^2 + p^2 u^2
     n_z = row_with_p_squared(p_, u_, 1.0 - u_)[3]
     assert {key: c for key, c in n_z.items() if c} == {(0, 2): 4.0, (2, 0): -1.0, (2, 2): 1.0}
     assert {key: c for key, c in n_z.d_du().items() if c} == {(0, 1): 8.0, (2, 1): 2.0}
-    assert detect._bracket_table(row_with_p_squared) == z_packed_bracket_table(row_with_p_squared)
+    assert poly._bracket_table(*poly._brackets(row_with_p_squared)) == z_packed_bracket_table(row_with_p_squared)
     # a number is a constant polynomial; a constant's derivative is zero
     assert (2.0 - u_) * 3.0 == {(0, 0): 6.0, (0, 1): -3.0}
-    assert poly.of(2.0).d_du() == {} and poly.of(2.0).in_p(0) == (2.0,)
+    assert pu.of(2.0).d_du() == {} and pu.of(2.0).by_u() == ((2,),)
+
+
+def test_tables_are_exact_ints():
+    # the rows' constants are integers, and the derivation refuses any other
+    bracket = [c for table in poly._BRACKET_TABLES.values() for pair in table for b in pair for c in b]
+    peak = [c for table in poly._PEAK_TABLES.values() for b in table for c in b]
+    # and each has an exact float, which the float views read
+    assert all(type(c) is int and abs(c) < 2**53 for c in bracket + peak)
+    with pytest.raises(ValueError, match="must be an integer, got 0.5"):
+        poly._PolyPU.of(0.5)
+    with pytest.raises(ValueError, match="must be an integer, got 0.5"):
+        poly._brackets(lambda p, u, v: (4.0 + p * v, 0.5 + u, 0.5 + u, 4.0 * u))
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,7 +434,7 @@ def test_thresholds_follow_from_the_late_time_coefficient(mode, expected):
     assert not c.has(a)
     assert sp.minimum(c, p, sp.Interval(0, 1)) > 0
     # the package's ratio B_z / (B_z - B_x) of the u^0 table entries is that root
-    b_x, b_z = (_exact(detect._horner(b, p)) for b in detect._BRACKET_TABLES[mode][0])
+    b_x, b_z = (_exact(poly._horner(b, p)) for b in poly._BRACKET_TABLES[mode][0])
     assert _is_zero(b_z / (b_z - b_x) - expected)
     for p_ in (0.0, 0.1, 0.5, 1.0):
         config = control.ControlConfig(mode, p_)
@@ -442,7 +454,7 @@ def test_x_part_of_the_bracket_is_negative(mode):
     # B_x = sum_j c_j(p) u^j with every c_j <= 0 and c_0 < 0 on p in [0, 1],
     # so B_x <= c_0 < 0 for every u >= 0: the bracket a^2 B_x + b^2 B_z is
     # positive only where B_z is, and then only for a^2 below B_z / (B_z - B_x)
-    maxima = [sp.maximum(_exact(detect._horner(b_x, p)), p, sp.Interval(0, 1)) for b_x, _ in detect._BRACKET_TABLES[mode]]
+    maxima = [sp.maximum(_exact(poly._horner(b_x, p)), p, sp.Interval(0, 1)) for b_x, _ in poly._BRACKET_TABLES[mode]]
     assert all(m <= 0 for m in maxima)
     assert maxima[0] < 0
 
@@ -457,11 +469,11 @@ def test_peak_table_is_the_fold_of_a_palindromic_w(mode):
     w_u = sp.Poly(sp.expand(b_x * sp.diff(b_z, u) - b_z * sp.diff(b_x, u)), u)
     coeffs = w_u.all_coeffs()
     assert all(_is_zero(c - d) for c, d in zip(coeffs, coeffs[::-1]))
-    table = detect._PEAK_TABLES[mode]
+    table = poly._PEAK_TABLES[mode]
     m = len(table) - 1
     assert w_u.degree() == 2 * m
     w = sp.Symbol("w")
-    folded = sum(_exact(detect._horner(c, p)) * w**k for k, c in enumerate(table))
+    folded = sum(_exact(poly._horner(c, p)) * w**k for k, c in enumerate(table))
     assert _is_zero(folded.subs(w, u + 1 / u) * u**m - w_u.as_expr())
     if mode == "path":
         # W > 0, so the path's r falls in u and peaks at the range's low end u_lo
@@ -475,8 +487,8 @@ def exact_bracket(mode, a_, p_):
     ``_BRACKET_TABLES`` at the exact values of a_ and p_."""
     a2, p_exact = Fraction(a_) ** 2, Fraction(p_)
     coeffs = [
-        a2 * detect._horner([Fraction(c) for c in x], p_exact) + (1 - a2) * detect._horner([Fraction(c) for c in z], p_exact)
-        for x, z in detect._BRACKET_TABLES[mode]
+        a2 * poly._horner([Fraction(c) for c in x], p_exact) + (1 - a2) * poly._horner([Fraction(c) for c in z], p_exact)
+        for x, z in poly._BRACKET_TABLES[mode]
     ]
     return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], u, domain=sp.QQ)
 
