@@ -212,6 +212,7 @@ class TestDetect:
     @pytest.mark.parametrize(
         "grid, message",
         [
+            (["--t-min", "1", "--t-max", "1"], "0 < t_min < t_max"),
             (["--t-min", "5", "--t-max", "1"], "0 < t_min < t_max"),
         ],
     )
